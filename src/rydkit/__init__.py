@@ -9,7 +9,6 @@ reference values the models were validated against.
 
 from .budget import (
     CrosstalkEstimate,
-    LossBudget,
     MonteCarloResult,
     default_t_qec,
     loss_probability,
@@ -46,8 +45,6 @@ from .dressing import (
 )
 from .errors import BranchResidualWarning, DomainError, ModelValidityWarning
 from .gate_error import (
-    BlockadeGateInputs,
-    DopplerInputs,
     GateErrorBudget,
     StarkBudget,
     asymptotic_blockade_floor,

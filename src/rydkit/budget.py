@@ -8,53 +8,26 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, ModelValidityWarning
+from .errors import DomainError, ModelValidityWarning, in_range
 
 # Default error-correction cycle time: 0.1 ms per code qubit.
 T_QEC_PER_QUBIT = 1e-4  # s
 
 
-def default_t_qec(n_code: int) -> float:
+def default_t_qec(n_code: float) -> float:
     """Cycle time convention t_qec = 0.1 N_code ms, in seconds."""
-    return T_QEC_PER_QUBIT * n_code
+    return T_QEC_PER_QUBIT * in_range("n_code", n_code, 1.0, bounds="[)")
 
 
-@dataclass(frozen=True)
-class LossBudget:
-    """Inputs of the vacuum-loss budget for a code block."""
-
-    n_code: int
-    n_phys: int
-    t_qec: float    # s
-    epsilon: float  # tolerated loss probability per cycle
-    tau_vac: float  # s
-
-    def __post_init__(self) -> None:
-        if self.n_code < 1 or self.n_phys < 1:
-            raise DomainError("qubit counts must be >= 1")
-        if not self.t_qec > 0:
-            raise DomainError("t_qec must be > 0")
-        if not 0 < self.epsilon < 1:
-            raise DomainError("epsilon must lie in (0, 1)")
-        if not self.tau_vac > 0:
-            raise DomainError("tau_vac must be > 0")
-
-    def required_vacuum_lifetime(self) -> float:
-        return required_vacuum_lifetime(self.n_code, self.t_qec, self.epsilon)
-
-    def required_reload_rate(self) -> float:
-        return required_reload_rate(self.n_phys, self.tau_vac, self.epsilon)
-
-
-def loss_probability(n_code: int, t: float, tau_vac: float) -> float:
+def loss_probability(n_code: float, t: float, tau_vac: float) -> float:
     """Probability N_code (1 - e^(-t/tau_vac)) of >= 1 atom lost after time t.
 
     Clamped to 1 (with a warning) where the linearized budget model leaves
     validity.
     """
-    _require_positive(n_code=n_code, tau_vac=tau_vac)
-    if t < 0:
-        raise DomainError("t must be >= 0")
+    n_code = in_range("n_code", n_code, 1.0, bounds="[)")
+    t = in_range("t", t, bounds="[)")
+    tau_vac = in_range("tau_vac", tau_vac)
     p = n_code * -math.expm1(-t / tau_vac)
     if p > 1.0:
         warnings.warn(
@@ -67,16 +40,21 @@ def loss_probability(n_code: int, t: float, tau_vac: float) -> float:
     return p
 
 
-def required_vacuum_lifetime(n_code: int, t_qec: float, epsilon: float) -> float:
+def required_vacuum_lifetime(n_code: float, t_qec: float, epsilon: float) -> float:
     """Vacuum lifetime (s) keeping the per-cycle loss probability below epsilon."""
-    _require_positive(n_code=n_code, t_qec=t_qec, epsilon=epsilon)
-    return n_code * t_qec / epsilon
+    n_code = in_range("n_code", n_code, 1.0, bounds="[)")
+    t_qec = in_range("t_qec", t_qec)
+    epsilon = in_range("epsilon", epsilon, 0.0, 1.0, "(]")
+    return in_range("tau_vac", n_code * t_qec / epsilon)
 
 
-def required_reload_rate(n_phys: int, tau_vac: float, epsilon: float) -> float:
+def required_reload_rate(n_phys: float, tau_vac: float, epsilon: float) -> float:
     """Reload rate (1/s) sustaining an N_phys-atom array at loss threshold epsilon."""
-    _require_positive(n_phys=n_phys, tau_vac=tau_vac, epsilon=epsilon)
-    return n_phys / (tau_vac * epsilon)
+    n_phys = in_range("n_phys", n_phys, 1.0, bounds="[)")
+    tau_vac = in_range("tau_vac", tau_vac)
+    epsilon = in_range("epsilon", epsilon, 0.0, 1.0, "(]")
+    exposure = in_range("tau_vac * epsilon", tau_vac * epsilon)
+    return in_range("reload rate", n_phys / exposure)
 
 
 @dataclass(frozen=True)
@@ -95,11 +73,11 @@ def simulate_loss(
     with at least one lifetime below ``t``. Deterministic for a fixed seed.
     Returns the loss fraction with its binomial standard error.
     """
-    _require_positive(n_code=n_code, tau_vac=tau_vac)
-    if t < 0:
-        raise DomainError("t must be >= 0")
-    if trials < 1000:
-        raise DomainError("need at least 1000 trials for a meaningful estimate")
+    in_range("n_code", n_code, 1.0, bounds="[)")  # counts stay ints: they size arrays
+    tau_vac = in_range("tau_vac", tau_vac)
+    t = in_range("t", t, bounds="[)")
+    in_range("trials", trials, 1000.0, bounds="[)")
+    in_range("seed", seed, 0.0, bounds="[)")
     rng = np.random.default_rng(seed)
     hits = 0
     block = max(1, 10**6 // n_code)  # bound memory for large trial counts
@@ -135,16 +113,18 @@ def measurement_crosstalk(
     eta_abs = sigma/(4 pi d^2); eta_det = efficiency x solid-angle fraction
     (1 - sqrt(1 - NA^2))/2 of a lens with the given numerical aperture.
     """
-    _require_positive(wavelength=wavelength, spacing=spacing)
-    if not 0 < numerical_aperture < 1:
-        raise DomainError("numerical aperture must lie in (0, 1)")
-    if not 0 < efficiency <= 1:
-        raise DomainError("efficiency must lie in (0, 1]")
+    wavelength = in_range("wavelength", wavelength)
+    spacing = in_range("spacing", spacing)
+    numerical_aperture = in_range("numerical_aperture", numerical_aperture, 0.0, 1.0)
+    efficiency = in_range("efficiency", efficiency, 0.0, 1.0, "(]")
     if spacing <= wavelength / 2:
         raise DomainError("qubit spacing must exceed lambda/2 for the far-field estimate")
-    sigma = (3.0 / (2.0 * math.pi)) * wavelength**2
-    eta_abs = sigma / (4.0 * math.pi * spacing**2)
-    eta_det = efficiency * (1.0 - math.sqrt(1.0 - numerical_aperture**2)) / 2.0
+    try:
+        sigma = (3.0 / (2.0 * math.pi)) * wavelength**2
+        eta_abs = sigma / (4.0 * math.pi * spacing**2)
+    except ArithmeticError:
+        raise DomainError("lambda^2 or d^2 is out of float range") from None
+    eta_det = in_range("eta_det", efficiency * detection_solid_angle_fraction(numerical_aperture))
     return CrosstalkEstimate(
         wavelength=wavelength,
         spacing=spacing,
@@ -153,18 +133,12 @@ def measurement_crosstalk(
         cross_section=sigma,
         eta_abs=eta_abs,
         eta_det=eta_det,
-        ratio=eta_abs / eta_det,
+        ratio=in_range("ratio", eta_abs / eta_det, bounds="[)"),
     )
 
 
 def detection_solid_angle_fraction(numerical_aperture: float) -> float:
     """Collected solid-angle fraction (1 - cos(theta))/2 with sin(theta) = NA."""
-    if not 0 < numerical_aperture <= 1:
-        raise DomainError("numerical aperture must lie in (0, 1]")
+    numerical_aperture = in_range("numerical_aperture", numerical_aperture, 0.0, 1.0, "(]")
     return (1.0 - math.sqrt(1.0 - numerical_aperture**2)) / 2.0
 
-
-def _require_positive(**kwargs: float) -> None:
-    for name, value in kwargs.items():
-        if not (math.isfinite(value) and value > 0):
-            raise DomainError(f"{name} must be positive and finite, got {value!r}")

@@ -17,15 +17,16 @@ import numpy as np
 from . import budget as budget_mod
 from . import core, dressing, gate_error, report
 from .errors import DomainError
-from .grid import SCAN_QUANTITIES, axis, scan
+from .grid import _FMT, SCAN_QUANTITIES, axis, scan
 from .species import get_species, load_species_config
 from .units import Frequency
 
-_FMT = "{:.17g}"
-
 
 def _emit_json(payload: dict, out: str | None) -> None:
-    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    try:
+        text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
+    except ValueError as exc:
+        raise DomainError(f"output holds a NaN or infinite value ({exc})") from None
     _write(text, out)
 
 

@@ -5,22 +5,23 @@ from __future__ import annotations
 import math
 from typing import Callable
 
-from .constants import CODATA, PhysConstants
-from .errors import DomainError
+from .constants import CODATA
+from .errors import DomainError, in_range
 from .units import Frequency, angular
 
 
-def blackbody_depopulation_rate(
-    n: float, temperature: float, constants: PhysConstants = CODATA
-) -> float:
+def blackbody_depopulation_rate(n: float, temperature: float) -> float:
     """Universal blackbody-induced Rydberg depopulation rate, in 1/s.
 
     Uses the n-independent-dipole estimate 4 alpha^3 k_B T / (3 n^2 hbar),
     adequate for shape and ordering; fitted per-species coefficients are not
     modeled.
     """
-    c = constants
-    return 4.0 * c.alpha_fs**3 * c.k_b * temperature / (3.0 * n * n * c.hbar)
+    n = in_range("n", n, 1.0, bounds="[)")
+    temperature = in_range("temperature", temperature, bounds="[)")
+    c = CODATA
+    rate = 4.0 * c.alpha_fs**3 * c.k_b * temperature / (3.0 * n * n * c.hbar)
+    return in_range("blackbody rate", rate, bounds="[)")
 
 
 def rydberg_lifetime(
@@ -28,7 +29,6 @@ def rydberg_lifetime(
     temperature: float,
     tau0: float,
     bbr_rate: Callable[[float, float], float] | None = None,
-    constants: PhysConstants = CODATA,
 ) -> float:
     """Depopulation lifetime 1/(1/(tau0 n^3) + Gamma_BBR(n, T)) in seconds.
 
@@ -36,34 +36,29 @@ def rydberg_lifetime(
     modeled). A custom ``bbr_rate(n, T) -> 1/s`` may replace the built-in
     blackbody model. At T=0 the result is exactly tau0 n^3.
     """
-    if not (math.isfinite(n) and n >= 10):
-        raise DomainError(f"n must be finite and >= 10, got {n!r}")
-    if not (math.isfinite(temperature) and temperature >= 0):
-        raise DomainError(f"temperature must be finite and >= 0, got {temperature!r}")
-    if not (math.isfinite(tau0) and tau0 > 0):
-        raise DomainError(f"tau0 must be positive, got {tau0!r}")
-    radiative = tau0 * n**3
-    if temperature == 0:
-        return radiative
-    rate_bbr = (bbr_rate or blackbody_depopulation_rate)(n, temperature)
-    return 1.0 / (1.0 / radiative + rate_bbr)
+    n = in_range("n", n, 10.0, bounds="[)")
+    temperature = in_range("temperature", temperature, bounds="[)")
+    tau0 = in_range("tau0", tau0)
+    try:
+        radiative = tau0 * n**3
+        if temperature == 0:
+            return in_range("lifetime", radiative)
+        rate_bbr = (bbr_rate or blackbody_depopulation_rate)(n, temperature)
+        return in_range("lifetime", 1.0 / (1.0 / radiative + rate_bbr))
+    except ArithmeticError:
+        raise DomainError(f"lifetime is out of float range at n = {n!r}") from None
 
 
-def free_electron_polarizability(
-    omega: Frequency | float, constants: PhysConstants = CODATA
-) -> float:
+def free_electron_polarizability(omega: Frequency | float) -> float:
     """Ponderomotive polarizability -e^2/(m_e omega^2), in atomic units (< 0)."""
-    w = angular(omega)
-    if w <= 0:
-        raise DomainError("optical frequency must be > 0 (omega = 0 is singular)")
-    c = constants
-    return -c.e**2 / (c.m_e * w * w) / c.polarizability_au
+    w = in_range("optical frequency", angular(omega))
+    c = CODATA
+    m_w2 = in_range("m_e omega^2", c.m_e * w * w)
+    return in_range("polarizability", -c.e**2 / m_w2 / c.polarizability_au, -math.inf, 0.0, "(]")
 
 
 def magnetic_trap_field(depth: float, magnetic_moment: float) -> float:
     """Peak field (T) needed for a trap depth (K) at magnetic moment mu (J/T)."""
-    if not (math.isfinite(depth) and depth > 0):
-        raise DomainError(f"trap depth must be positive, got {depth!r}")
-    if not (math.isfinite(magnetic_moment) and magnetic_moment > 0):
-        raise DomainError(f"magnetic moment must be positive, got {magnetic_moment!r}")
-    return CODATA.k_b * depth / magnetic_moment
+    depth = in_range("trap depth", depth)
+    magnetic_moment = in_range("magnetic moment", magnetic_moment)
+    return in_range("trap field", CODATA.k_b * depth / magnetic_moment)

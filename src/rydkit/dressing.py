@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BranchResidualWarning, DomainError, ModelValidityWarning
+from .errors import BranchResidualWarning, DomainError, ModelValidityWarning, in_range
 from .units import TWO_PI, Frequency, angular
 
 _CBRT2 = 2.0 ** (1 / 3)
@@ -39,10 +39,11 @@ class PairInteraction:
     def __post_init__(self) -> None:
         if self.defect.rad_per_s == 0:
             raise DomainError("Foerster defect must be nonzero")
-        if not self.angular_factor > 0:
-            raise DomainError("angular factor D_kl must be > 0")
+        in_range("angular factor D_kl", self.angular_factor)
         if self.c3 is None and self.r_c is None:
             raise DomainError("supply c3 or r_c")
+        if self.r_c is not None:
+            in_range("r_c", self.r_c)
         if self.c3 is not None:
             derived = crossover_radius(self.c3, self.defect, self.angular_factor)
             if self.r_c is None:
@@ -65,12 +66,11 @@ class DressingParams:
     spacing: float       # m, lattice period
 
     def __post_init__(self) -> None:
-        if not self.rabi.rad_per_s > 0:
-            raise DomainError("Rabi frequency must be > 0")
+        in_range("Rabi frequency", self.rabi.rad_per_s)
         if self.detuning.rad_per_s == 0:
             raise DomainError("dressing detuning must be nonzero")
-        if not self.lifetime > 0 or not self.spacing > 0:
-            raise DomainError("lifetime and lattice spacing must be > 0")
+        in_range("lifetime", self.lifetime)
+        in_range("lattice spacing", self.spacing)
 
 
 @dataclass(frozen=True)
@@ -88,23 +88,30 @@ class FigureOfMerit:
     f_prime_per_atom: float
 
     def __post_init__(self) -> None:
-        for name in ("tau_dr", "n_atoms", "f", "f_composed", "f_prime"):
-            if not getattr(self, name) > 0:
-                raise DomainError(f"{name} must be > 0")
+        for name in ("tau_dr", "n_atoms", "f", "f_composed", "f_prime", "f_prime_per_atom"):
+            in_range(name, getattr(self, name))
 
 
 def dipole_dipole_shift(r: float, defect: Frequency | float, r_c: float) -> Frequency:
     """Pair frequency shift (delta/2)(1 - sqrt(1 + (R_c/R)^6)) of the coupled channel."""
-    _check_radius(r)
+    r = in_range("separation R", r)
     d = angular(defect)
-    return Frequency(0.5 * d * (1.0 - math.sqrt(1.0 + (r_c / r) ** 6)))
+    r_c = in_range("r_c", r_c)
+    try:
+        return Frequency(0.5 * d * (1.0 - math.sqrt(1.0 + (r_c / r) ** 6)))
+    except OverflowError:
+        raise DomainError(f"(R_c/R)^6 is out of float range at R = {r!r}") from None
 
 
 def vdw_shift(r: float, defect: Frequency | float, r_c: float) -> Frequency:
     """Long-range van der Waals limit -(delta/4)(R_c/R)^6 of the pair shift."""
-    _check_radius(r)
+    r = in_range("separation R", r)
     d = angular(defect)
-    return Frequency(-0.25 * d * (r_c / r) ** 6)
+    r_c = in_range("r_c", r_c)
+    try:
+        return Frequency(-0.25 * d * (r_c / r) ** 6)
+    except OverflowError:
+        raise DomainError(f"(R_c/R)^6 is out of float range at R = {r!r}") from None
 
 
 def crossover_radius(
@@ -115,17 +122,26 @@ def crossover_radius(
     ``c3`` in GHz um^3 and the defect share the ordinary-frequency convention,
     so the 2pi factors cancel.
     """
+    c3 = in_range("c3", c3, -math.inf)
+    angular_factor = in_range("angular factor D_kl", angular_factor)
     d_ghz = abs(angular(defect)) / TWO_PI / 1e9
-    if d_ghz == 0 or c3 == 0 or not angular_factor > 0:
-        raise DomainError("c3, defect, and D_kl must be nonzero")
-    return (4.0 * angular_factor) ** (1 / 6) * (abs(c3) / d_ghz) ** (1 / 3) * 1e-6
+    if d_ghz == 0 or c3 == 0:
+        raise DomainError("c3 and the defect must be nonzero")
+    return in_range(
+        "r_c", (4.0 * angular_factor) ** (1 / 6) * (abs(c3) / d_ghz) ** (1 / 3) * 1e-6
+    )
 
 
 def implied_c3(r_c: float, defect: Frequency | float, angular_factor: float = 12.0) -> float:
     """Invert :func:`crossover_radius`: the C3 (GHz um^3) behind a given R_c (m)."""
-    _check_radius(r_c)
+    r_c = in_range("r_c", r_c)
+    angular_factor = in_range("angular factor D_kl", angular_factor)
     d_ghz = abs(angular(defect)) / TWO_PI / 1e9
-    return d_ghz * (r_c * 1e6) ** 3 / math.sqrt(4.0 * angular_factor)
+    try:
+        c3 = d_ghz * (r_c * 1e6) ** 3 / math.sqrt(4.0 * angular_factor)
+    except OverflowError:
+        raise DomainError(f"R_c^3 is out of float range at R_c = {r_c!r}") from None
+    return in_range("c3", c3)
 
 
 def blockade_radius(
@@ -139,8 +155,9 @@ def blockade_radius(
     det = angular(detuning)
     d = angular(defect)
     _check_signs(det, d)
-    _check_radius(r_c)
-    return r_c * abs(d) ** (1 / 3) / (_CBRT2 * (abs(det) * abs(det + d)) ** (1 / 6))
+    r_c = in_range("r_c", r_c)
+    product = in_range("|Delta (Delta + delta)|", abs(det) * abs(det + d))
+    return in_range("blockade radius", r_c * abs(d) ** (1 / 3) / (_CBRT2 * product ** (1 / 6)))
 
 
 def pair_light_shift_free(rabi: Frequency | float, detuning: Frequency | float) -> Frequency:
@@ -177,7 +194,10 @@ def dressing_depth_perturbative(
     det = angular(detuning)
     if det == 0:
         raise DomainError("detuning must be nonzero")
-    return Frequency(-(w**4) / (8.0 * det**3))
+    try:
+        return Frequency(-(w**4) / (8.0 * det**3))
+    except ArithmeticError:
+        raise DomainError("Omega^4 / Delta^3 is out of float range") from None
 
 
 def _hamiltonian_scaled(rabi: float, detuning: float, pair_shift: float):
@@ -244,10 +264,10 @@ def dressed_ground_energy_closed_form(
     returned root retains an imaginary residue above 1e-9 relative.
     """
     w_raw = angular(rabi)
-    if w_raw == 0.0:
-        return Frequency(0.0)
     scale = max(abs(w_raw), abs(angular(detuning)), abs(angular(pair_shift)), 1.0)
     omega = w_raw / scale
+    if omega == 0.0:
+        return Frequency(0.0)
     delta = angular(detuning) / scale
     dd = angular(pair_shift) / scale
 
@@ -294,8 +314,8 @@ def soft_core_scale(
     det = angular(detuning)
     d = angular(defect)
     _check_signs(det, d)
-    _check_radius(r_c)
-    return r_c * (d / (8.0 * det)) ** (1 / 6)
+    r_c = in_range("r_c", r_c)
+    return in_range("core radius", r_c * (d / (8.0 * det)) ** (1 / 6))
 
 
 def normalized_potential(r: float, params: DressingParams, kind: str = "full") -> float:
@@ -306,14 +326,17 @@ def normalized_potential(r: float, params: DressingParams, kind: str = "full") -
     ``single_term`` (the -xi^6/(R^6 + xi^6) approximation, sign-matched to
     the dressed branch). |V| -> 1 at the origin and V -> 0 at infinity.
     """
-    _check_radius(r)
+    r = in_range("separation R", r)
     det = params.detuning.rad_per_s
     defect = params.pair.defect.rad_per_s
     _check_signs(det, defect)
     r_c = params.pair.r_c
     if kind == "single_term":
-        xi6 = soft_core_scale(det, defect, r_c) ** 6
-        return -math.copysign(1.0, det) * xi6 / (r**6 + xi6)
+        try:
+            xi6 = soft_core_scale(det, defect, r_c) ** 6
+            return -math.copysign(1.0, det) * xi6 / (r**6 + xi6)
+        except ArithmeticError:
+            raise DomainError("R^6 or xi^6 is out of float range") from None
     if kind == "full":
         shift = dipole_dipole_shift(r, defect, r_c)
     elif kind == "vdw":
@@ -322,9 +345,9 @@ def normalized_potential(r: float, params: DressingParams, kind: str = "full") -
         raise DomainError(f"unknown potential kind {kind!r}")
     w = params.rabi.rad_per_s
     free = pair_light_shift_free(w, det).rad_per_s
-    depth = pair_light_shift_blockaded(w, det).rad_per_s - free
+    depth = in_range("well depth", abs(pair_light_shift_blockaded(w, det).rad_per_s - free))
     energy = dressed_ground_energy_exact(w, det, shift).rad_per_s
-    return (energy - free) / abs(depth)
+    return in_range("normalized potential", (energy - free) / depth, -math.inf)
 
 
 def dressed_decoherence_time(
@@ -333,11 +356,9 @@ def dressed_decoherence_time(
     """Per-atom dressing decoherence time tau_dr = (2 Delta^2/Omega^2) tau, in s."""
     w = angular(rabi)
     det = angular(detuning)
-    if w == 0:
-        raise DomainError("Rabi frequency must be nonzero")
-    if not lifetime > 0:
-        raise DomainError("lifetime must be > 0")
-    return 2.0 * det * det / (w * w) * lifetime
+    lifetime = in_range("lifetime", lifetime)
+    w2 = in_range("Omega^2", w * w)
+    return in_range("tau_dr", 2.0 * det * det / w2 * lifetime)
 
 
 def operations_per_atom(params: DressingParams) -> float:
@@ -357,8 +378,9 @@ def f_prime(
     """
     w = angular(rabi)
     det = angular(detuning)
-    if w == 0 or det == 0 or not lifetime > 0:
-        raise DomainError("rabi, detuning, and lifetime must be nonzero/positive")
+    if w == 0 or det == 0:
+        raise DomainError("rabi and detuning must be nonzero")
+    lifetime = in_range("lifetime", lifetime)
     return w * w * lifetime / (4.0 * math.pi * abs(det))
 
 
@@ -374,8 +396,9 @@ def f_prime_defect(
     """
     w = angular(rabi)
     d = angular(defect)
-    if w == 0 or d == 0 or not lifetime > 0:
-        raise DomainError("rabi, defect, and lifetime must be nonzero/positive")
+    if w == 0 or d == 0:
+        raise DomainError("rabi and defect must be nonzero")
+    lifetime = in_range("lifetime", lifetime)
     return w * w * lifetime / (4.0 * math.pi * abs(d))
 
 
@@ -450,25 +473,28 @@ def figures_of_merit(params: DressingParams) -> tuple[FigureOfMerit, ...]:
     ops = depth.rad_per_s * tau_dr / TWO_PI
     fp = 2.0 * ops
     records = []
-    for dim in (1, 2, 3):
-        n_atoms = blockade_atom_count(dim, r_b, params.spacing)
-        f_closed = _closed_form_fom(
-            dim, w, abs(defect), abs(det), sum_abs,
-            params.lifetime, params.pair.r_c / params.spacing,
-        )
-        records.append(
-            FigureOfMerit(
-                dimension=dim,
-                depth=depth,
-                tau_dr=tau_dr,
-                n_atoms=n_atoms,
-                n_atoms_floored=math.floor(n_atoms),
-                f=f_closed,
-                f_composed=ops * n_atoms,
-                f_prime=fp,
-                f_prime_per_atom=fp / n_atoms,
+    try:
+        for dim in (1, 2, 3):
+            n_atoms = blockade_atom_count(dim, r_b, params.spacing)
+            f_closed = _closed_form_fom(
+                dim, w, abs(defect), abs(det), sum_abs,
+                params.lifetime, params.pair.r_c / params.spacing,
             )
-        )
+            records.append(
+                FigureOfMerit(
+                    dimension=dim,
+                    depth=depth,
+                    tau_dr=tau_dr,
+                    n_atoms=n_atoms,
+                    n_atoms_floored=math.floor(n_atoms),
+                    f=f_closed,
+                    f_composed=ops * n_atoms,
+                    f_prime=fp,
+                    f_prime_per_atom=fp / n_atoms,
+                )
+            )
+    except ArithmeticError:
+        raise DomainError("a figure of merit is out of float range") from None
     return tuple(records)
 
 
@@ -503,8 +529,8 @@ def scaling_exponent(
         raise DomainError(
             f"unknown quantity {quantity!r} (choose from {', '.join(_SCALING_QUANTITIES)})"
         )
-    if not n_hi > n_lo >= 50:
-        raise DomainError("need n_hi > n_lo >= 50")
+    n_lo = in_range("n_lo", n_lo, 50.0, bounds="[)")
+    n_hi = in_range("n_hi", n_hi, n_lo)
 
     def value(n: float) -> float:
         defect = n**model.defect_exponent
@@ -519,12 +545,11 @@ def scaling_exponent(
         dim = int(quantity[2])
         return _closed_form_fom(dim, 1.0, defect, det, det + defect, tau, r_c / d)
 
-    return (math.log(value(n_hi)) - math.log(value(n_lo))) / (math.log(n_hi) - math.log(n_lo))
-
-
-def _check_radius(r: float) -> None:
-    if not (isinstance(r, (int, float)) and math.isfinite(r) and r > 0):
-        raise DomainError(f"separation must be positive and finite, got {r!r} (R = 0 is singular)")
+    try:
+        slope = (math.log(value(n_hi)) - math.log(value(n_lo))) / (math.log(n_hi) - math.log(n_lo))
+    except (ArithmeticError, ValueError):
+        raise DomainError(f"{quantity} leaves the float range between n_lo and n_hi") from None
+    return in_range("scaling exponent", slope, -math.inf)
 
 
 def _check_signs(detuning: float, defect: float) -> None:

@@ -14,40 +14,11 @@ from dataclasses import dataclass
 
 from scipy.optimize import brentq
 
-from .constants import CODATA, PhysConstants
-from .errors import DomainError, ModelValidityWarning
+from .constants import CODATA
+from .errors import DomainError, ModelValidityWarning, in_range
 from .units import TWO_PI, Frequency, angular
 
 _SEVEN_PI = 7.0 * math.pi
-
-
-@dataclass(frozen=True)
-class BlockadeGateInputs:
-    blockade: Frequency   # blockade shift of the doubly excited pair state
-    lifetime: float       # s, Rydberg-state lifetime
-    rabi: Frequency | None = None
-
-    def __post_init__(self) -> None:
-        if not self.blockade.rad_per_s > 0:
-            raise DomainError("blockade shift must be > 0")
-        if not self.lifetime > 0:
-            raise DomainError("lifetime must be > 0")
-        if self.rabi is not None and not self.rabi.rad_per_s > 0:
-            raise DomainError("Rabi frequency must be > 0 when given")
-
-
-@dataclass(frozen=True)
-class DopplerInputs:
-    k: float            # 1/m, net excitation wavevector magnitude
-    temperature: float  # K
-    time: float         # s spent in the Rydberg state
-    mass: float         # kg
-
-    def __post_init__(self) -> None:
-        if self.k < 0 or self.temperature < 0 or self.time < 0:
-            raise DomainError("k, temperature, and time must be >= 0")
-        if not self.mass > 0:
-            raise DomainError("mass must be > 0")
 
 
 @dataclass(frozen=True)
@@ -68,14 +39,12 @@ class GateErrorBudget:
     total: float
     spontaneous: float
     blockade_leakage: float
-    doppler: float = 0.0
-    stark: float = 0.0
 
 
 def optimal_rabi(blockade: Frequency | float, lifetime: float) -> Frequency:
     """Rabi frequency (7 pi)^(1/3) B^(2/3) / tau^(1/3) minimizing the blockade gate error."""
-    b = _positive_angular(blockade, "blockade shift")
-    _check_lifetime(lifetime)
+    b = in_range("blockade shift", angular(blockade))
+    lifetime = in_range("lifetime", lifetime)
     return Frequency(_SEVEN_PI ** (1 / 3) * b ** (2 / 3) * lifetime ** (-1 / 3))
 
 
@@ -86,9 +55,9 @@ def blockade_gate_error(blockade: Frequency | float, lifetime: float) -> float:
     Omega^2/(8 B^2) at the optimal Rabi frequency. Valid for B tau >> 1; a
     warning is issued below B tau = 10.
     """
-    b = _positive_angular(blockade, "blockade shift")
-    _check_lifetime(lifetime)
-    bt = b * lifetime
+    b = in_range("blockade shift", angular(blockade))
+    lifetime = in_range("lifetime", lifetime)
+    bt = in_range("B tau", b * lifetime)
     if bt < 10.0:
         warnings.warn(
             f"B tau = {bt:.3g} < 10: outside the strong-blockade regime of the error model",
@@ -100,26 +69,25 @@ def blockade_gate_error(blockade: Frequency | float, lifetime: float) -> float:
 
 def entanglement_error_bound(blockade: Frequency | float, lifetime: float) -> float:
     """Fundamental lower bound 2/(B tau) for one unit of entanglement."""
-    b = _positive_angular(blockade, "blockade shift")
-    _check_lifetime(lifetime)
-    return 2.0 / (b * lifetime)
+    b = in_range("blockade shift", angular(blockade))
+    lifetime = in_range("lifetime", lifetime)
+    bt = in_range("B tau", b * lifetime)
+    return in_range("entanglement error bound", 2.0 / bt)
 
 
-def rydberg_level_half_spacing(n: float, constants: PhysConstants = CODATA) -> Frequency:
+def rydberg_level_half_spacing(n: float) -> Frequency:
     """Half the neighboring-level spacing E_H/(2 hbar n^3), the usable shift ceiling."""
-    if not n > 0:
-        raise DomainError("n must be > 0")
-    return Frequency(1.0 / (2.0 * constants.atomic_time * n**3))
+    n = in_range("n", n, 1.0, bounds="[)")
+    return Frequency(1.0 / (2.0 * CODATA.atomic_time * n**3))
 
 
-def asymptotic_blockade_floor(tau0: float, constants: PhysConstants = CODATA) -> float:
+def asymptotic_blockade_floor(tau0: float) -> float:
     """Level-spacing-limited blockade gate error (3 (14 pi)^(2/3)/8)(hbar/(E_H tau0))^(2/3).
 
     The large-n limit of :func:`blockade_gate_error` with the blockade shift
     capped at half the level spacing and lifetime tau0 n^3; independent of n.
     """
-    _check_lifetime(tau0, name="tau0")
-    x = constants.atomic_time / tau0
+    x = CODATA.atomic_time / in_range("tau0", tau0)
     return 3.0 * (14.0 * math.pi) ** (2 / 3) / 8.0 * x ** (2 / 3)
 
 
@@ -127,24 +95,26 @@ def interaction_gate_error(
     v_dd: Frequency | float, lifetime: float, qubit_freq: Frequency | float
 ) -> float:
     """Error pi/(V tau) + 5 V/(sqrt(3) omega_q) of the weak-interaction phase gate."""
-    v = _positive_angular(v_dd, "interaction strength")
-    _check_lifetime(lifetime)
-    wq = _positive_angular(qubit_freq, "qubit frequency")
-    return math.pi / (v * lifetime) + 5.0 * v / (math.sqrt(3.0) * wq)
+    v = in_range("interaction strength", angular(v_dd))
+    lifetime = in_range("lifetime", lifetime)
+    wq = in_range("qubit frequency", angular(qubit_freq))
+    vt = in_range("V tau", v * lifetime)
+    return in_range("interaction gate error", math.pi / vt + 5.0 * v / (math.sqrt(3.0) * wq))
 
 
 def optimal_interaction_strength(lifetime: float, qubit_freq: Frequency | float) -> Frequency:
     """Interaction strength sqrt(pi sqrt(3) omega_q / (5 tau)) minimizing the gate error."""
-    _check_lifetime(lifetime)
-    wq = _positive_angular(qubit_freq, "qubit frequency")
+    lifetime = in_range("lifetime", lifetime)
+    wq = in_range("qubit frequency", angular(qubit_freq))
     return Frequency(math.sqrt(math.pi * math.sqrt(3.0) * wq / (5.0 * lifetime)))
 
 
 def minimal_interaction_gate_error(lifetime: float, qubit_freq: Frequency | float) -> float:
     """Interaction gate error 2 sqrt(5 pi/(sqrt(3) omega_q tau)) at the optimal strength."""
-    _check_lifetime(lifetime)
-    wq = _positive_angular(qubit_freq, "qubit frequency")
-    return 2.0 * math.sqrt(5.0 * math.pi / (math.sqrt(3.0) * wq * lifetime))
+    lifetime = in_range("lifetime", lifetime)
+    wq = in_range("qubit frequency", angular(qubit_freq))
+    wt = in_range("sqrt(3) omega_q tau", math.sqrt(3.0) * wq * lifetime)
+    return in_range("interaction gate error", 2.0 * math.sqrt(5.0 * math.pi / wt))
 
 
 def dressing_gate_error(detuning: Frequency | float, lifetime: float) -> float:
@@ -153,15 +123,15 @@ def dressing_gate_error(detuning: Frequency | float, lifetime: float) -> float:
     Minimum over Omega of spontaneous emission 8 pi Delta/(Omega^2 tau) plus
     blockade leakage Omega^2/Delta^2 in the weak-dressing limit.
     """
-    d = _positive_angular(detuning, "dressing detuning")
-    _check_lifetime(lifetime)
-    return 2.0**2.5 * math.sqrt(math.pi) / math.sqrt(d * lifetime)
+    d = in_range("dressing detuning", angular(detuning))
+    lifetime = in_range("lifetime", lifetime)
+    dt = in_range("Delta tau", d * lifetime)
+    return 2.0**2.5 * math.sqrt(math.pi) / math.sqrt(dt)
 
 
-def asymptotic_dressing_floor(tau0: float, constants: PhysConstants = CODATA) -> float:
+def asymptotic_dressing_floor(tau0: float) -> float:
     """Level-spacing-limited dressing gate error 8 sqrt(pi) (hbar/(E_H tau0))^(1/2)."""
-    _check_lifetime(tau0, name="tau0")
-    return 8.0 * math.sqrt(math.pi) * math.sqrt(constants.atomic_time / tau0)
+    return 8.0 * math.sqrt(math.pi) * math.sqrt(CODATA.atomic_time / in_range("tau0", tau0))
 
 
 def spontaneous_budget(t_pi: float, epsilon_tau: float) -> float:
@@ -170,11 +140,9 @@ def spontaneous_budget(t_pi: float, epsilon_tau: float) -> float:
     The integrated Rydberg population of the blockade Bell-state sequence is
     7 t_pi / 4.
     """
-    if not t_pi > 0:
-        raise DomainError("t_pi must be > 0")
-    if not epsilon_tau > 0:
-        raise DomainError("epsilon_tau must be > 0")
-    return 1.75 * t_pi / epsilon_tau
+    t_pi = in_range("t_pi", t_pi)
+    epsilon_tau = in_range("epsilon_tau", epsilon_tau)
+    return in_range("minimum lifetime", 1.75 * t_pi / epsilon_tau)
 
 
 def doppler_fidelity(k: float, temperature: float, time: float, mass: float) -> float:
@@ -187,11 +155,15 @@ def doppler_fidelity(k: float, temperature: float, time: float, mass: float) -> 
 
 def doppler_infidelity(k: float, temperature: float, time: float, mass: float) -> float:
     """Doppler-limited Bell-state infidelity (1 - exp(-k^2 k_B T t^2 / 2m)) / 2."""
-    inputs = DopplerInputs(k, temperature, time, mass)
-    exponent = (
-        inputs.k**2 * CODATA.k_b * inputs.temperature * inputs.time**2 / (2.0 * inputs.mass)
-    )
-    return -math.expm1(-exponent) / 2.0
+    k = in_range("k", k, bounds="[)")
+    temperature = in_range("temperature", temperature, bounds="[)")
+    time = in_range("time", time, bounds="[)")
+    mass = in_range("mass", mass)
+    try:
+        exponent = k**2 * CODATA.k_b * temperature * time**2 / (2.0 * mass)
+    except OverflowError:
+        raise DomainError("k^2 or t^2 is out of float range") from None
+    return in_range("Doppler infidelity", -math.expm1(-exponent) / 2.0, 0.0, 0.5, "[]")
 
 
 def excitation_error(rabi: Frequency | float, detuning: Frequency | float) -> float:
@@ -199,7 +171,7 @@ def excitation_error(rabi: Frequency | float, detuning: Frequency | float) -> fl
 
     P(Delta) = Omega^2/(Omega^2 + Delta^2) sin^2(pi sqrt(Omega^2 + Delta^2)/(2 Omega)).
     """
-    w = _positive_angular(rabi, "Rabi frequency")
+    w = in_range("Rabi frequency", angular(rabi))
     d = angular(detuning)
     gen = math.sqrt(w * w + d * d)
     return 1.0 - (w * w / (gen * gen)) * math.sin(math.pi * gen / (2.0 * w)) ** 2
@@ -212,22 +184,22 @@ def detuning_budget(rabi: Frequency | float, epsilon: float) -> Frequency:
     root-finding (Brent, 1e-12 relative). To leading order the result is
     Omega sqrt(epsilon).
     """
-    w = _positive_angular(rabi, "Rabi frequency")
-    if not 0 < epsilon < 1:
-        raise DomainError("epsilon must lie in (0, 1)")
+    w = in_range("Rabi frequency", angular(rabi))
+    epsilon = in_range("epsilon", epsilon, 0.0, 1.0)
 
     def err(d: float) -> float:
         return excitation_error(w, d) - epsilon
 
     # All epsilon-crossings satisfy d^2/(w^2+d^2) <= eps, bounding the bracket.
     hi = w * math.sqrt(epsilon / (1.0 - epsilon)) * 1.001
-    for _ in range(60):
-        if err(hi) >= 0.0:
-            break
-        hi *= 2.0
-    else:
-        raise DomainError("no detuning root found in bracket")
-    root = brentq(err, 0.0, hi, rtol=1e-13, xtol=1e-300, maxiter=200)
+    try:
+        for _ in range(60):
+            if err(hi) >= 0.0:
+                break
+            hi *= 2.0
+        root = brentq(err, 0.0, hi, rtol=1e-13, xtol=1e-300, maxiter=200)
+    except (ArithmeticError, ValueError) as exc:
+        raise DomainError(f"no detuning root found: {exc}") from None
     return Frequency(float(root))
 
 
@@ -240,14 +212,15 @@ def field_budget(
     default ``direct`` convention takes the shift as alpha0 E^2; ``half``
     uses alpha0 E^2 / 2 (a factor sqrt(2) larger field).
     """
-    d = _positive_angular(detuning_limit, "detuning limit")
-    if alpha0 == 0 or not math.isfinite(alpha0):
-        raise DomainError("alpha0 must be nonzero and finite")
+    d = in_range("detuning limit", angular(detuning_limit))
+    alpha0 = in_range("alpha0", alpha0, -math.inf)
+    if alpha0 == 0:
+        raise DomainError("alpha0 must be nonzero")
     if convention not in ("direct", "half"):
         raise DomainError(f"unknown Stark-shift convention {convention!r}")
     shift_ghz = d / TWO_PI / 1e9
     factor = 1.0 if convention == "direct" else 2.0
-    return math.sqrt(factor * shift_ghz / abs(alpha0))
+    return in_range("field limit", math.sqrt(factor * shift_ghz / abs(alpha0)))
 
 
 def stark_budget(
@@ -268,42 +241,22 @@ def stark_budget(
 
 
 def blockade_error_budget(
-    blockade: Frequency | float,
-    lifetime: float,
-    rabi: Frequency | float | None = None,
-    doppler: DopplerInputs | None = None,
-    stark: float = 0.0,
+    blockade: Frequency | float, lifetime: float, rabi: Frequency | float | None = None
 ) -> GateErrorBudget:
     """Blockade-gate error budget at a given (or optimal) Rabi frequency.
 
     Spontaneous emission 7 pi/(4 Omega tau) and blockade leakage
-    Omega^2/(8 B^2) reproduce the optimized closed forms; Doppler and Stark
-    contributions add on top when supplied.
+    Omega^2/(8 B^2) reproduce the optimized closed forms.
     """
-    b = _positive_angular(blockade, "blockade shift")
-    _check_lifetime(lifetime)
-    w = _positive_angular(rabi, "Rabi frequency") if rabi is not None else (
+    b = in_range("blockade shift", angular(blockade))
+    lifetime = in_range("lifetime", lifetime)
+    w = in_range("Rabi frequency", angular(rabi)) if rabi is not None else (
         optimal_rabi(b, lifetime).rad_per_s
     )
-    spont = _SEVEN_PI / (4.0 * w * lifetime)
-    leak = w * w / (8.0 * b * b)
-    dop = doppler_infidelity(doppler.k, doppler.temperature, doppler.time, doppler.mass) if doppler else 0.0
+    spont = _SEVEN_PI / in_range("4 Omega tau", 4.0 * w * lifetime)
+    leak = w * w / in_range("8 B^2", 8.0 * b * b)
     return GateErrorBudget(
-        total=spont + leak + dop + stark,
+        total=in_range("total error", spont + leak),
         spontaneous=spont,
         blockade_leakage=leak,
-        doppler=dop,
-        stark=stark,
     )
-
-
-def _positive_angular(value: Frequency | float, name: str) -> float:
-    v = angular(value)
-    if not v > 0:
-        raise DomainError(f"{name} must be > 0")
-    return v
-
-
-def _check_lifetime(value: float, name: str = "lifetime") -> None:
-    if not (math.isfinite(value) and value > 0):
-        raise DomainError(f"{name} must be positive and finite, got {value!r}")

@@ -10,7 +10,7 @@ from typing import Callable
 import numpy as np
 
 from . import budget, core, dressing, gate_error
-from .errors import DomainError
+from .errors import DomainError, in_range
 from .species import get_species
 from .units import Frequency
 
@@ -38,12 +38,14 @@ def axis(
     name: str, unit: str, lo: float, hi: float, points: int, spacing: str = "linear"
 ) -> Axis:
     """Build an axis of `points` values from lo to hi, linear or log spaced."""
+    lo = in_range("lo", lo, -math.inf)
+    hi = in_range("hi", hi, -math.inf)
     if points < 1:
         raise DomainError("axis needs at least one point")
     if points == 1:
         if lo != hi:
             raise DomainError("a single-point axis needs lo == hi")
-        return Axis(name, unit, (float(lo),), spacing)
+        return Axis(name, unit, (lo,), spacing)
     if spacing == "linear":
         values = np.linspace(lo, hi, points)
     elif spacing == "log":

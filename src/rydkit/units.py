@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import DomainError
+from .errors import in_range
 
 TWO_PI = 2.0 * math.pi
 
@@ -23,10 +23,7 @@ class Frequency:
     rad_per_s: float
 
     def __post_init__(self) -> None:
-        value = float(self.rad_per_s)
-        if not math.isfinite(value):
-            raise DomainError(f"frequency must be finite, got {self.rad_per_s!r}")
-        object.__setattr__(self, "rad_per_s", value)
+        object.__setattr__(self, "rad_per_s", in_range("frequency", self.rad_per_s, -math.inf))
 
     @classmethod
     def from_hz(cls, hz: float) -> "Frequency":
@@ -47,7 +44,4 @@ def angular(value: "Frequency | float") -> float:
     """Coerce a Frequency or raw float (interpreted as rad/s) to rad/s."""
     if isinstance(value, Frequency):
         return value.rad_per_s
-    value = float(value)
-    if not math.isfinite(value):
-        raise DomainError(f"frequency must be finite, got {value!r}")
-    return value
+    return in_range("frequency", value, -math.inf)

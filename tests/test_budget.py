@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 
 from rydkit import (
     DomainError,
-    LossBudget,
     ModelValidityWarning,
     loss_probability,
     measurement_crosstalk,
@@ -149,10 +148,13 @@ class TestMeasurementCrosstalk:
 
 
 def test_loss_budget_validation():
-    budget = LossBudget(n_code=20, n_phys=2000, t_qec=2e-3, epsilon=1e-4, tau_vac=400.0)
-    assert budget.required_vacuum_lifetime() == 400.0
-    assert budget.required_reload_rate() == 5e4
+    assert required_vacuum_lifetime(20, 2e-3, 1e-4) == 400.0
+    assert required_reload_rate(2000, 400.0, 1e-4) == 5e4
     with pytest.raises(DomainError):
-        LossBudget(n_code=0, n_phys=1, t_qec=1e-3, epsilon=1e-4, tau_vac=1.0)
+        required_vacuum_lifetime(0, 1e-3, 1e-4)
     with pytest.raises(DomainError):
-        LossBudget(n_code=1, n_phys=1, t_qec=1e-3, epsilon=1.5, tau_vac=1.0)
+        required_reload_rate(0, 1.0, 1e-4)
+    with pytest.raises(DomainError):
+        required_vacuum_lifetime(1, 1e-3, 1.5)
+    with pytest.raises(DomainError):
+        required_reload_rate(1, 1.0, 1.5)

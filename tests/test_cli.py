@@ -260,6 +260,27 @@ class TestExitCodes:
         out = capsys.readouterr().out
         assert "overall: PASS" in out
 
+    @pytest.mark.parametrize("args", [
+        ["budget", "loss", "--n-code", "5", "--t-ms", "nan", "--tau-vac-s", "400"],
+        ["doppler", "--temperature-uk", "nan", "--time-ns", "100"],
+        ["budget", "vacuum-lifetime", "--n-code", "10", "--t-qec-ms", "1e307",
+         "--epsilon", "1e-300"],
+    ])
+    def test_non_finite_input_or_result_is_domain_error(self, args, capsys):
+        assert main(args) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("domain error:")
+
+    def test_non_finite_json_value_is_domain_error(self, monkeypatch, capsys):
+        import rydkit.cli as cli_mod
+
+        monkeypatch.setattr(cli_mod.core, "rydberg_lifetime", lambda *args: float("inf"))
+        assert main(["lifetime", "--n", "100", "--temperature-k", "0"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("domain error:")
+
     def test_reproduction_failure_maps_to_3(self, monkeypatch, capsys):
         failing = ReproductionReport(entries=(
             ReproEntry("synthetic", 1.0, 2.0, -0.5, -0.1, 0.1, False),

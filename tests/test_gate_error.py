@@ -8,9 +8,7 @@ from scipy.optimize import minimize_scalar
 
 from rydkit import (
     CESIUM,
-    BlockadeGateInputs,
     DomainError,
-    DopplerInputs,
     Frequency,
     ModelValidityWarning,
     asymptotic_blockade_floor,
@@ -233,9 +231,9 @@ class TestDoppler:
 
     def test_input_validation(self):
         with pytest.raises(DomainError):
-            DopplerInputs(-1.0, 1e-6, 1e-7, CESIUM.mass)
+            doppler_infidelity(-1.0, 1e-6, 1e-7, CESIUM.mass)
         with pytest.raises(DomainError):
-            DopplerInputs(1e7, 1e-6, 1e-7, 0.0)
+            doppler_infidelity(1e7, 1e-6, 1e-7, 0.0)
 
 
 class TestDetuningBudget:
@@ -319,10 +317,11 @@ def test_monotonicity_grid_blockade_error():
 
 
 def test_blockade_inputs_validation():
-    BlockadeGateInputs(Frequency.from_hz(500e6), 320e-6)
+    for fn in (blockade_error_budget, optimal_rabi):
+        fn(Frequency.from_hz(500e6), 320e-6)
+        with pytest.raises(DomainError):
+            fn(Frequency.from_hz(-1e6), 320e-6)
+        with pytest.raises(DomainError):
+            fn(Frequency.from_hz(500e6), 0.0)
     with pytest.raises(DomainError):
-        BlockadeGateInputs(Frequency.from_hz(-1e6), 320e-6)
-    with pytest.raises(DomainError):
-        BlockadeGateInputs(Frequency.from_hz(500e6), 0.0)
-    with pytest.raises(DomainError):
-        BlockadeGateInputs(Frequency.from_hz(500e6), 320e-6, rabi=Frequency.from_hz(0.0))
+        blockade_error_budget(Frequency.from_hz(500e6), 320e-6, rabi=Frequency.from_hz(0.0))
