@@ -9,7 +9,6 @@ many-body dressing dynamics.
 
 from __future__ import annotations
 
-import cmath
 import math
 import warnings
 from dataclasses import dataclass
@@ -20,6 +19,10 @@ from .errors import BranchResidualWarning, DomainError, ModelValidityWarning, in
 from .units import TWO_PI, Frequency, angular
 
 _CBRT2 = 2.0 ** (1 / 3)
+_CBRT4 = 2.0 ** (2 / 3)
+_SQRT2 = math.sqrt(2.0)
+_CUBE_ROOTS_OF_UNITY = np.exp(2j * np.pi * np.arange(3) / 3.0)
+_BRANCHES = np.arange(3)  # eigenvalue index of each branch, for the one-hot selection
 
 
 @dataclass(frozen=True)
@@ -200,17 +203,9 @@ def dressing_depth_perturbative(
         raise DomainError("Omega^4 / Delta^3 is out of float range") from None
 
 
-def _hamiltonian_scaled(rabi: float, detuning: float, pair_shift: float):
-    scale = max(abs(rabi), abs(detuning), abs(pair_shift), 1.0)
-    w = rabi / (math.sqrt(2.0) * scale)
-    h = np.array(
-        [
-            [0.0, w, 0.0],
-            [w, -detuning / scale, w],
-            [0.0, w, (-2.0 * detuning + pair_shift) / scale],
-        ]
-    )
-    return h, scale
+def _scale(rabi, detuning, pair_shift):
+    """max(|Omega|, |Delta|, |D|, 1): the common scale that keeps the matrix O(1)."""
+    return np.maximum(np.maximum(abs(rabi), abs(detuning)), np.maximum(abs(pair_shift), 1.0))
 
 
 def dressed_ground_energy_exact(
@@ -222,9 +217,10 @@ def dressed_ground_energy_exact(
 
     Diagonalizes H/hbar = [[0, W, 0], [W, -Delta, W], [0, W, -2 Delta + D]]
     with W = Omega/sqrt(2) and selects the eigenvalue whose eigenvector has
-    maximal overlap with the doubly-ground state.
+    maximal overlap with the doubly-ground state. The arguments broadcast as
+    ndarrays; all points are solved by one stacked eigensolve.
     """
-    value, _ = _dressed_exact_with_overlap(angular(rabi), angular(detuning), angular(pair_shift))
+    value, _ = _ground_branch(angular(rabi), angular(detuning), angular(pair_shift))
     return Frequency(value)
 
 
@@ -233,20 +229,32 @@ def dressed_ground_overlap(
     detuning: Frequency | float,
     pair_shift: Frequency | float,
 ) -> float:
-    """Overlap |<gg|psi>| of the selected dressed branch with the bare pair ground state."""
-    _, overlap = _dressed_exact_with_overlap(angular(rabi), angular(detuning), angular(pair_shift))
-    return overlap
+    """Overlap |<gg|psi>| of the selected dressed branch with the bare pair ground state.
+
+    The arguments broadcast as ndarrays, as in :func:`dressed_ground_energy_exact`.
+    """
+    _, overlap = _ground_branch(angular(rabi), angular(detuning), angular(pair_shift))
+    return in_range("overlap", overlap)
 
 
-def _dressed_exact_with_overlap(
-    rabi: float, detuning: float, pair_shift: float
-) -> tuple[float, float]:
-    if rabi == 0.0:
-        return 0.0, 1.0
-    h, scale = _hamiltonian_scaled(rabi, detuning, pair_shift)
-    vals, vecs = np.linalg.eigh(h)
-    idx = int(np.argmax(np.abs(vecs[0, :])))
-    return float(vals[idx] * scale), float(abs(vecs[0, idx]))
+def _ground_branch(rabi, detuning, pair_shift):
+    """Ground-branch eigenvalue and its overlap with |gg>, from one stacked eigensolve.
+
+    At Omega = 0 the matrix is diagonal: the solver returns the bare state's
+    eigenvalue 0 and its unit eigenvector exactly. Overflows are left to the
+    callers' range checks.
+    """
+    scale = _scale(rabi, detuning, pair_shift)
+    shape = scale.shape
+    h = np.zeros(shape + (9,))
+    with np.errstate(over="ignore"):
+        h[..., 1::2] = (rabi / (_SQRT2 * scale))[..., None]
+        h[..., 4] = -detuning / scale
+        h[..., 8] = (-2.0 * detuning + pair_shift) / scale
+        vals, vecs = np.linalg.eigh(h.reshape(shape + (3, 3)))
+        first = abs(vecs[..., 0, :])
+        ground = first.argmax(-1, keepdims=True) == _BRANCHES
+        return vals[ground].reshape(shape) * scale, first[ground].reshape(shape)
 
 
 def dressed_ground_energy_closed_form(
@@ -260,51 +268,48 @@ def dressed_ground_energy_closed_form(
     cube roots. All three root branches are formed and the ground branch is
     selected by the analytic eigenvector overlap with the doubly-ground
     state, so the selection stays correct where the cube-root branch rotates
-    in the complex plane. A :class:`BranchResidualWarning` is issued if the
-    returned root retains an imaginary residue above 1e-9 relative.
+    in the complex plane. The arguments broadcast as ndarrays. One
+    :class:`BranchResidualWarning` is issued if a returned root retains an
+    imaginary residue above 1e-9 relative.
     """
-    w_raw = angular(rabi)
-    scale = max(abs(w_raw), abs(angular(detuning)), abs(angular(pair_shift)), 1.0)
-    omega = w_raw / scale
-    if omega == 0.0:
-        return Frequency(0.0)
-    delta = angular(detuning) / scale
-    dd = angular(pair_shift) / scale
+    w_raw, det, dd_raw = angular(rabi), angular(detuning), angular(pair_shift)
+    scale = _scale(w_raw, det, dd_raw)
+    with np.errstate(all="ignore"):  # non-finite results fail the range check of Frequency
+        value, resid = _cardano_ground_branch(w_raw / scale, det / scale, dd_raw / scale)
+        bad = resid > 1e-9 * np.maximum(abs(value), 1e-300)
+        if bad.any():
+            i = np.unravel_index(np.argmax(bad), bad.shape)
+            warnings.warn(
+                f"cubic root kept imaginary residue {resid[i]:.3g} vs value {value[i]:.3g}"
+                f" at {np.count_nonzero(bad)} of {bad.size} points",
+                BranchResidualWarning,
+                stacklevel=2,
+            )
+        return Frequency(value * scale)
 
+
+def _cardano_ground_branch(omega, delta, dd):
+    """Scaled ground-branch eigenvalue and the imaginary residue it kept."""
     omega2 = omega * omega
     a = dd * (18.0 * delta * delta - 18.0 * delta * dd + 4.0 * dd * dd - 9.0 * omega2)
     b = 3.0 * delta * delta - 3.0 * delta * dd + dd * dd + 3.0 * omega2
     c = delta * delta - delta * dd + dd * dd / 3.0 + omega2
-    disc = cmath.sqrt(complex(a * a - 16.0 * b**3))
-    # pick the additive sqrt branch that keeps |f^3| away from cancellation
-    f_cubed = a + disc if abs(a + disc) >= abs(a - disc) else a - disc
-    if f_cubed == 0:
-        return Frequency(0.0)
-    f0 = f_cubed ** (1 / 3)
-
-    w = omega / math.sqrt(2.0)
-    best_val = best_overlap = None
-    best_resid = 0.0
-    for k in range(3):
-        f = f0 * cmath.exp(2j * math.pi * k / 3.0)
-        lam = -delta + dd / 3.0 + 2.0 ** (2 / 3) * c / f + _CBRT2 * f / 6.0
-        lam_re = lam.real
-        ratio2 = lam_re / w
-        den = lam_re + 2.0 * delta - dd
-        if den == 0.0:
-            overlap = 0.0
-        else:
-            ratio3 = ratio2 * w / den
-            overlap = 1.0 / math.sqrt(1.0 + ratio2 * ratio2 + ratio3 * ratio3)
-        if best_overlap is None or overlap > best_overlap:
-            best_val, best_overlap, best_resid = lam_re, overlap, abs(lam.imag)
-    if best_resid > 1e-9 * max(abs(best_val), 1e-300):
-        warnings.warn(
-            f"cubic root kept imaginary residue {best_resid:.3g} vs value {best_val:.3g}",
-            BranchResidualWarning,
-            stacklevel=2,
-        )
-    return Frequency(best_val * scale)
+    # b * b * b, not b**3: numpy rounds a power differently for scalars and arrays
+    disc = np.sqrt(a * a - 16.0 * b * b * b + 0j)
+    # pick the additive sqrt branch that keeps |f^3| away from cancellation:
+    # |a + disc| >= |a - disc| exactly when a Re(disc) >= 0
+    f_cubed = np.where(a * disc.real >= 0.0, a + disc, a - disc)
+    # the three cube-root branches along a trailing axis
+    f = (f_cubed ** (1 / 3))[..., None] * _CUBE_ROOTS_OF_UNITY
+    w, delta, dd, c = (x[..., None] for x in (omega / _SQRT2, delta, dd, c))
+    lam = -delta + dd / 3.0 + _CBRT4 * c / f + _CBRT2 * f / 6.0
+    ratio2 = lam.real / w
+    den = lam.real + 2.0 * delta - dd
+    ratio3 = ratio2 * w / den
+    overlap = np.where(den == 0.0, 0.0, 1.0 / np.sqrt(1.0 + ratio2 * ratio2 + ratio3 * ratio3))
+    ground = lam[overlap.argmax(-1, keepdims=True) == _BRANCHES].reshape(f_cubed.shape)
+    ground = np.where((omega == 0.0) | (f_cubed == 0.0), 0j, ground)
+    return ground.real, abs(ground.imag)
 
 
 def soft_core_scale(
@@ -365,7 +370,7 @@ def operations_per_atom(params: DressingParams) -> float:
     """Coherent interaction cycles per atom, depth x tau_dr / 2pi (dimension-free)."""
     depth = abs(dressing_depth_perturbative(params.rabi, params.detuning).rad_per_s)
     tau_dr = dressed_decoherence_time(params.rabi, params.detuning, params.lifetime)
-    return depth * tau_dr / TWO_PI
+    return in_range("operations per atom", depth * tau_dr / TWO_PI)
 
 
 def f_prime(
@@ -381,7 +386,7 @@ def f_prime(
     if w == 0 or det == 0:
         raise DomainError("rabi and detuning must be nonzero")
     lifetime = in_range("lifetime", lifetime)
-    return w * w * lifetime / (4.0 * math.pi * abs(det))
+    return in_range("F'", w * w * lifetime / (4.0 * math.pi * abs(det)))
 
 
 def f_prime_defect(
@@ -399,7 +404,7 @@ def f_prime_defect(
     if w == 0 or d == 0:
         raise DomainError("rabi and defect must be nonzero")
     lifetime = in_range("lifetime", lifetime)
-    return w * w * lifetime / (4.0 * math.pi * abs(d))
+    return in_range("defect-scaled F'", w * w * lifetime / (4.0 * math.pi * abs(d)))
 
 
 def _closed_form_fom(
@@ -435,14 +440,21 @@ def _closed_form_fom(
 
 def blockade_atom_count(dimension: int, r_b: float, spacing: float) -> float:
     """Atoms of a period-d lattice inside a blockade length/disk/sphere of diameter R_b."""
+    if dimension not in (1, 2, 3):
+        raise DomainError(f"dimension must be 1, 2, or 3, got {dimension}")
+    r_b = in_range("blockade radius", r_b)
+    spacing = in_range("lattice spacing", spacing)
     x = r_b / (2.0 * spacing)
     if dimension == 1:
-        return r_b / spacing
-    if dimension == 2:
-        return math.pi * x * x
-    if dimension == 3:
-        return 4.0 * math.pi / 3.0 * x**3
-    raise DomainError(f"dimension must be 1, 2, or 3, got {dimension}")
+        count = r_b / spacing
+    elif dimension == 2:
+        count = math.pi * x * x
+    else:
+        try:
+            count = 4.0 * math.pi / 3.0 * x**3
+        except OverflowError:
+            raise DomainError(f"(R_b/2d)^3 is out of float range at R_b = {r_b!r}") from None
+    return in_range("atoms in a blockade volume", count)
 
 
 def figures_of_merit(params: DressingParams) -> tuple[FigureOfMerit, ...]:

@@ -2,6 +2,8 @@
 
 import math
 
+import numpy as np
+
 
 class DomainError(ValueError):
     """An input lies outside the domain of validity of a model or formula."""
@@ -24,8 +26,14 @@ def in_range(
     open or closed lower end, ")" or "]" for the upper end. The default is
     (0, inf), the positive reals; ``lo=-math.inf`` admits every finite value.
     Raises DomainError naming ``name`` when the value is NaN, infinite or
-    outside the interval.
+    outside the interval. An ndarray of one or more dimensions is checked
+    element by element and returned as a float64 array of the same shape.
     """
+    if type(value) is float:
+        if lo < value < hi:
+            return value
+    elif type(value) is np.ndarray and value.ndim:
+        return _in_range_array(name, value, lo, hi, bounds)
     v = float(value)
     if lo < v < hi:
         return v
@@ -33,6 +41,22 @@ def in_range(
         (v == lo and bounds[0] == "[") or (v == hi and bounds[1] == "]")
     ):
         return v
-    raise DomainError(
-        f"{name} must be finite and in {bounds[0]}{lo:g}, {hi:g}{bounds[1]}, got {value!r}"
+    raise DomainError(_outside(name, lo, hi, bounds, repr(value)))
+
+
+def _in_range_array(name: str, value: np.ndarray, lo: float, hi: float, bounds: str):
+    a = np.asarray(value, dtype=float)
+    ok = (
+        np.isfinite(a)
+        & (a >= lo if bounds[0] == "[" else a > lo)
+        & (a <= hi if bounds[1] == "]" else a < hi)
     )
+    if ok.all():
+        return a
+    index = np.unravel_index(np.argmin(ok), a.shape)
+    got = f"{float(a[index])!r} at index {tuple(int(i) for i in index)}"
+    raise DomainError(_outside(name, lo, hi, bounds, got))
+
+
+def _outside(name: str, lo: float, hi: float, bounds: str, got: str) -> str:
+    return f"{name} must be finite and in {bounds[0]}{lo:g}, {hi:g}{bounds[1]}, got {got}"

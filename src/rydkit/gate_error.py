@@ -78,7 +78,10 @@ def entanglement_error_bound(blockade: Frequency | float, lifetime: float) -> fl
 def rydberg_level_half_spacing(n: float) -> Frequency:
     """Half the neighboring-level spacing E_H/(2 hbar n^3), the usable shift ceiling."""
     n = in_range("n", n, 1.0, bounds="[)")
-    return Frequency(1.0 / (2.0 * CODATA.atomic_time * n**3))
+    try:
+        return Frequency(1.0 / (2.0 * CODATA.atomic_time * n**3))
+    except OverflowError:
+        raise DomainError(f"n^3 is out of float range at n = {n!r}") from None
 
 
 def asymptotic_blockade_floor(tau0: float) -> float:
@@ -173,8 +176,9 @@ def excitation_error(rabi: Frequency | float, detuning: Frequency | float) -> fl
     """
     w = in_range("Rabi frequency", angular(rabi))
     d = angular(detuning)
-    gen = math.sqrt(w * w + d * d)
-    return 1.0 - (w * w / (gen * gen)) * math.sin(math.pi * gen / (2.0 * w)) ** 2
+    gen = math.sqrt(in_range("Omega^2 + Delta^2", w * w + d * d))
+    area = in_range("pulse area", math.pi * gen / (2.0 * w))
+    return 1.0 - (w * w / (gen * gen)) * math.sin(area) ** 2
 
 
 def detuning_budget(rabi: Frequency | float, epsilon: float) -> Frequency:

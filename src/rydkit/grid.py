@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import io
 import math
 from dataclasses import dataclass, field
@@ -27,7 +28,10 @@ class Axis:
     def __post_init__(self) -> None:
         if not self.values:
             raise DomainError(f"axis {self.name!r} has no values")
-        vals = tuple(float(v) for v in self.values)
+        vals = tuple(map(float, self.values))
+        bad = [v for v in vals if not math.isfinite(v)]
+        if bad:
+            raise DomainError(f"axis {self.name!r} values must be finite, got {bad[0]!r}")
         diffs = [b - a for a, b in zip(vals, vals[1:])]
         if diffs and not (all(d > 0 for d in diffs) or all(d < 0 for d in diffs)):
             raise DomainError(f"axis {self.name!r} values must be strictly monotone")
@@ -47,13 +51,16 @@ def axis(
             raise DomainError("a single-point axis needs lo == hi")
         return Axis(name, unit, (lo,), spacing)
     if spacing == "linear":
-        values = np.linspace(lo, hi, points)
+        in_range(f"span hi - lo of axis {name!r}", hi - lo, -math.inf)
+        spaced = np.linspace
     elif spacing == "log":
         if lo <= 0 or hi <= 0:
             raise DomainError("log-spaced axes need positive bounds")
-        values = np.geomspace(lo, hi, points)
+        spaced = np.geomspace
     else:
         raise DomainError(f"unknown spacing {spacing!r}")
+    with np.errstate(over="ignore"):  # a value that overflows fails the Axis check
+        values = spaced(lo, hi, points)
     return Axis(name, unit, tuple(float(v) for v in values), spacing)
 
 
@@ -71,9 +78,16 @@ class ScanGrid:
             raise DomainError("cell row count must match the y axis")
         if any(len(row) != len(self.x_axis.values) for row in self.cells):
             raise DomainError("cell column count must match the x axis")
-        object.__setattr__(
-            self, "cells", tuple(tuple(float(v) for v in row) for row in self.cells)
-        )
+        cells = tuple(tuple(map(float, row)) for row in self.cells)
+        for iy, row in enumerate(cells):
+            if not all(map(math.isfinite, row)):
+                ix = next(i for i, v in enumerate(row) if not math.isfinite(v))
+                raise DomainError(
+                    f"{self.quantity} cell ({ix}, {iy}) at {self.x_axis.name} = "
+                    f"{self.x_axis.values[ix]!r}, {self.y_axis.name} = "
+                    f"{self.y_axis.values[iy]!r} is {row[ix]!r}: cells must be finite"
+                )
+        object.__setattr__(self, "cells", cells)
 
     def cell(self, ix: int, iy: int) -> float:
         return self.cells[iy][ix]
@@ -156,19 +170,28 @@ def _doppler_cell(temperature_uk: float, time_ns: float, fixed: dict) -> float:
 
 
 def _dressing_cell(separation_um: float, rabi_mhz: float, fixed: dict) -> float:
-    pair = dressing.PairInteraction(
-        defect=Frequency.from_hz(fixed["defect_mhz"] * 1e6),
-        angular_factor=fixed.get("d_kl", 12.0),
-        r_c=fixed["rc_um"] * 1e-6,
-    )
-    params = dressing.DressingParams(
-        rabi=Frequency.from_hz(rabi_mhz * 1e6),
-        detuning=Frequency.from_hz(fixed["detuning_mhz"] * 1e6),
-        pair=pair,
-        lifetime=fixed.get("tau_us", 320.0) * 1e-6,
-        spacing=fixed.get("spacing_um", 1.0) * 1e-6,
+    params = _dressing_row(
+        rabi_mhz, fixed["detuning_mhz"], fixed["defect_mhz"], fixed.get("d_kl", 12.0),
+        fixed["rc_um"], fixed.get("tau_us", 320.0), fixed.get("spacing_um", 1.0),
     )
     return dressing.normalized_potential(separation_um * 1e-6, params, str(fixed.get("kind", "full")))
+
+
+@functools.lru_cache(maxsize=16)
+def _dressing_row(
+    rabi_mhz, detuning_mhz, defect_mhz, d_kl, rc_um, tau_us, spacing_um
+) -> dressing.DressingParams:
+    """The dressing configuration of one scan row, built once for all its cells."""
+    pair = dressing.PairInteraction(
+        defect=Frequency.from_hz(defect_mhz * 1e6), angular_factor=d_kl, r_c=rc_um * 1e-6
+    )
+    return dressing.DressingParams(
+        rabi=Frequency.from_hz(rabi_mhz * 1e6),
+        detuning=Frequency.from_hz(detuning_mhz * 1e6),
+        pair=pair,
+        lifetime=tau_us * 1e-6,
+        spacing=spacing_um * 1e-6,
+    )
 
 
 def _lifetime_cell(n: float, temperature_k: float, fixed: dict) -> float:

@@ -1,9 +1,11 @@
 """Contract of the public API: a finite result or DomainError, whatever the floats.
 
-Every function exported from rydkit is called with each float argument drawn
-from NaN, +-inf, +-0, negative values and the whole range of finite
-magnitudes, subnormals included. It must return a finite value (every float
-field, for dataclass results) or raise DomainError; any other exception fails.
+Every function exported from rydkit, and every public function of the model
+modules budget, core, gate_error and dressing, is called with each float
+argument drawn from NaN, +-inf, +-0, negative values and the whole range of
+finite magnitudes, subnormals included. It must return a finite value (every
+float field, for dataclass results) or raise DomainError; any other exception
+fails.
 """
 
 import dataclasses
@@ -12,13 +14,16 @@ import inspect
 import math
 import typing
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import rydkit
 from rydkit import CESIUM, DomainError, DressingParams, Frequency, PairInteraction
+from rydkit import budget, core, dressing, gate_error
 from rydkit.dressing import _SCALING_QUANTITIES
+from rydkit.errors import in_range
 
 NAN, INF = float("nan"), float("inf")
 
@@ -96,11 +101,17 @@ def _parameters(fn) -> dict[str, st.SearchStrategy]:
     return strategies
 
 
+# Exported functions, plus the public functions of the model modules.
+PUBLIC = {name: fn for name, fn in vars(rydkit).items() if inspect.isfunction(fn)}
+for module in (budget, core, dressing, gate_error):
+    for name, fn in vars(module).items():
+        if inspect.isfunction(fn) and fn.__module__ == module.__name__ and name[0] != "_":
+            assert PUBLIC.setdefault(name, fn) is fn, f"two public functions named {name}"
+
 FUNCTIONS = sorted(
     name
-    for name, fn in vars(rydkit).items()
-    if inspect.isfunction(fn)
-    and name not in SKIPPED
+    for name, fn in PUBLIC.items()
+    if name not in SKIPPED
     and _parameters(fn)
     and any(_takes_float(h) or h is DressingParams for h in typing.get_type_hints(fn).values())
 )
@@ -122,6 +133,19 @@ def test_every_exported_model_function_is_covered():
     assert {"simulate_loss", "figures_of_merit", "normalized_potential"} <= set(FUNCTIONS)
 
 
+def test_module_level_model_functions_are_covered():
+    assert {
+        "excitation_error",
+        "rydberg_level_half_spacing",
+        "f_prime",
+        "f_prime_defect",
+        "blockade_atom_count",
+        "operations_per_atom",
+        "dressed_ground_overlap",
+        "detection_solid_angle_fraction",
+    } <= set(FUNCTIONS)
+
+
 @pytest.mark.filterwarnings(
     "ignore::rydkit.errors.ModelValidityWarning",
     "ignore::rydkit.errors.BranchResidualWarning",
@@ -130,7 +154,7 @@ def test_every_exported_model_function_is_covered():
 @settings(deadline=None)
 @given(data=st.data())
 def test_finite_result_or_domain_error(name, data):
-    fn = getattr(rydkit, name)
+    fn = PUBLIC[name]
     drawn = {arg: data.draw(strategy, label=arg) for arg, strategy in _parameters(fn).items()}
     try:
         kwargs = {
@@ -160,8 +184,29 @@ K_ONE_PHOTON = CESIUM.scheme("one-photon").effective_k
         lambda: rydkit.required_reload_rate(10, 400.0, 5.0),
         lambda: rydkit.default_t_qec(NAN),
         lambda: rydkit.crossover_radius(NAN, 2e9),
+        lambda: gate_error.excitation_error(1e160, 1.0),
+        lambda: gate_error.excitation_error(1e-160, 1e150),
+        lambda: gate_error.rydberg_level_half_spacing(1e103),
+        lambda: dressing.f_prime(1e200, 1e-300, 1.0),
+        lambda: dressing.f_prime_defect(1.0, 5e-324, 1.0),
+        lambda: dressing.blockade_atom_count(3, NAN, 1.0),
+        lambda: dressing.blockade_atom_count(3, 1e300, 1e-300),
+        lambda: dressing.operations_per_atom(
+            _dressing_params(1e70, 10.0, 10.0, 12.0, None, 1e-6, 1e200, 1e-6)
+        ),
     ],
 )
 def test_inputs_that_leaked_now_raise(call):
     with pytest.raises(DomainError):
         call()
+
+
+def test_in_range_checks_arrays_element_by_element():
+    got = in_range("rabi", np.array([[1, 2], [3, 4]]))
+    assert got.dtype == np.float64 and got.shape == (2, 2)
+    assert in_range("x", np.array([0.0, 1.0]), bounds="[)").tolist() == [0.0, 1.0]
+    for bad in (NAN, INF, -INF, -1.0):
+        with pytest.raises(DomainError, match=r"rabi must be finite.*at index \(1,\)"):
+            in_range("rabi", np.array([1.0, bad, 2.0]))
+    with pytest.raises(DomainError, match="rabi"):
+        in_range("rabi", np.array([1.0, 1.0]), 0.0, 1.0)

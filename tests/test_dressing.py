@@ -1,9 +1,11 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from rydkit import (
+    BranchResidualWarning,
     DomainError,
     DressingParams,
     Frequency,
@@ -428,3 +430,110 @@ class TestScalingExponents:
             scaling_exponent("F_4D", 300, 600)
         with pytest.raises(DomainError):
             scaling_exponent("F_3D", 30, 600)
+
+
+def _oracle_sample(seed: int, points: int):
+    rng = np.random.default_rng(seed)
+    det = rng.choice((-1.0, 1.0), points) * 10 ** rng.uniform(5, 9, points)
+    rabi = abs(det) * rng.uniform(0.01, 2.0, points)
+    return rabi, det, det * rng.uniform(-10.0, 10.0, points)
+
+
+def _pointwise(fn, *arrays):
+    return np.array([fn(*point) for point in zip(*(a.tolist() for a in arrays))])
+
+
+class TestArrayPath:
+    def test_stacked_exact_equals_scalar_calls_bit_for_bit(self):
+        rabi, det, shift = _oracle_sample(11, 10000)
+        stacked = dressed_ground_energy_exact(rabi, det, shift).rad_per_s
+        scalar = _pointwise(lambda *p: dressed_ground_energy_exact(*p).rad_per_s, rabi, det, shift)
+        assert stacked.shape == (10000,)
+        assert np.array_equal(stacked, scalar)
+        overlap = dressed_ground_overlap(rabi, det, shift)
+        assert np.array_equal(overlap, _pointwise(dressed_ground_overlap, rabi, det, shift))
+
+    def test_closed_form_array_equals_scalar_calls_exactly(self):
+        rabi, det, shift = _oracle_sample(12, 2000)
+        stacked = dressed_ground_energy_closed_form(rabi, det, shift).rad_per_s
+        scalar = _pointwise(
+            lambda *p: dressed_ground_energy_closed_form(*p).rad_per_s, rabi, det, shift
+        )
+        assert np.array_equal(stacked, scalar)
+
+    @pytest.mark.parametrize(
+        "fn", [dressed_ground_energy_exact, dressed_ground_energy_closed_form]
+    )
+    def test_broadcast_shapes(self, fn):
+        rabi = np.array([[1e6], [3e6]])
+        det = np.array([1e7, -2e7, 5e7])
+        got = fn(rabi, det, 4e6).rad_per_s
+        assert got.shape == (2, 3)
+        for i in range(2):
+            for j in range(3):
+                assert got[i, j] == fn(rabi[i, 0], det[j], 4e6).rad_per_s
+
+    def test_one_element_array_keeps_its_shape(self):
+        one = np.array([TWO_PI * 1e6])
+        for fn in (dressed_ground_energy_exact, dressed_ground_energy_closed_form):
+            assert fn(one, TWO_PI * 1e7, 0.0).rad_per_s.shape == (1,)
+            assert isinstance(fn(TWO_PI * 1e6, TWO_PI * 1e7, 0.0).rad_per_s, float)
+        assert dressed_ground_overlap(one, TWO_PI * 1e7, 0.0).shape == (1,)
+
+    def test_zero_rabi_elements_are_exactly_zero(self):
+        d = TWO_PI * 1e8
+        rabi = np.array([0.0, 0.0, 0.2 * d])
+        det, shift = np.array([d, -d, d]), np.array([3 * d, 0.0, d])
+        for fn in (dressed_ground_energy_exact, dressed_ground_energy_closed_form):
+            got = fn(rabi, det, shift).rad_per_s
+            assert got[:2].tolist() == [0.0, 0.0] and got[2] != 0.0
+        assert dressed_ground_overlap(rabi, det, shift)[:2].tolist() == [1.0, 1.0]
+
+    def test_near_degenerate_shift_stays_finite(self):
+        # at D = 2 Delta the pair state is degenerate with |gg>: the cubic keeps a
+        # residue there, reported by one warning per call
+        d = TWO_PI * 1e8
+        det = np.array([d, -d, d, -d])
+        shift = 2.0 * det * np.array([1 + 1e-12, 1 - 1e-12, 1 + 1e-9, 1 - 1e-6])
+        assert np.all(np.isfinite(dressed_ground_energy_exact(0.2 * d, det, shift).rad_per_s))
+        with pytest.warns(BranchResidualWarning) as record:
+            closed = dressed_ground_energy_closed_form(0.2 * d, det, shift).rad_per_s
+        assert len(record) == 1
+        assert np.all(np.isfinite(closed))
+
+    def test_very_large_pair_shift_reaches_blockaded_limit(self):
+        d = TWO_PI * 1e8
+        det = np.array([d, -d, 2 * d])
+        rabi = np.array([0.2 * d, 0.3 * d, 0.1 * d])
+        blockaded = [pair_light_shift_blockaded(w, x).rad_per_s for w, x in zip(rabi, det)]
+        shift = 1e6 * det
+        exact = dressed_ground_energy_exact(rabi, det, shift).rad_per_s
+        assert exact == pytest.approx(blockaded, rel=1e-5)
+        # the closed form loses accuracy out here (and may warn), but stays finite
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", BranchResidualWarning)
+            closed = dressed_ground_energy_closed_form(rabi, det, shift).rad_per_s
+        assert np.all(np.isfinite(closed))
+
+    def test_mixed_sign_detunings(self):
+        d = TWO_PI * 1e7
+        det = np.array([d, -d, 3 * d, -0.5 * d])
+        rabi = np.array([0.1, 0.5, 1.5, 0.05]) * abs(det)
+        shift = np.array([-3.0, 1.7, 8.0, 0.0]) * det
+        exact = dressed_ground_energy_exact(rabi, det, shift).rad_per_s
+        closed = dressed_ground_energy_closed_form(rabi, det, shift).rad_per_s
+        for i, point in enumerate(zip(rabi, det, shift)):
+            assert exact[i] == dressed_ground_energy_exact(*point).rad_per_s
+            assert closed[i] == dressed_ground_energy_closed_form(*point).rad_per_s
+        assert closed == pytest.approx(exact, rel=1e-9)
+        free = [pair_light_shift_free(w, x).rad_per_s for w, x in zip(rabi, det)]
+        assert np.array_equal(np.sign(exact), np.sign(free))
+
+    @pytest.mark.parametrize(
+        "fn",
+        [dressed_ground_energy_exact, dressed_ground_energy_closed_form, dressed_ground_overlap],
+    )
+    def test_one_bad_element_raises(self, fn):
+        for bad in (math.nan, math.inf):
+            with pytest.raises(DomainError, match=r"frequency must be finite.*at index \(2,\)"):
+                fn(np.array([1e6, 2e6, bad]), 1e7, 0.0)

@@ -29,6 +29,17 @@ class TestAxis:
         with pytest.raises(DomainError):
             Axis("zigzag", "", (1.0, 3.0, 2.0))
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_values_rejected(self, bad):
+        with pytest.raises(DomainError, match="axis 'x' values must be finite"):
+            Axis("x", "", (bad,))
+        with pytest.raises(DomainError, match="finite"):
+            Axis("x", "", (1.0, 2.0, bad))
+
+    def test_overflowing_span_rejected(self):
+        with pytest.raises(DomainError, match="span hi - lo of axis 'x'"):
+            axis("x", "", -1e308, 1e308, 3)
+
 
 class TestCsvRoundTrip:
     def test_exact_round_trip(self):
@@ -46,6 +57,15 @@ class TestCsvRoundTrip:
         assert back.x_axis == grid.x_axis
         assert back.y_axis == grid.y_axis
         assert back.cells == grid.cells
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_cell_rejected(self, bad):
+        x_axis, y_axis = Axis("x", "um", (1.0, 2.0)), Axis("y", "K", (3.0, 4.0))
+        with pytest.raises(DomainError, match=r"demo cell \(1, 0\) at x = 2.0, y = 3.0"):
+            ScanGrid("demo", x_axis, y_axis, ((1.0, bad), (0.5, 0.25)))
+        text = ScanGrid("demo", x_axis, y_axis, ((1.0, 2.0), (0.5, 0.25))).to_csv()
+        with pytest.raises(DomainError, match="cells must be finite"):
+            ScanGrid.from_csv(text.replace("0.25", repr(bad)))
 
     def test_header_layout(self):
         grid = scan(
@@ -91,6 +111,15 @@ class TestScan:
         )
         assert grid.cell(0, 0) == pytest.approx(math.log10(3.033e-4), abs=0.01)
         assert grid.cell(0, 0) == pytest.approx(-3.5, abs=0.05)
+
+    def test_doppler_cell_without_dephasing_is_rejected(self):
+        # zero temperature: the infidelity is exactly 0 and its log10 is -inf
+        with pytest.raises(DomainError, match="doppler-infidelity cell \\(0, 0\\)"):
+            scan(
+                "doppler-infidelity",
+                Axis("temperature", "uK", (0.0, 5.0)),
+                Axis("rydberg_time", "ns", (100.0,)),
+            )
 
     def test_lifetime_quantity_matches_core(self):
         grid = scan(
