@@ -15,7 +15,7 @@ T_QEC_PER_QUBIT = 1e-4  # s
 
 
 def default_t_qec(n_code: float) -> float:
-    """Cycle time convention t_qec = 0.1 N_code ms, in seconds."""
+    """Cycle time convention t_qec = 0.1 N_code ms, in seconds (ndarray ``n_code`` too)."""
     return T_QEC_PER_QUBIT * in_range("n_code", n_code, 1.0, bounds="[)")
 
 
@@ -41,11 +41,15 @@ def loss_probability(n_code: float, t: float, tau_vac: float) -> float:
 
 
 def required_vacuum_lifetime(n_code: float, t_qec: float, epsilon: float) -> float:
-    """Vacuum lifetime (s) keeping the per-cycle loss probability below epsilon."""
+    """Vacuum lifetime (s) keeping the per-cycle loss probability below epsilon.
+
+    The arguments broadcast as ndarrays.
+    """
     n_code = in_range("n_code", n_code, 1.0, bounds="[)")
     t_qec = in_range("t_qec", t_qec)
     epsilon = in_range("epsilon", epsilon, 0.0, 1.0, "(]")
-    return in_range("tau_vac", n_code * t_qec / epsilon)
+    with np.errstate(all="ignore"):  # an overflow fails the range check
+        return in_range("tau_vac", n_code * t_qec / epsilon)
 
 
 def required_reload_rate(n_phys: float, tau_vac: float, epsilon: float) -> float:

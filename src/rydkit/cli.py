@@ -343,17 +343,13 @@ def dressing_curve(rabi_mhz, detuning_mhz, defect_mhz, rc_um, c3_ghz_um3, d_kl,
         detuning=Frequency.from_hz(detuning_mhz * 1e6),
         pair=pair, lifetime=1.0, spacing=1e-6,
     )
+    r_um = np.linspace(r_min_um, r_max_um, points)
+    columns = [r_um] + [
+        dressing.normalized_potential(r_um * 1e-6, params, kind)
+        for kind in ("full", "vdw", "single_term")
+    ]
     lines = ["separation_um,v_full,v_vdw,v_single_term"]
-    for r_um in np.linspace(r_min_um, r_max_um, points):
-        r = float(r_um) * 1e-6
-        lines.append(",".join(
-            _FMT.format(v) for v in (
-                float(r_um),
-                dressing.normalized_potential(r, params, "full"),
-                dressing.normalized_potential(r, params, "vdw"),
-                dressing.normalized_potential(r, params, "single_term"),
-            )
-        ))
+    lines += [",".join(map(_FMT.format, row)) for row in zip(*(c.tolist() for c in columns))]
     _write("\n".join(lines) + "\n", out)
 
 

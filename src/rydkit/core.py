@@ -5,8 +5,10 @@ from __future__ import annotations
 import math
 from typing import Callable
 
+import numpy as np
+
 from .constants import CODATA
-from .errors import DomainError, in_range
+from .errors import DomainError, _per_element, in_range
 from .units import Frequency, angular
 
 
@@ -15,12 +17,13 @@ def blackbody_depopulation_rate(n: float, temperature: float) -> float:
 
     Uses the n-independent-dipole estimate 4 alpha^3 k_B T / (3 n^2 hbar),
     adequate for shape and ordering; fitted per-species coefficients are not
-    modeled.
+    modeled. The arguments broadcast as ndarrays.
     """
     n = in_range("n", n, 1.0, bounds="[)")
     temperature = in_range("temperature", temperature, bounds="[)")
     c = CODATA
-    rate = 4.0 * c.alpha_fs**3 * c.k_b * temperature / (3.0 * n * n * c.hbar)
+    with np.errstate(all="ignore"):  # an overflow fails the range check
+        rate = 4.0 * c.alpha_fs**3 * c.k_b * temperature / (3.0 * n * n * c.hbar)
     return in_range("blackbody rate", rate, bounds="[)")
 
 
@@ -34,17 +37,22 @@ def rydberg_lifetime(
 
     ``n`` is the effective principal quantum number (quantum defects are not
     modeled). A custom ``bbr_rate(n, T) -> 1/s`` may replace the built-in
-    blackbody model. At T=0 the result is exactly tau0 n^3.
+    blackbody model. At T=0 the result is exactly tau0 n^3. The arguments
+    broadcast as ndarrays; ``bbr_rate`` then receives the arrays.
     """
     n = in_range("n", n, 10.0, bounds="[)")
     temperature = in_range("temperature", temperature, bounds="[)")
     tau0 = in_range("tau0", tau0)
     try:
-        radiative = tau0 * n**3
-        if temperature == 0:
-            return in_range("lifetime", radiative)
-        rate_bbr = (bbr_rate or blackbody_depopulation_rate)(n, temperature)
-        return in_range("lifetime", 1.0 / (1.0 / radiative + rate_bbr))
+        with np.errstate(all="ignore"):  # an overflow fails the range check
+            radiative = tau0 * _per_element(pow, n, 3)
+            if type(temperature) is float and temperature == 0:
+                return in_range("lifetime", radiative)
+            rate_bbr = (bbr_rate or blackbody_depopulation_rate)(n, temperature)
+            lifetime = 1.0 / (1.0 / radiative + rate_bbr)
+            if type(temperature) is np.ndarray:  # exactly tau0 n^3 at T = 0 here too
+                lifetime = np.where(temperature == 0, radiative, lifetime)
+        return in_range("lifetime", lifetime)
     except ArithmeticError:
         raise DomainError(f"lifetime is out of float range at n = {n!r}") from None
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BranchResidualWarning, DomainError, ModelValidityWarning, in_range
+from .errors import BranchResidualWarning, DomainError, ModelValidityWarning, _per_element, in_range
 from .units import TWO_PI, Frequency, angular
 
 _CBRT2 = 2.0 ** (1 / 3)
@@ -96,23 +96,31 @@ class FigureOfMerit:
 
 
 def dipole_dipole_shift(r: float, defect: Frequency | float, r_c: float) -> Frequency:
-    """Pair frequency shift (delta/2)(1 - sqrt(1 + (R_c/R)^6)) of the coupled channel."""
+    """Pair frequency shift (delta/2)(1 - sqrt(1 + (R_c/R)^6)) of the coupled channel.
+
+    The arguments broadcast as ndarrays.
+    """
     r = in_range("separation R", r)
     d = angular(defect)
     r_c = in_range("r_c", r_c)
     try:
-        return Frequency(0.5 * d * (1.0 - math.sqrt(1.0 + (r_c / r) ** 6)))
+        with np.errstate(all="ignore"):  # a non-finite shift fails the range check
+            return Frequency(0.5 * d * (1.0 - np.sqrt(1.0 + _per_element(pow, r_c / r, 6))))
     except OverflowError:
         raise DomainError(f"(R_c/R)^6 is out of float range at R = {r!r}") from None
 
 
 def vdw_shift(r: float, defect: Frequency | float, r_c: float) -> Frequency:
-    """Long-range van der Waals limit -(delta/4)(R_c/R)^6 of the pair shift."""
+    """Long-range van der Waals limit -(delta/4)(R_c/R)^6 of the pair shift.
+
+    The arguments broadcast as ndarrays.
+    """
     r = in_range("separation R", r)
     d = angular(defect)
     r_c = in_range("r_c", r_c)
     try:
-        return Frequency(-0.25 * d * (r_c / r) ** 6)
+        with np.errstate(all="ignore"):  # a non-finite shift fails the range check
+            return Frequency(-0.25 * d * _per_element(pow, r_c / r, 6))
     except OverflowError:
         raise DomainError(f"(R_c/R)^6 is out of float range at R = {r!r}") from None
 
@@ -164,25 +172,31 @@ def blockade_radius(
 
 
 def pair_light_shift_free(rabi: Frequency | float, detuning: Frequency | float) -> Frequency:
-    """Dressed pair energy at infinite separation: -Delta + sgn(Delta) sqrt(Delta^2 + Omega^2)."""
+    """Dressed pair energy at infinite separation: -Delta + sgn(Delta) sqrt(Delta^2 + Omega^2).
+
+    The arguments broadcast as ndarrays.
+    """
     w = angular(rabi)
     det = angular(detuning)
-    sg = math.copysign(1.0, det)
-    return Frequency(-det + sg * math.sqrt(det * det + w * w))
+    with np.errstate(all="ignore"):  # a non-finite energy fails the range check
+        return Frequency(-det + np.copysign(1.0, det) * np.sqrt(det * det + w * w))
 
 
 def pair_light_shift_blockaded(
     rabi: Frequency | float, detuning: Frequency | float
 ) -> Frequency:
-    """Dressed pair energy in the fully blockaded limit: (-Delta + sgn(Delta) sqrt(Delta^2 + 2 Omega^2))/2."""
+    """Dressed pair energy in the fully blockaded limit: (-Delta + sgn(Delta) sqrt(Delta^2 + 2 Omega^2))/2.
+
+    The arguments broadcast as ndarrays.
+    """
     w = angular(rabi)
     det = angular(detuning)
-    sg = math.copysign(1.0, det)
-    return Frequency(0.5 * (-det + sg * math.sqrt(det * det + 2.0 * w * w)))
+    with np.errstate(all="ignore"):  # a non-finite energy fails the range check
+        return Frequency(0.5 * (-det + np.copysign(1.0, det) * np.sqrt(det * det + 2.0 * w * w)))
 
 
 def dressing_depth_exact(rabi: Frequency | float, detuning: Frequency | float) -> Frequency:
-    """Soft-core depth as the exact blockaded-minus-free pair light shift."""
+    """Soft-core depth as the exact blockaded-minus-free pair light shift (ndarrays too)."""
     return Frequency(
         pair_light_shift_blockaded(rabi, detuning).rad_per_s
         - pair_light_shift_free(rabi, detuning).rad_per_s
@@ -315,7 +329,10 @@ def _cardano_ground_branch(omega, delta, dd):
 def soft_core_scale(
     detuning: Frequency | float, defect: Frequency | float, r_c: float
 ) -> float:
-    """Core radius xi = R_c (delta/(8 Delta))^(1/6) of the single-term approximation, in m."""
+    """Core radius xi = R_c (delta/(8 Delta))^(1/6) of the single-term approximation, in m.
+
+    ``r_c`` may be an ndarray; the detuning and the defect are scalars.
+    """
     det = angular(detuning)
     d = angular(defect)
     _check_signs(det, d)
@@ -330,6 +347,8 @@ def normalized_potential(r: float, params: DressingParams, kind: str = "full") -
     ``full`` (dipole-dipole crossover form), ``vdw`` (pure 1/R^6 limit), or
     ``single_term`` (the -xi^6/(R^6 + xi^6) approximation, sign-matched to
     the dressed branch). |V| -> 1 at the origin and V -> 0 at infinity.
+    ``r`` may be an ndarray; the dressed energies of all its separations are
+    then solved by one stacked eigensolve.
     """
     r = in_range("separation R", r)
     det = params.detuning.rad_per_s
@@ -339,9 +358,11 @@ def normalized_potential(r: float, params: DressingParams, kind: str = "full") -
     if kind == "single_term":
         try:
             xi6 = soft_core_scale(det, defect, r_c) ** 6
-            return -math.copysign(1.0, det) * xi6 / (r**6 + xi6)
+            with np.errstate(all="ignore"):  # a non-finite value fails the range check
+                value = -math.copysign(1.0, det) * xi6 / (_per_element(pow, r, 6) + xi6)
         except ArithmeticError:
             raise DomainError("R^6 or xi^6 is out of float range") from None
+        return in_range("normalized potential", value, -math.inf)
     if kind == "full":
         shift = dipole_dipole_shift(r, defect, r_c)
     elif kind == "vdw":
@@ -352,7 +373,9 @@ def normalized_potential(r: float, params: DressingParams, kind: str = "full") -
     free = pair_light_shift_free(w, det).rad_per_s
     depth = in_range("well depth", abs(pair_light_shift_blockaded(w, det).rad_per_s - free))
     energy = dressed_ground_energy_exact(w, det, shift).rad_per_s
-    return in_range("normalized potential", (energy - free) / depth, -math.inf)
+    with np.errstate(all="ignore"):  # a non-finite value fails the range check
+        value = (energy - free) / depth
+    return in_range("normalized potential", value, -math.inf)
 
 
 def dressed_decoherence_time(

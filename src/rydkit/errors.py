@@ -1,5 +1,7 @@
-"""Exception and warning types shared across the package, and the input check."""
+"""Exception and warning types shared across the package, the input check, and
+the per-element float math that keeps array results equal to scalar calls."""
 
+import itertools
 import math
 
 import numpy as np
@@ -60,3 +62,17 @@ def _in_range_array(name: str, value: np.ndarray, lo: float, hi: float, bounds: 
 
 def _outside(name: str, lo: float, hi: float, bounds: str, got: str) -> str:
     return f"{name} must be finite and in {bounds[0]}{lo:g}, {hi:g}{bounds[1]}, got {got}"
+
+
+def _per_element(fn, x, *args):
+    """``fn(x, *args)``, applied to each element when ``x`` is an ndarray.
+
+    numpy's vectorized log10, expm1 and powers round some values differently
+    from ``math`` and Python floats, so array code calls the float function
+    element by element and each array element equals the scalar call bit for
+    bit. A float (or 0-d) ``x`` takes the plain float call.
+    """
+    if type(x) is np.ndarray and x.ndim:
+        values = map(fn, x.ravel().tolist(), *map(itertools.repeat, args))
+        return np.fromiter(values, float, x.size).reshape(x.shape)
+    return fn(x, *args)

@@ -12,10 +12,11 @@ import math
 import warnings
 from dataclasses import dataclass
 
+import numpy as np
 from scipy.optimize import brentq
 
 from .constants import CODATA
-from .errors import DomainError, ModelValidityWarning, in_range
+from .errors import DomainError, ModelValidityWarning, _per_element, in_range
 from .units import TWO_PI, Frequency, angular
 
 _SEVEN_PI = 7.0 * math.pi
@@ -157,16 +158,24 @@ def doppler_fidelity(k: float, temperature: float, time: float, mass: float) -> 
 
 
 def doppler_infidelity(k: float, temperature: float, time: float, mass: float) -> float:
-    """Doppler-limited Bell-state infidelity (1 - exp(-k^2 k_B T t^2 / 2m)) / 2."""
+    """Doppler-limited Bell-state infidelity (1 - exp(-k^2 k_B T t^2 / 2m)) / 2.
+
+    The arguments broadcast as ndarrays.
+    """
     k = in_range("k", k, bounds="[)")
     temperature = in_range("temperature", temperature, bounds="[)")
     time = in_range("time", time, bounds="[)")
     mass = in_range("mass", mass)
     try:
-        exponent = k**2 * CODATA.k_b * temperature * time**2 / (2.0 * mass)
+        with np.errstate(all="ignore"):  # a non-finite exponent fails the range check
+            exponent = (
+                _per_element(pow, k, 2) * CODATA.k_b * temperature
+                * _per_element(pow, time, 2) / (2.0 * mass)
+            )
+            infidelity = -_per_element(math.expm1, -exponent) / 2.0
     except OverflowError:
         raise DomainError("k^2 or t^2 is out of float range") from None
-    return in_range("Doppler infidelity", -math.expm1(-exponent) / 2.0, 0.0, 0.5, "[]")
+    return in_range("Doppler infidelity", infidelity, 0.0, 0.5, "[]")
 
 
 def excitation_error(rabi: Frequency | float, detuning: Frequency | float) -> float:

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import functools
 import io
 import math
 from dataclasses import dataclass, field
@@ -11,7 +10,7 @@ from typing import Callable
 import numpy as np
 
 from . import budget, core, dressing, gate_error
-from .errors import DomainError, in_range
+from .errors import DomainError, _per_element, in_range
 from .species import get_species
 from .units import Frequency
 
@@ -142,11 +141,11 @@ class _ScanQuantity:
     x_unit: str
     y_name: str
     y_unit: str
-    fn: Callable[[float, float, dict], float]
+    fn: Callable[[np.ndarray, np.ndarray, dict], np.ndarray]  # x row, y column -> cells
     defaults: dict = field(default_factory=dict)
 
 
-def _tau_vac_cell(n_code: float, epsilon: float, fixed: dict) -> float:
+def _tau_vac_cells(n_code: np.ndarray, epsilon: np.ndarray, fixed: dict) -> np.ndarray:
     t_qec = fixed.get("t_qec_ms")
     t_qec_s = budget.default_t_qec(n_code) if t_qec is None else t_qec * 1e-3
     return budget.required_vacuum_lifetime(n_code, t_qec_s, epsilon)
@@ -163,56 +162,58 @@ def _resolve_doppler(fixed: dict) -> tuple[float, float]:
     return k, mass
 
 
-def _doppler_cell(temperature_uk: float, time_ns: float, fixed: dict) -> float:
+def _log10_or_minus_inf(value: float) -> float:
+    return math.log10(value) if value > 0 else -math.inf
+
+
+def _doppler_cells(temperature_uk: np.ndarray, time_ns: np.ndarray, fixed: dict) -> np.ndarray:
     k, mass = _resolve_doppler(fixed)
     infid = gate_error.doppler_infidelity(k, temperature_uk * 1e-6, time_ns * 1e-9, mass)
-    return math.log10(infid) if infid > 0 else -math.inf
+    return _per_element(_log10_or_minus_inf, infid)
 
 
-def _dressing_cell(separation_um: float, rabi_mhz: float, fixed: dict) -> float:
-    params = _dressing_row(
-        rabi_mhz, fixed["detuning_mhz"], fixed["defect_mhz"], fixed.get("d_kl", 12.0),
-        fixed["rc_um"], fixed.get("tau_us", 320.0), fixed.get("spacing_um", 1.0),
-    )
-    return dressing.normalized_potential(separation_um * 1e-6, params, str(fixed.get("kind", "full")))
-
-
-@functools.lru_cache(maxsize=16)
-def _dressing_row(
-    rabi_mhz, detuning_mhz, defect_mhz, d_kl, rc_um, tau_us, spacing_um
-) -> dressing.DressingParams:
-    """The dressing configuration of one scan row, built once for all its cells."""
+def _dressing_cells(separation_um: np.ndarray, rabi_mhz: np.ndarray, fixed: dict) -> np.ndarray:
+    """One normalized_potential call per Rabi row: DressingParams holds scalars."""
     pair = dressing.PairInteraction(
-        defect=Frequency.from_hz(defect_mhz * 1e6), angular_factor=d_kl, r_c=rc_um * 1e-6
+        defect=Frequency.from_hz(fixed["defect_mhz"] * 1e6),
+        angular_factor=fixed.get("d_kl", 12.0),
+        r_c=fixed["rc_um"] * 1e-6,
     )
-    return dressing.DressingParams(
-        rabi=Frequency.from_hz(rabi_mhz * 1e6),
-        detuning=Frequency.from_hz(detuning_mhz * 1e6),
-        pair=pair,
-        lifetime=tau_us * 1e-6,
-        spacing=spacing_um * 1e-6,
-    )
+    detuning = Frequency.from_hz(fixed["detuning_mhz"] * 1e6)
+    r, kind = separation_um * 1e-6, str(fixed.get("kind", "full"))
+
+    def row(rabi: float) -> np.ndarray:
+        params = dressing.DressingParams(
+            rabi=Frequency.from_hz(rabi * 1e6),
+            detuning=detuning,
+            pair=pair,
+            lifetime=fixed.get("tau_us", 320.0) * 1e-6,
+            spacing=fixed.get("spacing_um", 1.0) * 1e-6,
+        )
+        return dressing.normalized_potential(r, params, kind)
+
+    return np.concatenate([row(rabi) for rabi in rabi_mhz.ravel().tolist()])
 
 
-def _lifetime_cell(n: float, temperature_k: float, fixed: dict) -> float:
+def _lifetime_cells(n: np.ndarray, temperature_k: np.ndarray, fixed: dict) -> np.ndarray:
     return core.rydberg_lifetime(n, temperature_k, fixed.get("tau0_ns", 3.3) * 1e-9)
 
 
 SCAN_QUANTITIES: dict[str, _ScanQuantity] = {
     "tau-vac": _ScanQuantity(
-        "n_code", "qubits", "epsilon", "", _tau_vac_cell, {"t_qec_ms": None}
+        "n_code", "qubits", "epsilon", "", _tau_vac_cells, {"t_qec_ms": None}
     ),
     "doppler-infidelity": _ScanQuantity(
-        "temperature", "uK", "rydberg_time", "ns", _doppler_cell,
+        "temperature", "uK", "rydberg_time", "ns", _doppler_cells,
         {"species": "cs", "scheme": None, "k_per_m": None, "mass_kg": None},
     ),
     "dressing-potential": _ScanQuantity(
-        "separation", "um", "rabi", "MHz", _dressing_cell,
+        "separation", "um", "rabi", "MHz", _dressing_cells,
         {"detuning_mhz": 10.0, "defect_mhz": 20.0, "rc_um": 1.5, "kind": "full",
          "d_kl": 12.0, "tau_us": 320.0, "spacing_um": 1.0},
     ),
     "lifetime": _ScanQuantity(
-        "n", "", "temperature", "K", _lifetime_cell, {"tau0_ns": 3.3}
+        "n", "", "temperature", "K", _lifetime_cells, {"tau0_ns": 3.3}
     ),
 }
 
@@ -220,8 +221,10 @@ SCAN_QUANTITIES: dict[str, _ScanQuantity] = {
 def scan(quantity: str, x_axis: Axis, y_axis: Axis, fixed: dict | None = None) -> ScanGrid:
     """Evaluate a registered quantity over a rectangular grid, deterministically.
 
-    Cells are computed in row-major y-then-x order; ``fixed`` overrides the
-    quantity's default parameters and unknown keys are rejected.
+    The quantity's model function runs once on the broadcast axes, x as a row
+    and y as a column, and each cell equals the scalar call at its point bit
+    for bit. ``fixed`` overrides the quantity's default parameters and unknown
+    keys are rejected.
     """
     try:
         entry = SCAN_QUANTITIES[quantity]
@@ -235,8 +238,7 @@ def scan(quantity: str, x_axis: Axis, y_axis: Axis, fixed: dict | None = None) -
         if key not in entry.defaults:
             raise DomainError(f"unknown fixed parameter {key!r} for quantity {quantity!r}")
         merged[key] = value
-    cells = tuple(
-        tuple(float(entry.fn(x, y, merged)) for x in x_axis.values)
-        for y in y_axis.values
-    )
+    x_row = np.array(x_axis.values)[None, :]
+    y_column = np.array(y_axis.values)[:, None]
+    cells = entry.fn(x_row, y_column, merged).tolist()
     return ScanGrid(quantity=quantity, x_axis=x_axis, y_axis=y_axis, cells=cells)

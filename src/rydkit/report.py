@@ -139,7 +139,7 @@ def _closed_vs_eigensolver(rng: np.random.Generator, points: int = 10000) -> flo
 def _slope(params: dressing.DressingParams, kind: str) -> float:
     r_c = params.pair.r_c
     radii = np.geomspace(r_c / 100, r_c / 20, 24)
-    gaps = [1.0 - abs(dressing.normalized_potential(r, params, kind)) for r in radii]
+    gaps = 1.0 - abs(dressing.normalized_potential(radii, params, kind))
     return float(np.polyfit(np.log(radii), np.log(gaps), 1)[0])
 
 
@@ -283,8 +283,7 @@ def reproduce(
     add(_entry("soft-core near-origin exponent, van der Waals pair shift",
                _slope(params, "vdw"), 6.0, -0.05, 0.05))
     radii = np.geomspace(r_c / 100, 10 * r_c, 120)
-    values = [dressing.normalized_potential(r, params, "full") for r in radii]
-    diffs = np.diff(values)
+    diffs = np.diff(dressing.normalized_potential(radii, params, "full"))
     non_monotone = int(np.sum(np.sign(diffs) != np.sign(diffs[0])))
     add(_entry("soft-core slope sign changes on core grid",
                non_monotone, 0.0, 0.0, 0.0))

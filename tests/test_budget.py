@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -158,3 +159,44 @@ def test_loss_budget_validation():
         required_vacuum_lifetime(1, 1e-3, 1.5)
     with pytest.raises(DomainError):
         required_reload_rate(1, 1.0, 1.5)
+
+
+def _log_uniform(rng, lo, hi, size):
+    return 10 ** rng.uniform(math.log10(lo), math.log10(hi), size)
+
+
+class TestArrayPath:
+    def test_arrays_equal_scalar_calls_bit_for_bit(self):
+        rng = np.random.default_rng(21)
+        n, t, eps = (
+            _log_uniform(rng, lo, hi, 10000) for lo, hi in ((1.0, 1e4), (1e-6, 1.0), (1e-8, 1.0))
+        )
+        assert np.array_equal(default_t_qec(n), [default_t_qec(v) for v in n.tolist()])
+        got = required_vacuum_lifetime(n, t, eps)
+        assert got.shape == (10000,)
+        want = [required_vacuum_lifetime(*p) for p in zip(n.tolist(), t.tolist(), eps.tolist())]
+        assert np.array_equal(got, want)
+
+    def test_broadcast_keeps_its_shape(self):
+        n = np.array([[4.0], [20.0]])
+        eps = np.array([1e-5, 1e-4, 1e-3])
+        got = required_vacuum_lifetime(n, default_t_qec(n), eps)
+        assert got.shape == (2, 3)
+        for i, j in np.ndindex(2, 3):
+            assert got[i, j] == required_vacuum_lifetime(n[i, 0], default_t_qec(n[i, 0]), eps[j])
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            (np.array([4.0, math.nan]), 1e-3, 1e-4),
+            (np.array([4.0, 0.5]), 1e-3, 1e-4),
+            (20.0, np.array([1e-3, -1.0]), 1e-4),
+            (20.0, 1e-3, np.array([1e-4, 1.5])),
+            (np.array([4.0, 1e300]), 1e10, 1e-4),  # tau_vac overflows
+        ],
+    )
+    def test_one_bad_element_raises_domain_error(self, args):
+        with pytest.raises(DomainError):
+            required_vacuum_lifetime(*args)
+        with pytest.raises(DomainError, match=r"n_code .* at index \(1,\)"):
+            default_t_qec(np.array([4.0, math.inf]))

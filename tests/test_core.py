@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 import scipy.constants as sc
@@ -143,3 +145,51 @@ class TestMagneticTrapField:
     def test_rejects_nonpositive(self, args):
         with pytest.raises(DomainError):
             magnetic_trap_field(*args)
+
+
+def _log_uniform(rng, lo, hi, size):
+    return 10 ** rng.uniform(np.log10(lo), np.log10(hi), size)
+
+
+class TestArrayPath:
+    def test_arrays_equal_scalar_calls_bit_for_bit(self):
+        rng = np.random.default_rng(41)
+        n = _log_uniform(rng, 10.0, 1e3, 10000)
+        temp = _log_uniform(rng, 1e-3, 1e4, 10000)
+        temp[::100] = 0.0
+        tau0 = _log_uniform(rng, 1e-10, 1e-6, 10000)
+        points = list(zip(n.tolist(), temp.tolist(), tau0.tolist()))
+        rate = blackbody_depopulation_rate(n, temp)
+        assert np.array_equal(rate, [blackbody_depopulation_rate(v, t) for v, t, _ in points])
+        got = rydberg_lifetime(n, temp, tau0)
+        assert got.shape == (10000,)
+        assert np.array_equal(got, [rydberg_lifetime(*p) for p in points])
+        # exactly tau0 n^3 at T = 0, element by element
+        radiative = [t0 * v**3 for v, t, t0 in points if t == 0]
+        assert got[temp == 0].tolist() == radiative
+
+    def test_broadcast_keeps_its_shape(self):
+        n = np.array([[50.0], [100.0]])
+        temp = np.array([0.0, 4.0, 300.0])
+        for fn, args in ((blackbody_depopulation_rate, ()), (rydberg_lifetime, (3.3e-9,))):
+            got = fn(n, temp, *args)
+            assert got.shape == (2, 3)
+            for i, j in np.ndindex(2, 3):
+                assert got[i, j] == fn(n[i, 0], temp[j], *args)
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            (np.array([100.0, 5.0]), 300.0, 3.3e-9),
+            (np.array([100.0, math.nan]), 300.0, 3.3e-9),
+            (100.0, np.array([300.0, -1.0]), 3.3e-9),
+            (100.0, 300.0, np.array([3.3e-9, 0.0])),
+            (np.array([100.0, 1e200]), 300.0, 3.3e-9),  # n^3 overflows
+            (np.array([100.0, 1e3]), 0.0, np.array([3.3e-9, 1e300])),  # tau0 n^3 overflows
+        ],
+    )
+    def test_one_bad_element_raises_domain_error(self, args):
+        with pytest.raises(DomainError):
+            rydberg_lifetime(*args)
+        with pytest.raises(DomainError, match=r"temperature .* at index \(1,\)"):
+            blackbody_depopulation_rate(100.0, np.array([300.0, math.inf]))

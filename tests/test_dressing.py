@@ -537,3 +537,75 @@ class TestArrayPath:
         for bad in (math.nan, math.inf):
             with pytest.raises(DomainError, match=r"frequency must be finite.*at index \(2,\)"):
                 fn(np.array([1e6, 2e6, bad]), 1e7, 0.0)
+
+
+def _log_uniform(rng, lo, hi, size):
+    return 10 ** rng.uniform(np.log10(lo), np.log10(hi), size)
+
+
+class TestArrayPairShifts:
+    def test_pair_shifts_equal_scalar_calls_bit_for_bit(self):
+        rng = np.random.default_rng(51)
+        r = _log_uniform(rng, 1e-8, 1e-4, 10000)
+        r_c = _log_uniform(rng, 1e-7, 1e-5, 10000)
+        defect = rng.choice((-1.0, 1.0), 10000) * _log_uniform(rng, 1e6, 1e10, 10000)
+        for fn in (dipole_dipole_shift, vdw_shift):
+            got = fn(r, defect, r_c).rad_per_s
+            assert got.shape == (10000,)
+            assert np.array_equal(got, _pointwise(lambda *p: fn(*p).rad_per_s, r, defect, r_c))
+        rabi, det, _ = _oracle_sample(52, 10000)
+        for fn in (pair_light_shift_free, pair_light_shift_blockaded, dressing_depth_exact):
+            got = fn(rabi, det).rad_per_s
+            assert np.array_equal(got, _pointwise(lambda *p: fn(*p).rad_per_s, rabi, det))
+        xi = soft_core_scale(DETUNING, DEFECT, r_c)
+        assert np.array_equal(xi, _pointwise(lambda x: soft_core_scale(DETUNING, DEFECT, x), r_c))
+
+    @pytest.mark.parametrize("kind", ["full", "vdw", "single_term"])
+    @pytest.mark.parametrize("params", [worked_params, weak_attractive_params])
+    def test_normalized_potential_equals_scalar_calls_bit_for_bit(self, params, kind):
+        # worked_params has negative detuning and defect, weak_attractive_params positive
+        p = params()
+        r = p.pair.r_c * _log_uniform(np.random.default_rng(53), 1e-3, 1e3, 2000)
+        got = normalized_potential(r, p, kind)
+        assert got.shape == (2000,)
+        assert np.array_equal(got, [normalized_potential(x, p, kind) for x in r.tolist()])
+
+    def test_broadcast_keeps_its_shape(self):
+        column, row = np.array([[1e-6], [4e-6]]), np.array([1e7, -2e7, 5e7])
+        for fn, args in (
+            (dipole_dipole_shift, (column, row, RC)),
+            (vdw_shift, (column, row, RC)),
+            (pair_light_shift_free, (column * 1e13, row)),
+            (pair_light_shift_blockaded, (column * 1e13, row)),
+            (dressing_depth_exact, (column * 1e13, row)),
+        ):
+            got = fn(*args).rad_per_s
+            assert got.shape == (2, 3)
+            for i, j in np.ndindex(2, 3):
+                assert got[i, j] == fn(*(np.broadcast_to(a, (2, 3))[i, j] for a in args)).rad_per_s
+        p = worked_params()
+        r = column * np.array([1.0, 2.0, 3.0])
+        for kind in ("full", "vdw", "single_term"):
+            got = normalized_potential(r, p, kind)
+            assert got.shape == (2, 3)
+            for i, j in np.ndindex(2, 3):
+                assert got[i, j] == normalized_potential(r[i, j], p, kind)
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: dipole_dipole_shift(np.array([1e-6, 0.0]), DEFECT, RC),
+            lambda: dipole_dipole_shift(np.array([1e-6, 1e-300]), DEFECT, RC),  # (R_c/R)^6
+            lambda: vdw_shift(1e-6, np.array([1e9, math.nan]), RC),
+            lambda: vdw_shift(np.array([1e-6, 1e-300]), DEFECT, RC),
+            lambda: pair_light_shift_free(np.array([1e6, math.inf]), 1e7),
+            lambda: pair_light_shift_blockaded(1e6, np.array([1e7, 1e300])),  # Delta^2
+            lambda: dressing_depth_exact(np.array([1e6, 1e300]), 1e7),
+            lambda: soft_core_scale(DETUNING, DEFECT, np.array([RC, -1.0])),
+            lambda: normalized_potential(np.array([1e-6, -1.0]), worked_params()),
+            lambda: normalized_potential(np.array([1e-6, 1e300]), worked_params(), "single_term"),
+        ],
+    )
+    def test_one_bad_element_raises_domain_error(self, call):
+        with pytest.raises(DomainError):
+            call()

@@ -235,6 +235,40 @@ class TestDoppler:
         with pytest.raises(DomainError):
             doppler_infidelity(1e7, 1e-6, 1e-7, 0.0)
 
+    def test_arrays_equal_scalar_calls_bit_for_bit(self):
+        rng = np.random.default_rng(31)
+        k, temp, t, mass = (
+            10 ** rng.uniform(np.log10(lo), np.log10(hi), 10000)
+            for lo, hi in ((1e5, 1e8), (1e-8, 1e-2), (1e-9, 1e-4), (1e-26, 1e-24))
+        )
+        got = doppler_infidelity(k, temp, t, mass)
+        assert got.shape == (10000,)
+        points = zip(k.tolist(), temp.tolist(), t.tolist(), mass.tolist())
+        assert np.array_equal(got, [doppler_infidelity(*p) for p in points])
+
+    def test_broadcast_keeps_its_shape(self):
+        temp = np.array([[0.0], [5e-6]])
+        t = np.array([1e-8, 1e-7, 1e-6])
+        got = doppler_infidelity(self.K1, temp, t, CESIUM.mass)
+        assert got.shape == (2, 3)
+        for i, j in np.ndindex(2, 3):
+            assert got[i, j] == doppler_infidelity(self.K1, temp[i, 0], t[j], CESIUM.mass)
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            (np.array([1e7, -1.0]), 1e-6, 1e-7, 2e-25),
+            (1e7, np.array([1e-6, math.nan]), 1e-7, 2e-25),
+            (1e7, 1e-6, np.array([1e-7, math.inf]), 2e-25),
+            (1e7, 1e-6, 1e-7, np.array([2e-25, 0.0])),
+            (1e7, 1e-6, np.array([1e-7, 1e300]), 2e-25),  # t^2 overflows
+            (np.array([1e7, 1e154]), 1e30, 0.0, 2e-25),  # an overflow times t^2 = 0
+        ],
+    )
+    def test_one_bad_element_raises_domain_error(self, args):
+        with pytest.raises(DomainError):
+            doppler_infidelity(*args)
+
 
 class TestDetuningBudget:
     OMEGA = Frequency.from_hz(20e6)

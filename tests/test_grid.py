@@ -1,9 +1,13 @@
 import math
 
+import numpy as np
 import pytest
 
-from rydkit import Axis, DomainError, ScanGrid, axis, scan
-from rydkit import required_vacuum_lifetime, rydberg_lifetime
+from rydkit import Axis, DomainError, DressingParams, Frequency, PairInteraction, ScanGrid
+from rydkit import axis, get_species, scan
+from rydkit import doppler_infidelity, normalized_potential, required_vacuum_lifetime
+from rydkit import rydberg_lifetime
+from rydkit import budget, core, dressing, gate_error
 
 
 class TestAxis:
@@ -150,3 +154,92 @@ class TestScan:
                 Axis("epsilon", "", (1e-4,)),
                 {"typo": 1.0},
             )
+
+
+def _cells(fn, x_axis, y_axis):
+    return tuple(tuple(fn(x, y) for x in x_axis.values) for y in y_axis.values)
+
+
+class TestScanEqualsScalarCalls:
+    """Each quantity runs once on broadcast axes; every cell is the scalar call."""
+
+    @pytest.mark.parametrize("spacing", ["linear", "log"])
+    def test_tau_vac(self, spacing):
+        rng = np.random.default_rng(61)
+        x = axis("n_code", "qubits", rng.uniform(1, 10), rng.uniform(50, 200), 23, spacing)
+        y = axis("epsilon", "", rng.uniform(1e-6, 1e-5), rng.uniform(1e-3, 1e-2), 17, spacing)
+        grid = scan("tau-vac", x, y)
+        assert grid.cells == _cells(
+            lambda n, eps: required_vacuum_lifetime(n, budget.default_t_qec(n), eps), x, y
+        )
+        grid = scan("tau-vac", x, y, {"t_qec_ms": 2.5})
+        assert grid.cells == _cells(
+            lambda n, eps: required_vacuum_lifetime(n, 2.5 * 1e-3, eps), x, y
+        )
+
+    @pytest.mark.parametrize("spacing", ["linear", "log"])
+    @pytest.mark.parametrize("species", ["cs", "rb"])
+    def test_doppler_infidelity(self, species, spacing):
+        rng = np.random.default_rng(62)
+        x = axis("temperature", "uK", rng.uniform(0.5, 2), rng.uniform(50, 200), 19, spacing)
+        y = axis("rydberg_time", "ns", rng.uniform(5, 20), rng.uniform(5e3, 2e4), 21, spacing)
+        sp = get_species(species)
+        k = sp.schemes[0].effective_k
+        grid = scan("doppler-infidelity", x, y, {"species": species})
+        assert grid.cells == _cells(
+            lambda temp, t: math.log10(doppler_infidelity(k, temp * 1e-6, t * 1e-9, sp.mass)),
+            x, y,
+        )
+
+    @pytest.mark.parametrize("kind", ["full", "vdw", "single_term"])
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_dressing_potential(self, sign, kind):
+        rng = np.random.default_rng(63)
+        fixed = {"detuning_mhz": sign * rng.uniform(8, 15), "defect_mhz": sign * rng.uniform(15, 30),
+                 "rc_um": rng.uniform(1, 2), "kind": kind}
+        x = axis("separation", "um", rng.uniform(0.1, 0.5), rng.uniform(3, 8), 15, "linear")
+        y = axis("rabi", "MHz", rng.uniform(0.5, 1), rng.uniform(2, 5), 7, "log")
+        pair = PairInteraction(
+            defect=Frequency.from_hz(fixed["defect_mhz"] * 1e6), r_c=fixed["rc_um"] * 1e-6
+        )
+
+        def cell(r_um, rabi_mhz):
+            params = DressingParams(
+                rabi=Frequency.from_hz(rabi_mhz * 1e6),
+                detuning=Frequency.from_hz(fixed["detuning_mhz"] * 1e6),
+                pair=pair,
+                lifetime=320e-6,
+                spacing=1e-6,
+            )
+            return normalized_potential(r_um * 1e-6, params, kind)
+
+        assert scan("dressing-potential", x, y, fixed).cells == _cells(cell, x, y)
+
+    @pytest.mark.parametrize("spacing", ["linear", "log"])
+    def test_lifetime_with_a_zero_temperature_row(self, spacing):
+        rng = np.random.default_rng(64)
+        x = axis("n", "", rng.uniform(20, 40), rng.uniform(150, 300), 25, spacing)
+        temps = axis("temperature", "K", rng.uniform(1, 10), rng.uniform(300, 400), 9, spacing)
+        y = Axis("temperature", "K", (0.0,) + temps.values, spacing)
+        tau0_ns = rng.uniform(2.5, 3.5)
+        grid = scan("lifetime", x, y, {"tau0_ns": tau0_ns})
+        assert grid.cells == _cells(lambda n, t: rydberg_lifetime(n, t, tau0_ns * 1e-9), x, y)
+        assert grid.cells[0] == tuple(tau0_ns * 1e-9 * n**3 for n in x.values)
+
+    def test_each_model_function_runs_once_per_grid(self, monkeypatch):
+        calls = []
+
+        def counted(module, name):
+            fn = getattr(module, name)
+            monkeypatch.setattr(module, name, lambda *a, **k: calls.append(name) or fn(*a, **k))
+
+        for module, name in ((budget, "required_vacuum_lifetime"), (core, "rydberg_lifetime"),
+                             (gate_error, "doppler_infidelity"), (dressing, "normalized_potential")):
+            counted(module, name)
+        x, y = Axis("x", "", (1.0, 2.0, 3.0)), Axis("y", "", (10.0, 20.0))
+        scan("tau-vac", x, Axis("epsilon", "", (1e-4, 1e-3)))
+        scan("doppler-infidelity", x, y)
+        scan("lifetime", Axis("n", "", (50.0, 60.0, 70.0)), y)
+        scan("dressing-potential", x, y)
+        assert calls == ["required_vacuum_lifetime", "doppler_infidelity", "rydberg_lifetime",
+                         "normalized_potential", "normalized_potential"]
