@@ -17,7 +17,6 @@ from .budget import (
     required_vacuum_lifetime,
     simulate_loss,
 )
-from .constants import CODATA, PhysConstants
 from .core import (
     blackbody_depopulation_rate,
     free_electron_polarizability,

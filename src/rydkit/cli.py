@@ -17,25 +17,23 @@ import numpy as np
 from . import budget as budget_mod
 from . import core, dressing, gate_error, report
 from .errors import DomainError
-from .grid import _FMT, SCAN_QUANTITIES, axis, scan
+from .grid import _FMT, SCAN_QUANTITIES, _dressing_params, axis, scan
 from .species import get_species, load_species_config
 from .units import Frequency
 
 
-def _emit_json(payload: dict, out: str | None) -> None:
-    try:
-        text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
-    except ValueError as exc:
-        raise DomainError(f"output holds a NaN or infinite value ({exc})") from None
-    _write(text, out)
-
-
-def _write(text: str, out: str | None) -> None:
+def _emit(result: dict | str, out: str | None = None) -> None:
+    """Write a dict as strict JSON, or a str as it is, to ``out`` or stdout."""
+    if isinstance(result, dict):
+        try:
+            result = json.dumps(result, indent=2, sort_keys=True, allow_nan=False) + "\n"
+        except ValueError as exc:
+            raise DomainError(f"output holds a NaN or infinite value ({exc})") from None
     if out:
         with open(out, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+            fh.write(result)
     else:
-        click.echo(text, nl=False)
+        click.echo(result, nl=False)
 
 
 def _species_option(ctx_config: str | None, name: str):
@@ -64,10 +62,10 @@ def budget() -> None:
 def budget_vacuum_lifetime(n_code: int, t_qec_ms: float | None, epsilon: float) -> None:
     """Vacuum lifetime needed to keep per-cycle atom loss below epsilon."""
     t_qec = budget_mod.default_t_qec(n_code) if t_qec_ms is None else t_qec_ms * 1e-3
-    _emit_json({
+    _emit({
         "n_code": n_code, "t_qec_ms": t_qec * 1e3, "epsilon": epsilon,
         "tau_vac_s": budget_mod.required_vacuum_lifetime(n_code, t_qec, epsilon),
-    }, None)
+    })
 
 
 @budget.command("reload-rate")
@@ -76,10 +74,10 @@ def budget_vacuum_lifetime(n_code: int, t_qec_ms: float | None, epsilon: float) 
 @click.option("--epsilon", type=float, required=True)
 def budget_reload_rate(n_phys: int, tau_vac_s: float, epsilon: float) -> None:
     """Atom reload rate sustaining an array against vacuum loss."""
-    _emit_json({
+    _emit({
         "n_phys": n_phys, "tau_vac_s": tau_vac_s, "epsilon": epsilon,
         "r_load_per_s": budget_mod.required_reload_rate(n_phys, tau_vac_s, epsilon),
-    }, None)
+    })
 
 
 @budget.command("loss")
@@ -88,10 +86,10 @@ def budget_reload_rate(n_phys: int, tau_vac_s: float, epsilon: float) -> None:
 @click.option("--tau-vac-s", type=float, required=True)
 def budget_loss(n_code: int, t_ms: float, tau_vac_s: float) -> None:
     """Probability of losing at least one of N_code atoms within t."""
-    _emit_json({
+    _emit({
         "n_code": n_code, "t_ms": t_ms, "tau_vac_s": tau_vac_s,
         "loss_probability": budget_mod.loss_probability(n_code, t_ms * 1e-3, tau_vac_s),
-    }, None)
+    })
 
 
 @budget.command("simulate")
@@ -104,11 +102,11 @@ def budget_loss(n_code: int, t_ms: float, tau_vac_s: float) -> None:
 def budget_simulate(n_code: int, tau_vac_s: float, t_ms: float, trials: int, seed: int) -> None:
     """Monte Carlo loss probability with exponential per-atom lifetimes."""
     result = budget_mod.simulate_loss(n_code, tau_vac_s, t_ms * 1e-3, trials, seed)
-    _emit_json({
+    _emit({
         "n_code": n_code, "tau_vac_s": tau_vac_s, "t_ms": t_ms, "seed": seed,
         "trials": result.trials, "estimate": result.estimate,
         "standard_error": result.standard_error,
-    }, None)
+    })
 
 
 @budget.command("crosstalk")
@@ -123,12 +121,12 @@ def budget_crosstalk(wavelength_nm: float, spacing_um: float,
     est = budget_mod.measurement_crosstalk(
         wavelength_nm * 1e-9, spacing_um * 1e-6, numerical_aperture, efficiency
     )
-    _emit_json({
+    _emit({
         "wavelength_nm": wavelength_nm, "spacing_um": spacing_um,
         "numerical_aperture": numerical_aperture, "efficiency": efficiency,
         "cross_section_m2": est.cross_section, "eta_abs": est.eta_abs,
         "eta_det": est.eta_det, "ratio": est.ratio,
-    }, None)
+    })
 
 
 # ----------------------------------------------------------------------- gate-error
@@ -150,14 +148,14 @@ def gate_error_blockade(blockade_mhz: float, tau_us: float, rabi_mhz: float | No
     tau = tau_us * 1e-6
     rabi = Frequency.from_hz(rabi_mhz * 1e6) if rabi_mhz is not None else None
     parts = gate_error.blockade_error_budget(b, tau, rabi)
-    _emit_json({
+    _emit({
         "blockade_mhz": blockade_mhz, "tau_us": tau_us,
         "rabi_opt_mhz": gate_error.optimal_rabi(b, tau).hz / 1e6,
         "error_min": gate_error.blockade_gate_error(b, tau),
         "error_at_rabi": parts.total,
         "spontaneous": parts.spontaneous, "blockade_leakage": parts.blockade_leakage,
         "entanglement_bound": gate_error.entanglement_error_bound(b, tau),
-    }, None)
+    })
 
 
 @gate_error_group.command("interaction")
@@ -169,12 +167,12 @@ def gate_error_interaction(interaction_mhz: float, tau_us: float, qubit_ghz: flo
     v = Frequency.from_hz(interaction_mhz * 1e6)
     tau = tau_us * 1e-6
     wq = Frequency.from_hz(qubit_ghz * 1e9)
-    _emit_json({
+    _emit({
         "interaction_mhz": interaction_mhz, "tau_us": tau_us, "qubit_ghz": qubit_ghz,
         "error": gate_error.interaction_gate_error(v, tau, wq),
         "interaction_opt_mhz": gate_error.optimal_interaction_strength(tau, wq).hz / 1e6,
         "error_min": gate_error.minimal_interaction_gate_error(tau, wq),
-    }, None)
+    })
 
 
 @gate_error_group.command("dressing")
@@ -182,12 +180,12 @@ def gate_error_interaction(interaction_mhz: float, tau_us: float, qubit_ghz: flo
 @click.option("--tau-us", type=float, required=True)
 def gate_error_dressing(detuning_mhz: float, tau_us: float) -> None:
     """Optimized dressing-gate error at the given detuning and lifetime."""
-    _emit_json({
+    _emit({
         "detuning_mhz": detuning_mhz, "tau_us": tau_us,
         "error_min": gate_error.dressing_gate_error(
             Frequency.from_hz(abs(detuning_mhz) * 1e6), tau_us * 1e-6
         ),
-    }, None)
+    })
 
 
 @gate_error_group.command("floors")
@@ -196,11 +194,11 @@ def gate_error_dressing(detuning_mhz: float, tau_us: float) -> None:
 def gate_error_floors(tau0_ns: float) -> None:
     """Level-spacing-limited error floors of the blockade and dressing gates."""
     tau0 = tau0_ns * 1e-9
-    _emit_json({
+    _emit({
         "tau0_ns": tau0_ns,
         "blockade_floor": gate_error.asymptotic_blockade_floor(tau0),
         "dressing_floor": gate_error.asymptotic_dressing_floor(tau0),
-    }, None)
+    })
 
 
 @gate_error_group.command("spontaneous")
@@ -208,10 +206,10 @@ def gate_error_floors(tau0_ns: float) -> None:
 @click.option("--epsilon", type=float, required=True, help="Spontaneous-emission error budget.")
 def gate_error_spontaneous(t_pi_ns: float, epsilon: float) -> None:
     """Minimum Rydberg lifetime for a spontaneous-emission error target."""
-    _emit_json({
+    _emit({
         "t_pi_ns": t_pi_ns, "epsilon": epsilon,
         "tau_min_us": gate_error.spontaneous_budget(t_pi_ns * 1e-9, epsilon) * 1e6,
-    }, None)
+    })
 
 
 @gate_error_group.command("stark")
@@ -227,12 +225,12 @@ def gate_error_stark(rabi_mhz: float, epsilon: float, alpha0_ghz_cm2_v2: float,
     sb = gate_error.stark_budget(
         Frequency.from_hz(rabi_mhz * 1e6), epsilon, alpha0_ghz_cm2_v2, convention
     )
-    _emit_json({
+    _emit({
         "rabi_mhz": rabi_mhz, "epsilon": epsilon,
         "alpha0_ghz_cm2_v2": alpha0_ghz_cm2_v2, "convention": convention,
         "detuning_limit_khz": sb.detuning_limit.hz / 1e3,
         "field_limit_v_per_cm": sb.field_limit,
-    }, None)
+    })
 
 
 # -------------------------------------------------------------------------- doppler
@@ -262,7 +260,7 @@ def doppler(temperature_uk, time_ns, species_name, scheme, k_per_m, config, do_s
     """Doppler-limited Bell fidelity; with --scan, a log10(1-F) contour grid."""
     species = _species_option(config, species_name)
     if k_per_m is None:
-        k_per_m = (species.scheme(scheme) if scheme else species.schemes[0]).effective_k
+        k_per_m = species.scheme(scheme or None).effective_k
     if do_scan:
         grid = scan(
             "doppler-infidelity",
@@ -270,14 +268,14 @@ def doppler(temperature_uk, time_ns, species_name, scheme, k_per_m, config, do_s
             axis("rydberg_time", "ns", time_min_ns, time_max_ns, time_points, "log"),
             {"k_per_m": k_per_m, "mass_kg": species.mass},
         )
-        _write(grid.to_csv(), out)
+        _emit(grid.to_csv(), out)
         return
     if temperature_uk is None or time_ns is None:
         raise click.UsageError("--temperature-uk and --time-ns are required without --scan")
     infid = gate_error.doppler_infidelity(
         k_per_m, temperature_uk * 1e-6, time_ns * 1e-9, species.mass
     )
-    _emit_json({
+    _emit({
         "species": species.name, "k_per_m": k_per_m,
         "temperature_uk": temperature_uk, "time_ns": time_ns,
         "fidelity": 1.0 - infid, "infidelity": infid,
@@ -298,11 +296,11 @@ def lifetime(n: float, temperature_k: float, species_name: str,
     """Rydberg depopulation lifetime with the universal blackbody model."""
     species = _species_option(config, species_name)
     tau0 = species.tau0 if tau0_ns is None else tau0_ns * 1e-9
-    _emit_json({
+    _emit({
         "n": n, "temperature_k": temperature_k, "species": species.name,
         "tau0_ns": tau0 * 1e9,
         "lifetime_s": core.rydberg_lifetime(n, temperature_k, tau0),
-    }, None)
+    })
 
 
 # ------------------------------------------------------------------------- dressing
@@ -313,36 +311,32 @@ def dressing_group() -> None:
     """Soft-core dressing potentials and figures of merit."""
 
 
-def _pair_from_options(defect_mhz: float, rc_um: float | None, c3_ghz_um3: float | None,
-                       d_kl: float) -> dressing.PairInteraction:
-    return dressing.PairInteraction(
-        defect=Frequency.from_hz(defect_mhz * 1e6),
-        angular_factor=d_kl,
-        c3=c3_ghz_um3,
-        r_c=rc_um * 1e-6 if rc_um is not None else None,
-    )
+_DRESSING_OPTIONS = (
+    click.option("--rabi-mhz", type=float, required=True),
+    click.option("--detuning-mhz", type=float, required=True, help="Signed dressing detuning."),
+    click.option("--defect-mhz", type=float, required=True, help="Signed Foerster defect."),
+    click.option("--rc-um", type=float, default=None, help="Crossover radius."),
+    click.option("--c3-ghz-um3", type=float, default=None, help="C3 coefficient."),
+    click.option("--d-kl", type=float, default=12.0, show_default=True),
+)
+
+
+def _dressing_options(command):
+    """Add the options of a dressing point, whose names match _dressing_params."""
+    for option in reversed(_DRESSING_OPTIONS):
+        command = option(command)
+    return command
 
 
 @dressing_group.command("curve")
-@click.option("--rabi-mhz", type=float, required=True)
-@click.option("--detuning-mhz", type=float, required=True, help="Signed dressing detuning.")
-@click.option("--defect-mhz", type=float, required=True, help="Signed Foerster defect.")
-@click.option("--rc-um", type=float, default=None, help="Crossover radius.")
-@click.option("--c3-ghz-um3", type=float, default=None, help="C3 coefficient.")
-@click.option("--d-kl", type=float, default=12.0, show_default=True)
+@_dressing_options
 @click.option("--r-min-um", type=float, required=True)
 @click.option("--r-max-um", type=float, required=True)
 @click.option("--points", type=int, default=101, show_default=True)
 @click.option("--out", type=click.Path(), default=None)
-def dressing_curve(rabi_mhz, detuning_mhz, defect_mhz, rc_um, c3_ghz_um3, d_kl,
-                   r_min_um, r_max_um, points, out) -> None:
+def dressing_curve(r_min_um, r_max_um, points, out, **point) -> None:
     """Normalized soft-core curves (full, vdW, single-term) as CSV columns."""
-    pair = _pair_from_options(defect_mhz, rc_um, c3_ghz_um3, d_kl)
-    params = dressing.DressingParams(
-        rabi=Frequency.from_hz(rabi_mhz * 1e6),
-        detuning=Frequency.from_hz(detuning_mhz * 1e6),
-        pair=pair, lifetime=1.0, spacing=1e-6,
-    )
+    params = _dressing_params(**point)
     r_um = np.linspace(r_min_um, r_max_um, points)
     columns = [r_um] + [
         dressing.normalized_potential(r_um * 1e-6, params, kind)
@@ -350,32 +344,19 @@ def dressing_curve(rabi_mhz, detuning_mhz, defect_mhz, rc_um, c3_ghz_um3, d_kl,
     ]
     lines = ["separation_um,v_full,v_vdw,v_single_term"]
     lines += [",".join(map(_FMT.format, row)) for row in zip(*(c.tolist() for c in columns))]
-    _write("\n".join(lines) + "\n", out)
+    _emit("\n".join(lines) + "\n", out)
 
 
 @dressing_group.command("fom")
-@click.option("--rabi-mhz", type=float, required=True)
-@click.option("--detuning-mhz", type=float, required=True, help="Signed dressing detuning.")
-@click.option("--defect-mhz", type=float, required=True, help="Signed Foerster defect.")
-@click.option("--rc-um", type=float, default=None)
-@click.option("--c3-ghz-um3", type=float, default=None)
-@click.option("--d-kl", type=float, default=12.0, show_default=True)
+@_dressing_options
 @click.option("--tau-us", type=float, required=True, help="Rydberg lifetime.")
 @click.option("--spacing-um", type=float, required=True, help="Lattice period.")
-def dressing_fom(rabi_mhz, detuning_mhz, defect_mhz, rc_um, c3_ghz_um3, d_kl,
-                 tau_us, spacing_um) -> None:
+def dressing_fom(**point) -> None:
     """Figures of merit for 1D/2D/3D lattices at a dressing point."""
-    pair = _pair_from_options(defect_mhz, rc_um, c3_ghz_um3, d_kl)
-    params = dressing.DressingParams(
-        rabi=Frequency.from_hz(rabi_mhz * 1e6),
-        detuning=Frequency.from_hz(detuning_mhz * 1e6),
-        pair=pair, lifetime=tau_us * 1e-6, spacing=spacing_um * 1e-6,
-    )
+    params = _dressing_params(**point)
     records = dressing.figures_of_merit(params)
-    _emit_json({
-        "rabi_mhz": rabi_mhz, "detuning_mhz": detuning_mhz, "defect_mhz": defect_mhz,
-        "rc_um": params.pair.r_c * 1e6, "c3_ghz_um3": params.pair.c3,
-        "d_kl": d_kl, "tau_us": tau_us, "spacing_um": spacing_um,
+    _emit({
+        **point, "rc_um": params.pair.r_c * 1e6, "c3_ghz_um3": params.pair.c3,
         "blockade_radius_um": dressing.blockade_radius(
             params.detuning.rad_per_s, params.pair.defect.rad_per_s, params.pair.r_c
         ) * 1e6,
@@ -394,7 +375,7 @@ def dressing_fom(rabi_mhz, detuning_mhz, defect_mhz, rc_um, c3_ghz_um3, d_kl,
             }
             for r in records
         ],
-    }, None)
+    })
 
 
 # ----------------------------------------------------------------------------- scan
@@ -424,17 +405,14 @@ def scan_command(quantity, x_min, x_max, x_points, x_scale,
         key, sep, value = item.partition("=")
         if not sep:
             raise click.UsageError(f"--set expects KEY=VALUE, got {item!r}")
-        try:
-            fixed[key] = float(value)
-        except ValueError:
-            fixed[key] = value
+        fixed[key] = value
     grid = scan(
         quantity,
         axis(entry.x_name, entry.x_unit, x_min, x_max, x_points, x_scale),
         axis(entry.y_name, entry.y_unit, y_min, y_max, y_points, y_scale),
         fixed,
     )
-    _write(grid.to_csv(), out)
+    _emit(grid.to_csv(), out)
 
 
 # ------------------------------------------------------------------------ reproduce
@@ -451,7 +429,7 @@ def reproduce_command(json_out: str | None, trials: int) -> int:
     for line in rep.format_lines():
         click.echo(line)
     if json_out:
-        _write(rep.to_json(), json_out)
+        _emit(rep.to_json(), json_out)
     return 0 if rep.passed else 3
 
 

@@ -1,25 +1,13 @@
 """Physical constants (CODATA 2018, SI units), compiled in for reproducibility."""
 
-from dataclasses import dataclass
-
-_HBAR = 1.054571817e-34          # J s
-_HARTREE = 4.3597447222071e-18   # J
-
-
-@dataclass(frozen=True)
-class PhysConstants:
-    k_b: float = 1.380649e-23                 # J/K, exact
-    hbar: float = _HBAR                       # J s
-    hartree: float = _HARTREE                 # J
-    atomic_time: float = _HBAR / _HARTREE     # s, = hbar/E_H by construction
-    mu_b: float = 9.2740100783e-24            # J/T
-    c: float = 299792458.0                    # m/s, exact
-    e: float = 1.602176634e-19                # C, exact
-    m_e: float = 9.1093837015e-31             # kg
-    alpha_fs: float = 7.2973525693e-3         # fine-structure constant
-    polarizability_au: float = 1.64877727436e-41  # C m^2/V per atomic unit
-
-
-CODATA = PhysConstants()
-
-ATOMIC_MASS_UNIT = 1.66053906660e-27  # kg
+K_B = 1.380649e-23                     # J/K, exact
+HBAR = 1.054571817e-34                 # J s
+HARTREE = 4.3597447222071e-18          # J
+ATOMIC_TIME = HBAR / HARTREE           # s, = hbar/E_H by construction
+MU_B = 9.2740100783e-24                # J/T
+C = 299792458.0                        # m/s, exact
+E = 1.602176634e-19                    # C, exact
+M_E = 9.1093837015e-31                 # kg
+ALPHA_FS = 7.2973525693e-3             # fine-structure constant
+POLARIZABILITY_AU = 1.64877727436e-41  # C m^2/V per atomic unit
+ATOMIC_MASS_UNIT = 1.66053906660e-27   # kg

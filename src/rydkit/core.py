@@ -7,7 +7,7 @@ from typing import Callable
 
 import numpy as np
 
-from .constants import CODATA
+from .constants import ALPHA_FS, E, HBAR, K_B, M_E, POLARIZABILITY_AU
 from .errors import DomainError, _per_element, in_range
 from .units import Frequency, angular
 
@@ -21,9 +21,8 @@ def blackbody_depopulation_rate(n: float, temperature: float) -> float:
     """
     n = in_range("n", n, 1.0, bounds="[)")
     temperature = in_range("temperature", temperature, bounds="[)")
-    c = CODATA
     with np.errstate(all="ignore"):  # an overflow fails the range check
-        rate = 4.0 * c.alpha_fs**3 * c.k_b * temperature / (3.0 * n * n * c.hbar)
+        rate = 4.0 * ALPHA_FS**3 * K_B * temperature / (3.0 * n * n * HBAR)
     return in_range("blackbody rate", rate, bounds="[)")
 
 
@@ -60,13 +59,12 @@ def rydberg_lifetime(
 def free_electron_polarizability(omega: Frequency | float) -> float:
     """Ponderomotive polarizability -e^2/(m_e omega^2), in atomic units (< 0)."""
     w = in_range("optical frequency", angular(omega))
-    c = CODATA
-    m_w2 = in_range("m_e omega^2", c.m_e * w * w)
-    return in_range("polarizability", -c.e**2 / m_w2 / c.polarizability_au, -math.inf, 0.0, "(]")
+    m_w2 = in_range("m_e omega^2", M_E * w * w)
+    return in_range("polarizability", -E**2 / m_w2 / POLARIZABILITY_AU, -math.inf, 0.0, "(]")
 
 
 def magnetic_trap_field(depth: float, magnetic_moment: float) -> float:
     """Peak field (T) needed for a trap depth (K) at magnetic moment mu (J/T)."""
     depth = in_range("trap depth", depth)
     magnetic_moment = in_range("magnetic moment", magnetic_moment)
-    return in_range("trap field", CODATA.k_b * depth / magnetic_moment)
+    return in_range("trap field", K_B * depth / magnetic_moment)

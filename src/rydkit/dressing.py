@@ -505,7 +505,7 @@ def figures_of_merit(params: DressingParams) -> tuple[FigureOfMerit, ...]:
     r_b = blockade_radius(det, defect, params.pair.r_c)
     depth = Frequency(abs(dressing_depth_perturbative(w, det).rad_per_s))
     tau_dr = dressed_decoherence_time(w, det, params.lifetime)
-    ops = depth.rad_per_s * tau_dr / TWO_PI
+    ops = operations_per_atom(params)
     fp = 2.0 * ops
     records = []
     try:

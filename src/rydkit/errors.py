@@ -28,15 +28,19 @@ def in_range(
     open or closed lower end, ")" or "]" for the upper end. The default is
     (0, inf), the positive reals; ``lo=-math.inf`` admits every finite value.
     Raises DomainError naming ``name`` when the value is NaN, infinite or
-    outside the interval. An ndarray of one or more dimensions is checked
-    element by element and returned as a float64 array of the same shape.
+    outside the interval, or not a number ``float()`` can parse. An ndarray of
+    one or more dimensions is checked element by element and returned as a
+    float64 array of the same shape.
     """
     if type(value) is float:
         if lo < value < hi:
             return value
     elif type(value) is np.ndarray and value.ndim:
         return _in_range_array(name, value, lo, hi, bounds)
-    v = float(value)
+    try:
+        v = float(value)
+    except (TypeError, ValueError):
+        raise DomainError(f"{name} must be a number, got {value!r}") from None
     if lo < v < hi:
         return v
     if math.isfinite(v) and (

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import brentq
 
-from .constants import CODATA
+from .constants import ATOMIC_TIME, K_B
 from .errors import DomainError, ModelValidityWarning, _per_element, in_range
 from .units import TWO_PI, Frequency, angular
 
@@ -80,7 +80,7 @@ def rydberg_level_half_spacing(n: float) -> Frequency:
     """Half the neighboring-level spacing E_H/(2 hbar n^3), the usable shift ceiling."""
     n = in_range("n", n, 1.0, bounds="[)")
     try:
-        return Frequency(1.0 / (2.0 * CODATA.atomic_time * n**3))
+        return Frequency(1.0 / (2.0 * ATOMIC_TIME * n**3))
     except OverflowError:
         raise DomainError(f"n^3 is out of float range at n = {n!r}") from None
 
@@ -91,7 +91,7 @@ def asymptotic_blockade_floor(tau0: float) -> float:
     The large-n limit of :func:`blockade_gate_error` with the blockade shift
     capped at half the level spacing and lifetime tau0 n^3; independent of n.
     """
-    x = CODATA.atomic_time / in_range("tau0", tau0)
+    x = ATOMIC_TIME / in_range("tau0", tau0)
     return 3.0 * (14.0 * math.pi) ** (2 / 3) / 8.0 * x ** (2 / 3)
 
 
@@ -135,7 +135,7 @@ def dressing_gate_error(detuning: Frequency | float, lifetime: float) -> float:
 
 def asymptotic_dressing_floor(tau0: float) -> float:
     """Level-spacing-limited dressing gate error 8 sqrt(pi) (hbar/(E_H tau0))^(1/2)."""
-    return 8.0 * math.sqrt(math.pi) * math.sqrt(CODATA.atomic_time / in_range("tau0", tau0))
+    return 8.0 * math.sqrt(math.pi) * math.sqrt(ATOMIC_TIME / in_range("tau0", tau0))
 
 
 def spontaneous_budget(t_pi: float, epsilon_tau: float) -> float:
@@ -169,7 +169,7 @@ def doppler_infidelity(k: float, temperature: float, time: float, mass: float) -
     try:
         with np.errstate(all="ignore"):  # a non-finite exponent fails the range check
             exponent = (
-                _per_element(pow, k, 2) * CODATA.k_b * temperature
+                _per_element(pow, k, 2) * K_B * temperature
                 * _per_element(pow, time, 2) / (2.0 * mass)
             )
             infidelity = -_per_element(math.expm1, -exponent) / 2.0

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import io
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable
 
 import numpy as np
@@ -146,19 +146,17 @@ class _ScanQuantity:
 
 
 def _tau_vac_cells(n_code: np.ndarray, epsilon: np.ndarray, fixed: dict) -> np.ndarray:
-    t_qec = fixed.get("t_qec_ms")
+    t_qec = fixed["t_qec_ms"]
     t_qec_s = budget.default_t_qec(n_code) if t_qec is None else t_qec * 1e-3
     return budget.required_vacuum_lifetime(n_code, t_qec_s, epsilon)
 
 
 def _resolve_doppler(fixed: dict) -> tuple[float, float]:
-    species = get_species(str(fixed.get("species", "cs")))
-    if fixed.get("k_per_m") is not None:
-        k = float(fixed["k_per_m"])
-    else:
-        scheme = fixed.get("scheme")
-        k = (species.scheme(str(scheme)) if scheme else species.schemes[0]).effective_k
-    mass = float(fixed["mass_kg"]) if fixed.get("mass_kg") is not None else species.mass
+    species = get_species(fixed["species"])
+    k = fixed["k_per_m"]
+    if k is None:
+        k = species.scheme(fixed["scheme"] or None).effective_k
+    mass = species.mass if fixed["mass_kg"] is None else fixed["mass_kg"]
     return k, mass
 
 
@@ -172,31 +170,43 @@ def _doppler_cells(temperature_uk: np.ndarray, time_ns: np.ndarray, fixed: dict)
     return _per_element(_log10_or_minus_inf, infid)
 
 
+def _dressing_params(
+    rabi_mhz: float, detuning_mhz: float, defect_mhz: float, rc_um: float | None = None,
+    c3_ghz_um3: float | None = None, d_kl: float = 12.0, tau_us: float = 320.0,
+    spacing_um: float = 1.0,
+) -> dressing.DressingParams:
+    """DressingParams from lab units: frequencies per 2pi in MHz, lengths in um."""
+    pair = dressing.PairInteraction(
+        defect=Frequency.from_hz(defect_mhz * 1e6),
+        angular_factor=d_kl,
+        c3=c3_ghz_um3,
+        r_c=rc_um * 1e-6 if rc_um is not None else None,
+    )
+    return dressing.DressingParams(
+        rabi=Frequency.from_hz(rabi_mhz * 1e6),
+        detuning=Frequency.from_hz(detuning_mhz * 1e6),
+        pair=pair, lifetime=tau_us * 1e-6, spacing=spacing_um * 1e-6,
+    )
+
+
 def _dressing_cells(separation_um: np.ndarray, rabi_mhz: np.ndarray, fixed: dict) -> np.ndarray:
     """One normalized_potential call per Rabi row: DressingParams holds scalars."""
-    pair = dressing.PairInteraction(
-        defect=Frequency.from_hz(fixed["defect_mhz"] * 1e6),
-        angular_factor=fixed.get("d_kl", 12.0),
-        r_c=fixed["rc_um"] * 1e-6,
-    )
-    detuning = Frequency.from_hz(fixed["detuning_mhz"] * 1e6)
-    r, kind = separation_um * 1e-6, str(fixed.get("kind", "full"))
-
-    def row(rabi: float) -> np.ndarray:
-        params = dressing.DressingParams(
-            rabi=Frequency.from_hz(rabi * 1e6),
-            detuning=detuning,
-            pair=pair,
-            lifetime=fixed.get("tau_us", 320.0) * 1e-6,
-            spacing=fixed.get("spacing_um", 1.0) * 1e-6,
+    rabi_rows = rabi_mhz.ravel().tolist()
+    params = _dressing_params(
+        rabi_rows[0], fixed["detuning_mhz"], fixed["defect_mhz"], fixed["rc_um"],
+        d_kl=fixed["d_kl"], tau_us=fixed["tau_us"], spacing_um=fixed["spacing_um"],
+    )  # the pair is built once; each row replaces the Rabi frequency
+    r = separation_um * 1e-6
+    return np.concatenate([
+        dressing.normalized_potential(
+            r, replace(params, rabi=Frequency.from_hz(rabi * 1e6)), fixed["kind"]
         )
-        return dressing.normalized_potential(r, params, kind)
-
-    return np.concatenate([row(rabi) for rabi in rabi_mhz.ravel().tolist()])
+        for rabi in rabi_rows
+    ])
 
 
 def _lifetime_cells(n: np.ndarray, temperature_k: np.ndarray, fixed: dict) -> np.ndarray:
-    return core.rydberg_lifetime(n, temperature_k, fixed.get("tau0_ns", 3.3) * 1e-9)
+    return core.rydberg_lifetime(n, temperature_k, fixed["tau0_ns"] * 1e-9)
 
 
 SCAN_QUANTITIES: dict[str, _ScanQuantity] = {
@@ -205,7 +215,7 @@ SCAN_QUANTITIES: dict[str, _ScanQuantity] = {
     ),
     "doppler-infidelity": _ScanQuantity(
         "temperature", "uK", "rydberg_time", "ns", _doppler_cells,
-        {"species": "cs", "scheme": None, "k_per_m": None, "mass_kg": None},
+        {"species": "cs", "scheme": "", "k_per_m": None, "mass_kg": None},
     ),
     "dressing-potential": _ScanQuantity(
         "separation", "um", "rabi", "MHz", _dressing_cells,
@@ -224,7 +234,9 @@ def scan(quantity: str, x_axis: Axis, y_axis: Axis, fixed: dict | None = None) -
     The quantity's model function runs once on the broadcast axes, x as a row
     and y as a column, and each cell equals the scalar call at its point bit
     for bit. ``fixed`` overrides the quantity's default parameters and unknown
-    keys are rejected.
+    keys are rejected. A key whose default is a str takes text; every other
+    value must be a finite number (a numeric string is parsed). None keeps
+    the default.
     """
     try:
         entry = SCAN_QUANTITIES[quantity]
@@ -237,7 +249,9 @@ def scan(quantity: str, x_axis: Axis, y_axis: Axis, fixed: dict | None = None) -
     for key, value in (fixed or {}).items():
         if key not in entry.defaults:
             raise DomainError(f"unknown fixed parameter {key!r} for quantity {quantity!r}")
-        merged[key] = value
+        if value is not None:
+            text = isinstance(entry.defaults[key], str)
+            merged[key] = str(value) if text else in_range(key, value, -math.inf)
     x_row = np.array(x_axis.values)[None, :]
     y_column = np.array(y_axis.values)[:, None]
     cells = entry.fn(x_row, y_column, merged).tolist()

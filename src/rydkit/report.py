@@ -17,7 +17,7 @@ import numpy as np
 from scipy.optimize import minimize_scalar
 
 from . import budget, core, dressing, gate_error
-from .constants import CODATA
+from .constants import MU_B
 from .grid import Axis, scan
 from .species import CESIUM
 from .units import TWO_PI, Frequency
@@ -192,9 +192,9 @@ def reproduce(
 
     # --- trap fields ---
     add(_band("magnetic trap field for 4 K depth [T]",
-              core.magnetic_trap_field(4.0, CODATA.mu_b), 6.0, 5.8, 6.1))
+              core.magnetic_trap_field(4.0, MU_B), 6.0, 5.8, 6.1))
     add(_band("magnetic trap field for 10 mK depth [mT]",
-              core.magnetic_trap_field(0.010, CODATA.mu_b) * 1e3, 15.0, 14.5, 15.2))
+              core.magnetic_trap_field(0.010, MU_B) * 1e3, 15.0, 14.5, 15.2))
 
     # --- gate-error floors and oracles ---
     add(_band("blockade gate error floor, tau0 n^3 lifetime",

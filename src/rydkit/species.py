@@ -7,11 +7,10 @@ species load from a JSON config file, see :func:`load_species_config`.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
 
 from .constants import ATOMIC_MASS_UNIT
-from .errors import DomainError
+from .errors import DomainError, in_range
 from .units import TWO_PI, Frequency
 
 
@@ -27,11 +26,9 @@ class ExcitationScheme:
             raise DomainError("excitation scheme needs at least one wavelength")
         norm = []
         for lam, sign in self.wavelengths:
-            if not (math.isfinite(lam) and lam > 0):
-                raise DomainError(f"wavelength must be positive, got {lam!r}")
             if sign not in (1, -1):
                 raise DomainError(f"propagation sign must be +1 or -1, got {sign!r}")
-            norm.append((float(lam), int(sign)))
+            norm.append((in_range("wavelength", lam), int(sign)))
         object.__setattr__(self, "wavelengths", tuple(norm))
 
     @property
@@ -52,16 +49,19 @@ class Species:
     polarizabilities: tuple[tuple[str, float, float], ...] = ()  # (state, alpha0, alpha2) in GHz/(V/cm)^2
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.mass) and self.mass > 0):
-            raise DomainError(f"mass must be positive, got {self.mass!r}")
-        if not (math.isfinite(self.tau0) and self.tau0 > 0):
-            raise DomainError(f"tau0 must be positive, got {self.tau0!r}")
+        object.__setattr__(self, "mass", in_range(f"mass of {self.name}", self.mass))
+        object.__setattr__(self, "tau0", in_range(f"tau0 of {self.name}", self.tau0))
 
-    def scheme(self, label: str) -> ExcitationScheme:
+    def scheme(self, label: str | None = None) -> ExcitationScheme:
+        """The scheme with this label; without a label, the species' first scheme."""
+        if not self.schemes:
+            raise DomainError(f"species {self.name} has no excitation scheme")
+        if label is None:
+            return self.schemes[0]
         for s in self.schemes:
             if s.label == label:
                 return s
-        known = ", ".join(s.label for s in self.schemes) or "none"
+        known = ", ".join(s.label for s in self.schemes)
         raise DomainError(f"unknown scheme {label!r} for {self.name} (available: {known})")
 
 
@@ -97,18 +97,22 @@ def species_from_dict(data: dict) -> Species:
     Required keys: ``name``, ``mass_kg``, ``tau0_ns``, ``qubit_freq_ghz``.
     Optional: ``schemes`` (list of ``{label, wavelengths_nm, signs}``) and
     ``polarizabilities`` (list of ``[state, alpha0, alpha2]`` in GHz/(V/cm)^2).
+    A missing key or a value that is not a valid number raises DomainError
+    naming the species.
     """
+    name = data.get("name") if isinstance(data, dict) else None
     try:
         schemes = tuple(
             ExcitationScheme(
                 s["label"],
-                tuple(zip((lam * 1e-9 for lam in s["wavelengths_nm"]), s["signs"])),
+                tuple(zip((float(lam) * 1e-9 for lam in s["wavelengths_nm"]), s["signs"],
+                          strict=True)),
             )
             for s in data.get("schemes", ())
         )
         pols = tuple((p[0], float(p[1]), float(p[2])) for p in data.get("polarizabilities", ()))
         return Species(
-            name=data["name"],
+            name=str(data["name"]),
             mass=float(data["mass_kg"]),
             tau0=float(data["tau0_ns"]) * 1e-9,
             qubit_freq=Frequency.from_hz(float(data["qubit_freq_ghz"]) * 1e9),
@@ -116,19 +120,25 @@ def species_from_dict(data: dict) -> Species:
             polarizabilities=pols,
         )
     except KeyError as exc:
-        raise DomainError(f"species config missing key {exc}") from exc
+        raise DomainError(f"species {name!r}: config missing key {exc}") from None
+    except (AttributeError, TypeError, ValueError) as exc:
+        raise DomainError(f"species {name!r}: {exc}") from None
 
 
 def load_species_config(path: str) -> dict[str, Species]:
-    """Load a JSON species config: either a list or ``{"species": [...]}``."""
-    with open(path, encoding="utf-8") as fh:
-        raw = json.load(fh)
-    entries = raw["species"] if isinstance(raw, dict) else raw
-    loaded = {}
-    for entry in entries:
-        sp = species_from_dict(entry)
-        loaded[sp.name.lower()] = sp
-    return loaded
+    """Load a JSON species config: either a list or ``{"species": [...]}``.
+
+    Raises DomainError naming the file when it is not valid JSON or holds an
+    invalid species.
+    """
+    try:
+        with open(path, encoding="utf-8") as fh:
+            raw = json.load(fh)
+        entries = raw["species"] if isinstance(raw, dict) else raw
+        loaded = [species_from_dict(entry) for entry in entries]
+    except (KeyError, TypeError, ValueError) as exc:
+        raise DomainError(f"species config {path}: {exc}") from None
+    return {sp.name.lower(): sp for sp in loaded}
 
 
 def get_species(name: str, config: dict[str, Species] | None = None) -> Species:

@@ -13,8 +13,9 @@ from click.testing import CliRunner
 from scipy.optimize import minimize_scalar
 
 import rydkit
-from rydkit import CESIUM, CODATA, DressingParams, Frequency, PairInteraction
+from rydkit import CESIUM, DressingParams, Frequency, PairInteraction
 from rydkit.cli import cli
+from rydkit.constants import MU_B
 from rydkit.gate_error import rydberg_level_half_spacing
 from rydkit.units import TWO_PI
 
@@ -94,8 +95,8 @@ def test_criterion_04_minimizer_oracle_equivalence():
 
 
 def test_criterion_05_magnetic_trap():
-    assert 5.8 <= rydkit.magnetic_trap_field(4.0, CODATA.mu_b) <= 6.1
-    assert 14.5e-3 <= rydkit.magnetic_trap_field(0.010, CODATA.mu_b) <= 15.2e-3
+    assert 5.8 <= rydkit.magnetic_trap_field(4.0, MU_B) <= 6.1
+    assert 14.5e-3 <= rydkit.magnetic_trap_field(0.010, MU_B) <= 15.2e-3
     _announce(5, "magnetic trap field estimates")
 
 

@@ -1,4 +1,5 @@
 import json
+import shlex
 from pathlib import Path
 
 import pytest
@@ -265,12 +266,32 @@ class TestExitCodes:
         ["doppler", "--temperature-uk", "nan", "--time-ns", "100"],
         ["budget", "vacuum-lifetime", "--n-code", "10", "--t-qec-ms", "1e307",
          "--epsilon", "1e-300"],
+        ["scan", "--quantity", "tau-vac", "--x-min", "20", "--x-max", "20", "--x-points", "1",
+         "--y-min", "1e-4", "--y-max", "1e-4", "--y-points", "1", "--set", "t_qec_ms=abc"],
     ])
     def test_non_finite_input_or_result_is_domain_error(self, args, capsys):
         assert main(args) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("domain error:")
+
+    @pytest.mark.parametrize("command, config, named", [
+        (["lifetime", "--n", "100", "--temperature-k", "0"], "{not json", "species.json"),
+        (["lifetime", "--n", "100", "--temperature-k", "0", "--species", "x"],
+         [{"name": "X", "mass_kg": "abc", "tau0_ns": 3.3, "qubit_freq_ghz": 9.0}], "'X'"),
+        (["doppler", "--temperature-uk", "5", "--time-ns", "100", "--species", "y"],
+         [{"name": "Y", "mass_kg": 2.2e-25, "tau0_ns": 3.3, "qubit_freq_ghz": 9.0}],
+         "Y has no excitation scheme"),
+    ])
+    def test_bad_species_config_is_domain_error(self, command, config, named, tmp_path,
+                                                capsys):
+        path = tmp_path / "species.json"
+        path.write_text(config if isinstance(config, str) else json.dumps(config))
+        assert main(command + ["--config", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("domain error:")
+        assert named in captured.err
 
     def test_non_finite_json_value_is_domain_error(self, monkeypatch, capsys):
         import rydkit.cli as cli_mod
@@ -290,3 +311,47 @@ class TestExitCodes:
         monkeypatch.setattr(cli_mod.report, "reproduce", lambda trials: failing)
         assert main(["reproduce"]) == 3
         assert "FAIL" in capsys.readouterr().out
+
+
+def _command_flags(group, prefix=()):
+    """Each leaf command path of the CLI, mapped to its sorted flag names."""
+    flags = {}
+    for name, command in group.commands.items():
+        path = prefix + (name,)
+        if hasattr(command, "commands"):
+            flags.update(_command_flags(command, path))
+        else:
+            flags[" ".join(path)] = sorted(
+                opt for p in command.params for opt in p.opts + p.secondary_opts
+            )
+    return flags
+
+
+def _readme_json_examples():
+    """The README's CLI examples that print JSON: no --out file, no grid."""
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    block = readme.split("## CLI", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
+    examples = [shlex.split(cmd)[1:] for cmd in block.replace("\\\n", " ").splitlines()
+                if cmd.startswith("rydkit ")]
+    return [argv for argv in examples if "--out" not in argv and argv[0] != "scan"]
+
+
+class TestContract:
+    """Every flag name and every output byte of the documented examples is fixed."""
+
+    contract = json.loads((GOLDEN / "cli_contract.json").read_text())
+
+    def test_flag_names_of_every_command(self):
+        assert _command_flags(cli) == self.contract["flags"]
+
+    def test_readme_examples_are_the_golden_examples(self):
+        examples = _readme_json_examples()
+        assert len(examples) == 14
+        assert examples == [ex["argv"] for ex in self.contract["examples"]]
+
+    @pytest.mark.parametrize("example", contract["examples"],
+                             ids=lambda ex: " ".join(ex["argv"][:2]))
+    def test_readme_example_stdout(self, runner, example):
+        result = runner.invoke(cli, example["argv"], catch_exceptions=False)
+        assert result.exit_code == 0
+        assert result.output == example["stdout"]

@@ -210,3 +210,10 @@ def test_in_range_checks_arrays_element_by_element():
             in_range("rabi", np.array([1.0, bad, 2.0]))
     with pytest.raises(DomainError, match="rabi"):
         in_range("rabi", np.array([1.0, 1.0]), 0.0, 1.0)
+
+
+def test_in_range_rejects_what_float_cannot_parse():
+    assert in_range("x", "1.5") == 1.5
+    for bad in ("abc", None, [1.0], ""):
+        with pytest.raises(DomainError, match="x must be a number"):
+            in_range("x", bad)

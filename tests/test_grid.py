@@ -155,6 +155,28 @@ class TestScan:
                 {"typo": 1.0},
             )
 
+    def test_fixed_values_are_typed_by_the_registry(self):
+        x, y = Axis("n_code", "qubits", (20.0, 40.0)), Axis("epsilon", "", (1e-4,))
+        assert scan("tau-vac", x, y, {"t_qec_ms": "4"}) == scan("tau-vac", x, y, {"t_qec_ms": 4})
+        assert scan("tau-vac", x, y, {"t_qec_ms": None}) == scan("tau-vac", x, y)
+        t, tr = Axis("temperature", "uK", (5.0,)), Axis("rydberg_time", "ns", (100.0,))
+        rb = scan("doppler-infidelity", t, tr, {"species": "rb", "scheme": ""})
+        assert rb == scan("doppler-infidelity", t, tr, {"species": "rb", "scheme": None})
+        assert rb.cells != scan("doppler-infidelity", t, tr).cells
+        with pytest.raises(DomainError, match="t_qec_ms"):
+            scan("tau-vac", x, y, {"t_qec_ms": "abc"})
+        with pytest.raises(DomainError, match="k_per_m"):
+            scan("doppler-infidelity", t, tr, {"k_per_m": "abc"})
+
+    def test_dressing_grid_builds_one_pair(self, monkeypatch):
+        built = []
+        pair = dressing.PairInteraction
+        monkeypatch.setattr(dressing, "PairInteraction",
+                            lambda *a, **k: built.append(1) or pair(*a, **k))
+        scan("dressing-potential", Axis("separation", "um", (1.0, 2.0)),
+             Axis("rabi", "MHz", (1.0, 2.0, 3.0)))
+        assert len(built) == 1
+
 
 def _cells(fn, x_axis, y_axis):
     return tuple(tuple(fn(x, y) for x in x_axis.values) for y in y_axis.values)

@@ -51,6 +51,18 @@ def test_unknown_scheme_rejected():
         CESIUM.scheme("does-not-exist")
 
 
+def test_scheme_without_label_is_the_first():
+    assert CESIUM.scheme() is CESIUM.schemes[0]
+    assert RUBIDIUM.scheme(None) is RUBIDIUM.schemes[0]
+
+
+def test_species_without_scheme_names_itself():
+    bare = Species("Bare", mass=1e-25, tau0=1e-9, qubit_freq=Frequency.from_hz(1e9))
+    for label in (None, "one-photon"):
+        with pytest.raises(DomainError, match="Bare has no excitation scheme"):
+            bare.scheme(label)
+
+
 def test_invalid_species_fields():
     with pytest.raises(DomainError):
         Species("x", mass=-1.0, tau0=1e-9, qubit_freq=Frequency.from_hz(1e9))
@@ -58,6 +70,16 @@ def test_invalid_species_fields():
         Species("x", mass=1e-25, tau0=0.0, qubit_freq=Frequency.from_hz(1e9))
     with pytest.raises(DomainError):
         ExcitationScheme("x", ((319e-9, 2),))
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), "abc"])
+def test_non_finite_or_non_numeric_fields_name_the_field(bad):
+    with pytest.raises(DomainError, match="mass of x"):
+        Species("x", mass=bad, tau0=1e-9, qubit_freq=Frequency.from_hz(1e9))
+    with pytest.raises(DomainError, match="tau0 of x"):
+        Species("x", mass=1e-25, tau0=bad, qubit_freq=Frequency.from_hz(1e9))
+    with pytest.raises(DomainError, match="wavelength"):
+        ExcitationScheme("x", ((bad, 1),))
 
 
 def test_config_round_trip(tmp_path):
@@ -97,3 +119,35 @@ def test_config_missing_key():
 def test_unknown_species():
     with pytest.raises(DomainError):
         get_species("unobtainium")
+
+
+CONFIG_ENTRY = {
+    "name": "Xe", "mass_kg": 2.2e-25, "tau0_ns": 3.3, "qubit_freq_ghz": 9.0,
+    "schemes": [{"label": "uv", "wavelengths_nm": [319.0], "signs": [1]}],
+}
+
+
+@pytest.mark.parametrize("field, value", [
+    ("mass_kg", "abc"),
+    ("tau0_ns", None),
+    ("qubit_freq_ghz", [1.0]),
+    ("schemes", [{"label": "uv", "wavelengths_nm": ["abc"], "signs": [1]}]),
+    ("schemes", 5),
+    ("schemes", [{"label": "uv", "wavelengths_nm": [894.6, 494.4], "signs": [1]}]),
+])
+def test_config_bad_value_names_the_species(field, value):
+    with pytest.raises(DomainError, match="species 'Xe'"):
+        species_from_dict({**CONFIG_ENTRY, field: value})
+
+
+@pytest.mark.parametrize("text", [
+    "{not json",
+    json.dumps([{**CONFIG_ENTRY, "mass_kg": "abc"}]),
+    json.dumps({"entries": []}),
+    "3",
+])
+def test_bad_config_file_names_the_file(tmp_path, text):
+    path = tmp_path / "species.json"
+    path.write_text(text)
+    with pytest.raises(DomainError, match="species config .*species.json"):
+        load_species_config(str(path))
