@@ -26,9 +26,7 @@ from .core import (
 from .dressing import (
     DressingParams,
     FigureOfMerit,
-    HEAVY_ALKALI_SCALING,
     PairInteraction,
-    ScalingModel,
     blockade_radius,
     crossover_radius,
     dipole_dipole_shift,

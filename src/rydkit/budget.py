@@ -99,10 +99,6 @@ def simulate_loss(
 class CrosstalkEstimate:
     """Resonant-scattering crosstalk between neighboring qubits during readout."""
 
-    wavelength: float           # m
-    spacing: float              # m
-    numerical_aperture: float
-    efficiency: float           # combined optical x detector efficiency
     cross_section: float        # m^2, resonant absorption cross section
     eta_abs: float              # absorption probability at a neighbor per photon
     eta_det: float              # detection probability per scattered photon
@@ -130,10 +126,6 @@ def measurement_crosstalk(
         raise DomainError("lambda^2 or d^2 is out of float range") from None
     eta_det = in_range("eta_det", efficiency * detection_solid_angle_fraction(numerical_aperture))
     return CrosstalkEstimate(
-        wavelength=wavelength,
-        spacing=spacing,
-        numerical_aperture=numerical_aperture,
-        efficiency=efficiency,
         cross_section=sigma,
         eta_abs=eta_abs,
         eta_det=eta_det,

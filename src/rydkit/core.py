@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import math
-from typing import Callable
 
 import numpy as np
 
@@ -26,18 +25,12 @@ def blackbody_depopulation_rate(n: float, temperature: float) -> float:
     return in_range("blackbody rate", rate, bounds="[)")
 
 
-def rydberg_lifetime(
-    n: float,
-    temperature: float,
-    tau0: float,
-    bbr_rate: Callable[[float, float], float] | None = None,
-) -> float:
+def rydberg_lifetime(n: float, temperature: float, tau0: float) -> float:
     """Depopulation lifetime 1/(1/(tau0 n^3) + Gamma_BBR(n, T)) in seconds.
 
     ``n`` is the effective principal quantum number (quantum defects are not
-    modeled). A custom ``bbr_rate(n, T) -> 1/s`` may replace the built-in
-    blackbody model. At T=0 the result is exactly tau0 n^3. The arguments
-    broadcast as ndarrays; ``bbr_rate`` then receives the arrays.
+    modeled) and Gamma_BBR is :func:`blackbody_depopulation_rate`. At T=0 the
+    result is exactly tau0 n^3. The arguments broadcast as ndarrays.
     """
     n = in_range("n", n, 10.0, bounds="[)")
     temperature = in_range("temperature", temperature, bounds="[)")
@@ -47,8 +40,7 @@ def rydberg_lifetime(
             radiative = tau0 * _per_element(pow, n, 3)
             if type(temperature) is float and temperature == 0:
                 return in_range("lifetime", radiative)
-            rate_bbr = (bbr_rate or blackbody_depopulation_rate)(n, temperature)
-            lifetime = 1.0 / (1.0 / radiative + rate_bbr)
+            lifetime = 1.0 / (1.0 / radiative + blackbody_depopulation_rate(n, temperature))
             if type(temperature) is np.ndarray:  # exactly tau0 n^3 at T = 0 here too
                 lifetime = np.where(temperature == 0, radiative, lifetime)
         return in_range("lifetime", lifetime)

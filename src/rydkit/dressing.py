@@ -100,14 +100,7 @@ def dipole_dipole_shift(r: float, defect: Frequency | float, r_c: float) -> Freq
 
     The arguments broadcast as ndarrays.
     """
-    r = in_range("separation R", r)
-    d = angular(defect)
-    r_c = in_range("r_c", r_c)
-    try:
-        with np.errstate(all="ignore"):  # a non-finite shift fails the range check
-            return Frequency(0.5 * d * (1.0 - np.sqrt(1.0 + _per_element(pow, r_c / r, 6))))
-    except OverflowError:
-        raise DomainError(f"(R_c/R)^6 is out of float range at R = {r!r}") from None
+    return _pair_shift(r, defect, r_c, lambda d, x6: 0.5 * d * (1.0 - np.sqrt(1.0 + x6)))
 
 
 def vdw_shift(r: float, defect: Frequency | float, r_c: float) -> Frequency:
@@ -115,12 +108,17 @@ def vdw_shift(r: float, defect: Frequency | float, r_c: float) -> Frequency:
 
     The arguments broadcast as ndarrays.
     """
+    return _pair_shift(r, defect, r_c, lambda d, x6: -0.25 * d * x6)
+
+
+def _pair_shift(r, defect, r_c, shift) -> Frequency:
+    """``shift(delta, (R_c/R)^6)`` as a Frequency, with R, the defect and R_c checked."""
     r = in_range("separation R", r)
     d = angular(defect)
     r_c = in_range("r_c", r_c)
     try:
         with np.errstate(all="ignore"):  # a non-finite shift fails the range check
-            return Frequency(-0.25 * d * _per_element(pow, r_c / r, 6))
+            return Frequency(shift(d, _per_element(pow, r_c / r, 6)))
     except OverflowError:
         raise DomainError(f"(R_c/R)^6 is out of float range at R = {r!r}") from None
 
@@ -404,12 +402,7 @@ def f_prime(
     The collective decoherence rate grows with atom number, so this form is
     independent of dimensionality and atom count.
     """
-    w = angular(rabi)
-    det = angular(detuning)
-    if w == 0 or det == 0:
-        raise DomainError("rabi and detuning must be nonzero")
-    lifetime = in_range("lifetime", lifetime)
-    return in_range("F'", w * w * lifetime / (4.0 * math.pi * abs(det)))
+    return _avalanche_fom("F'", rabi, "detuning", detuning, lifetime)
 
 
 def f_prime_defect(
@@ -422,12 +415,17 @@ def f_prime_defect(
     |delta| = |Delta| and scale differently with principal quantum number
     (n^7 here vs n^6 for the definitional form).
     """
+    return _avalanche_fom("defect-scaled F'", rabi, "defect", defect, lifetime)
+
+
+def _avalanche_fom(result: str, rabi, name: str, frequency, lifetime) -> float:
+    """Omega^2 tau/(4 pi |x|) for the frequency x passed as argument ``name``."""
     w = angular(rabi)
-    d = angular(defect)
-    if w == 0 or d == 0:
-        raise DomainError("rabi and defect must be nonzero")
+    x = angular(frequency)
+    if w == 0 or x == 0:
+        raise DomainError(f"rabi and {name} must be nonzero")
     lifetime = in_range("lifetime", lifetime)
-    return in_range("defect-scaled F'", w * w * lifetime / (4.0 * math.pi * abs(d)))
+    return in_range(result, w * w * lifetime / (4.0 * math.pi * abs(x)))
 
 
 def _closed_form_fom(
@@ -533,32 +531,16 @@ def figures_of_merit(params: DressingParams) -> tuple[FigureOfMerit, ...]:
     return tuple(records)
 
 
-@dataclass(frozen=True)
-class ScalingModel:
-    """Power-law exponents of the dressing parameters in principal quantum number."""
-
-    defect_exponent: float = -4.0     # |delta| ~ 1/n^4
-    lifetime_exponent: float = 3.0    # tau ~ n^3
-    crossover_exponent: float = 8 / 3  # R_c ~ n^(8/3)
-    spacing_exponent: float = 2.0     # d ~ a0 n^2
-    detuning_exponent: float = -3.0   # |Delta| ~ 1/n^3
-
-
-HEAVY_ALKALI_SCALING = ScalingModel()
-
 _SCALING_QUANTITIES = ("F_1D", "F_2D", "F_3D", "F_prime", "F_prime_defect")
 
 
-def scaling_exponent(
-    quantity: str,
-    n_lo: float,
-    n_hi: float,
-    model: ScalingModel = HEAVY_ALKALI_SCALING,
-) -> float:
-    """Asymptotic exponent d(ln F)/d(ln n) of a figure of merit under power-law scalings.
+def scaling_exponent(quantity: str, n_lo: float, n_hi: float) -> float:
+    """Asymptotic exponent d(ln F)/d(ln n) of a figure of merit under heavy-alkali scalings.
 
-    Evaluates the chosen quantity with unit prefactors and fixed Omega at
-    ``n_lo`` and ``n_hi`` and returns the log-log secant slope.
+    The dressing parameters scale as |delta| ~ n^-4, tau ~ n^3, R_c ~ n^(8/3),
+    d ~ n^2 and |Delta| ~ n^-3. Evaluates the chosen quantity with unit
+    prefactors and fixed Omega at ``n_lo`` and ``n_hi`` and returns the
+    log-log secant slope.
     """
     if quantity not in _SCALING_QUANTITIES:
         raise DomainError(
@@ -568,17 +550,14 @@ def scaling_exponent(
     n_hi = in_range("n_hi", n_hi, n_lo)
 
     def value(n: float) -> float:
-        defect = n**model.defect_exponent
-        tau = n**model.lifetime_exponent
-        r_c = n**model.crossover_exponent
-        d = n**model.spacing_exponent
-        det = n**model.detuning_exponent
+        defect, tau, det = n**-4.0, n**3.0, n**-3.0
         if quantity == "F_prime":
-            return 1.0 * tau / (4.0 * math.pi * det)
+            return f_prime(1.0, det, tau)
         if quantity == "F_prime_defect":
-            return 1.0 * tau / (4.0 * math.pi * defect)
-        dim = int(quantity[2])
-        return _closed_form_fom(dim, 1.0, defect, det, det + defect, tau, r_c / d)
+            return f_prime_defect(1.0, defect, tau)
+        return _closed_form_fom(
+            int(quantity[2]), 1.0, defect, det, det + defect, tau, n ** (8 / 3) / n**2.0
+        )
 
     try:
         slope = (math.log(value(n_hi)) - math.log(value(n_lo))) / (math.log(n_hi) - math.log(n_lo))

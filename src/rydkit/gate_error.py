@@ -26,9 +26,6 @@ _SEVEN_PI = 7.0 * math.pi
 class StarkBudget:
     """Detuning and dc-field limits implied by a pulse-error target."""
 
-    rabi: Frequency
-    error_target: float
-    alpha0: float            # GHz/(V/cm)^2, scalar dc polarizability
     detuning_limit: Frequency
     field_limit: float       # V/cm
 
@@ -244,13 +241,7 @@ def stark_budget(
 ) -> StarkBudget:
     """Chain the detuning budget and field limit for a pulse-error target."""
     detuning_limit = detuning_budget(rabi, error_target)
-    return StarkBudget(
-        rabi=Frequency(angular(rabi)),
-        error_target=error_target,
-        alpha0=alpha0,
-        detuning_limit=detuning_limit,
-        field_limit=field_budget(detuning_limit, alpha0, convention),
-    )
+    return StarkBudget(detuning_limit, field_budget(detuning_limit, alpha0, convention))
 
 
 def blockade_error_budget(

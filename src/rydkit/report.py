@@ -94,29 +94,29 @@ def _minimize_log(cost, center: float) -> float:
     return math.exp(res.x)
 
 
-def _blockade_minimizer_check(rng: np.random.Generator, points: int = 100) -> tuple[float, float]:
-    worst_rabi = worst_err = 0.0
-    for _ in range(points):
-        b = TWO_PI * 10 ** rng.uniform(6, 9)
-        tau = 10 ** rng.uniform(-6, -3)
-        cost = lambda w: 7 * math.pi / (4 * w * tau) + w * w / (8 * b * b)
-        w_num = _minimize_log(cost, (b * b / tau) ** (1 / 3))
-        worst_rabi = max(worst_rabi, abs(w_num / gate_error.optimal_rabi(b, tau).rad_per_s - 1))
-        worst_err = max(worst_err, abs(cost(w_num) / gate_error.blockade_gate_error(b, tau) - 1))
-    return worst_rabi, worst_err
-
-
-def _dressing_minimizer_check(rng: np.random.Generator, points: int = 100) -> tuple[float, float]:
-    worst_rabi = worst_err = 0.0
-    for _ in range(points):
-        det = TWO_PI * 10 ** rng.uniform(6, 9)
-        tau = 10 ** rng.uniform(-6, -3)
-        cost = lambda w: 8 * math.pi * det / (w * w * tau) + w * w / (det * det)
-        w_num = _minimize_log(cost, (det**3 / tau) ** 0.25)
-        w_opt = (8 * math.pi * det**3 / tau) ** 0.25
-        worst_rabi = max(worst_rabi, abs(w_num / w_opt - 1))
-        worst_err = max(worst_err, abs(cost(w_num) / gate_error.dressing_gate_error(det, tau) - 1))
-    return worst_rabi, worst_err
+def _minimizer_checks(rng: np.random.Generator, points: int = 100) -> list[float]:
+    """Worst relative deviations of the blockade and dressing optima from a numeric minimizer."""
+    cases = (  # cost(w, x, tau), search center, optimal Rabi frequency, minimal error
+        (lambda w, b, tau: 7 * math.pi / (4 * w * tau) + w * w / (8 * b * b),
+         lambda b, tau: (b * b / tau) ** (1 / 3),
+         lambda b, tau: gate_error.optimal_rabi(b, tau).rad_per_s,
+         gate_error.blockade_gate_error),
+        (lambda w, det, tau: 8 * math.pi * det / (w * w * tau) + w * w / (det * det),
+         lambda det, tau: (det**3 / tau) ** 0.25,
+         lambda det, tau: (8 * math.pi * det**3 / tau) ** 0.25,
+         gate_error.dressing_gate_error),
+    )
+    worst = []
+    for cost, center, w_opt, error_min in cases:
+        dev = 0.0
+        for _ in range(points):
+            x = TWO_PI * 10 ** rng.uniform(6, 9)
+            tau = 10 ** rng.uniform(-6, -3)
+            w_num = _minimize_log(lambda w: cost(w, x, tau), center(x, tau))
+            dev = max(dev, abs(w_num / w_opt(x, tau) - 1),
+                      abs(cost(w_num, x, tau) / error_min(x, tau) - 1))
+        worst.append(dev)
+    return worst
 
 
 def _floor_variation(floor_fn, tau0: float) -> float:
@@ -206,13 +206,10 @@ def reproduce(
     add(_entry("dressing floor n-independence [rel spread]",
                _floor_variation(gate_error.dressing_gate_error, tau0_s), 0.0, 0.0, 1e-10))
 
-    rng = np.random.default_rng(seed + 1)
-    worst_rabi, worst_err = _blockade_minimizer_check(rng)
-    add(_entry("blockade optimum vs numeric minimizer, 100 points [rel dev]",
-               max(worst_rabi, worst_err), 0.0, 0.0, 1e-6))
-    worst_rabi, worst_err = _dressing_minimizer_check(rng)
-    add(_entry("dressing optimum vs numeric minimizer, 100 points [rel dev]",
-               max(worst_rabi, worst_err), 0.0, 0.0, 1e-6))
+    deviations = _minimizer_checks(np.random.default_rng(seed + 1))
+    for gate, dev in zip(("blockade", "dressing"), deviations):
+        add(_entry(f"{gate} optimum vs numeric minimizer, 100 points [rel dev]",
+                   dev, 0.0, 0.0, 1e-6))
 
     # --- Doppler dephasing ---
     k_one_photon = CESIUM.scheme("one-photon").effective_k

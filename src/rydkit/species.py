@@ -7,6 +7,7 @@ species load from a JSON config file, see :func:`load_species_config`.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 from .constants import ATOMIC_MASS_UNIT
@@ -110,12 +111,17 @@ def species_from_dict(data: dict) -> Species:
             )
             for s in data.get("schemes", ())
         )
-        pols = tuple((p[0], float(p[1]), float(p[2])) for p in data.get("polarizabilities", ()))
+        pols = tuple(
+            (state, *(in_range(f"polarizability of {state}", a, -math.inf) for a in (a0, a2)))
+            for state, a0, a2 in data.get("polarizabilities", ())
+        )
         return Species(
             name=str(data["name"]),
             mass=float(data["mass_kg"]),
             tau0=float(data["tau0_ns"]) * 1e-9,
-            qubit_freq=Frequency.from_hz(float(data["qubit_freq_ghz"]) * 1e9),
+            qubit_freq=Frequency.from_hz(
+                in_range("qubit_freq_ghz", data["qubit_freq_ghz"]) * 1e9
+            ),
             schemes=schemes,
             polarizabilities=pols,
         )
@@ -136,7 +142,9 @@ def load_species_config(path: str) -> dict[str, Species]:
             raw = json.load(fh)
         entries = raw["species"] if isinstance(raw, dict) else raw
         loaded = [species_from_dict(entry) for entry in entries]
-    except (KeyError, TypeError, ValueError) as exc:
+    except KeyError as exc:  # species_from_dict reports its own missing keys
+        raise DomainError(f"species config {path}: missing key {exc}") from None
+    except (TypeError, ValueError) as exc:
         raise DomainError(f"species config {path}: {exc}") from None
     return {sp.name.lower(): sp for sp in loaded}
 

@@ -30,10 +30,6 @@ class Frequency:
         """Build from an ordinary frequency in Hz (multiplied by 2pi on ingest)."""
         return cls(TWO_PI * hz)
 
-    @classmethod
-    def from_angular(cls, rad_per_s: float) -> "Frequency":
-        return cls(rad_per_s)
-
     @property
     def hz(self) -> float:
         """Ordinary frequency in Hz (value / 2pi)."""

@@ -10,6 +10,7 @@ from rydkit import (
     DomainError,
     Frequency,
     blackbody_depopulation_rate,
+    core,
     free_electron_polarizability,
     magnetic_trap_field,
     rydberg_lifetime,
@@ -90,10 +91,18 @@ class TestRydbergLifetime:
                 < rydberg_lifetime(n, 4.0, 3.3e-9)
             )
 
-    def test_custom_bbr_rate_override(self):
-        assert rydberg_lifetime(100, 300.0, 3.3e-9, bbr_rate=lambda n, t: 0.0) == (
-            pytest.approx(rydberg_lifetime(100, 0.0, 3.3e-9), rel=1e-15)
+    def test_calls_the_public_blackbody_rate_once(self, monkeypatch):
+        calls = []
+
+        def counting(n, temperature):
+            calls.append((n, temperature))
+            return blackbody_depopulation_rate(n, temperature)
+
+        monkeypatch.setattr(core, "blackbody_depopulation_rate", counting)
+        assert rydberg_lifetime(100, 300.0, 3.3e-9) == 1.0 / (
+            1.0 / (3.3e-9 * 100.0**3) + blackbody_depopulation_rate(100, 300.0)
         )
+        assert calls == [(100.0, 300.0)]
 
     @pytest.mark.parametrize(
         "args", [(5, 300.0, 3.3e-9), (100, -1.0, 3.3e-9), (100, 300.0, 0.0),
@@ -103,7 +112,7 @@ class TestRydbergLifetime:
         with pytest.raises(DomainError):
             rydberg_lifetime(*args)
 
-    def test_bbr_rate_value(self):
+    def test_blackbody_rate_value(self):
         assert blackbody_depopulation_rate(100, 300.0) == pytest.approx(2035.0, rel=1e-3)
 
 

@@ -25,7 +25,6 @@ from rydkit import (
     vdw_shift,
 )
 from rydkit.dressing import (
-    ScalingModel,
     dressed_ground_overlap,
     f_prime,
     f_prime_defect,
@@ -420,10 +419,6 @@ class TestScalingExponents:
     def test_f_prime_exponents_differ_by_form(self):
         assert scaling_exponent("F_prime", 300, 600) == pytest.approx(6.0, abs=0.05)
         assert scaling_exponent("F_prime_defect", 300, 600) == pytest.approx(7.0, abs=0.05)
-
-    def test_flat_model_gives_zero(self):
-        flat = ScalingModel(0.0, 0.0, 0.0, 0.0, 0.0)
-        assert scaling_exponent("F_3D", 300, 600, flat) == pytest.approx(0.0, abs=1e-12)
 
     def test_validation(self):
         with pytest.raises(DomainError):

@@ -1,7 +1,9 @@
 import json
+from pathlib import Path
 
 import pytest
 
+import rydkit
 from rydkit.report import ReproEntry, ReproductionReport, _band, _entry
 
 
@@ -41,3 +43,8 @@ def test_json_shape_and_lines():
     lines = report.format_lines()
     assert lines[0].startswith("[PASS] a:")
     assert lines[-1] == "overall: PASS"
+
+
+def test_reproduce_json_matches_golden_file():
+    golden = Path(__file__).parent / "golden" / "reproduce.json"
+    assert rydkit.reproduce().to_json() == golden.read_text()

@@ -134,6 +134,10 @@ CONFIG_ENTRY = {
     ("schemes", [{"label": "uv", "wavelengths_nm": ["abc"], "signs": [1]}]),
     ("schemes", 5),
     ("schemes", [{"label": "uv", "wavelengths_nm": [894.6, 494.4], "signs": [1]}]),
+    ("qubit_freq_ghz", -1),
+    ("qubit_freq_ghz", 0.0),
+    ("polarizabilities", [["s", "nan", "inf"]]),
+    ("polarizabilities", [["s", 205.0]]),
 ])
 def test_config_bad_value_names_the_species(field, value):
     with pytest.raises(DomainError, match="species 'Xe'"):
@@ -151,3 +155,11 @@ def test_bad_config_file_names_the_file(tmp_path, text):
     path.write_text(text)
     with pytest.raises(DomainError, match="species config .*species.json"):
         load_species_config(str(path))
+
+
+def test_config_without_species_key_says_it_is_missing(tmp_path):
+    path = tmp_path / "species.json"
+    path.write_text(json.dumps({"entries": []}))
+    with pytest.raises(DomainError) as excinfo:
+        load_species_config(str(path))
+    assert str(excinfo.value) == f"species config {path}: missing key 'species'"

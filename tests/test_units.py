@@ -16,7 +16,7 @@ def test_hz_roundtrip_within_one_ulp(x):
 
 def test_ingest_conventions():
     assert Frequency.from_hz(1.0).rad_per_s == TWO_PI
-    assert Frequency.from_angular(3.0).rad_per_s == 3.0
+    assert Frequency(3.0).rad_per_s == 3.0
     assert Frequency.from_hz(500e6).hz == pytest.approx(500e6, rel=1e-15)
     # negative (signed) frequencies are legal carriers for detunings
     assert Frequency.from_hz(-200e6).hz == pytest.approx(-200e6, rel=1e-15)
@@ -31,7 +31,7 @@ def test_nonfinite_rejected(bad):
 
 
 def test_angular_coercion():
-    assert angular(Frequency.from_angular(2.5)) == 2.5
+    assert angular(Frequency(2.5)) == 2.5
     assert angular(2.5) == 2.5
     with pytest.raises(DomainError):
         angular(float("nan"))
