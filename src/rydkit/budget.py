@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, ModelValidityWarning, in_range
+from .errors import DomainError, ModelValidityWarning, _float_range, in_range
 
 # Default error-correction cycle time: 0.1 ms per code qubit.
 T_QEC_PER_QUBIT = 1e-4  # s
@@ -48,7 +48,7 @@ def required_vacuum_lifetime(n_code: float, t_qec: float, epsilon: float) -> flo
     n_code = in_range("n_code", n_code, 1.0, bounds="[)")
     t_qec = in_range("t_qec", t_qec)
     epsilon = in_range("epsilon", epsilon, 0.0, 1.0, "(]")
-    with np.errstate(all="ignore"):  # an overflow fails the range check
+    with _float_range("tau_vac"):
         return in_range("tau_vac", n_code * t_qec / epsilon)
 
 
@@ -119,11 +119,9 @@ def measurement_crosstalk(
     efficiency = in_range("efficiency", efficiency, 0.0, 1.0, "(]")
     if spacing <= wavelength / 2:
         raise DomainError("qubit spacing must exceed lambda/2 for the far-field estimate")
-    try:
+    with _float_range("lambda^2 or d^2"):
         sigma = (3.0 / (2.0 * math.pi)) * wavelength**2
         eta_abs = sigma / (4.0 * math.pi * spacing**2)
-    except ArithmeticError:
-        raise DomainError("lambda^2 or d^2 is out of float range") from None
     eta_det = in_range("eta_det", efficiency * detection_solid_angle_fraction(numerical_aperture))
     return CrosstalkEstimate(
         cross_section=sigma,

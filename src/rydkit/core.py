@@ -7,8 +7,8 @@ import math
 import numpy as np
 
 from .constants import ALPHA_FS, E, HBAR, K_B, M_E, POLARIZABILITY_AU
-from .errors import DomainError, _per_element, in_range
-from .units import Frequency, angular
+from .errors import _float_range, _per_element, in_range
+from .units import Frequency
 
 
 def blackbody_depopulation_rate(n: float, temperature: float) -> float:
@@ -20,7 +20,7 @@ def blackbody_depopulation_rate(n: float, temperature: float) -> float:
     """
     n = in_range("n", n, 1.0, bounds="[)")
     temperature = in_range("temperature", temperature, bounds="[)")
-    with np.errstate(all="ignore"):  # an overflow fails the range check
+    with _float_range("blackbody rate"):
         rate = 4.0 * ALPHA_FS**3 * K_B * temperature / (3.0 * n * n * HBAR)
     return in_range("blackbody rate", rate, bounds="[)")
 
@@ -35,22 +35,19 @@ def rydberg_lifetime(n: float, temperature: float, tau0: float) -> float:
     n = in_range("n", n, 10.0, bounds="[)")
     temperature = in_range("temperature", temperature, bounds="[)")
     tau0 = in_range("tau0", tau0)
-    try:
-        with np.errstate(all="ignore"):  # an overflow fails the range check
-            radiative = tau0 * _per_element(pow, n, 3)
-            if type(temperature) is float and temperature == 0:
-                return in_range("lifetime", radiative)
-            lifetime = 1.0 / (1.0 / radiative + blackbody_depopulation_rate(n, temperature))
-            if type(temperature) is np.ndarray:  # exactly tau0 n^3 at T = 0 here too
-                lifetime = np.where(temperature == 0, radiative, lifetime)
-        return in_range("lifetime", lifetime)
-    except ArithmeticError:
-        raise DomainError(f"lifetime is out of float range at n = {n!r}") from None
+    with _float_range("lifetime"):
+        radiative = tau0 * _per_element(pow, n, 3)
+        if type(temperature) is float and temperature == 0:
+            return in_range("lifetime", radiative)
+        lifetime = 1.0 / (1.0 / radiative + blackbody_depopulation_rate(n, temperature))
+        if type(temperature) is np.ndarray:  # exactly tau0 n^3 at T = 0 here too
+            lifetime = np.where(temperature == 0, radiative, lifetime)
+    return in_range("lifetime", lifetime)
 
 
 def free_electron_polarizability(omega: Frequency | float) -> float:
     """Ponderomotive polarizability -e^2/(m_e omega^2), in atomic units (< 0)."""
-    w = in_range("optical frequency", angular(omega))
+    w = in_range("optical frequency", omega)
     m_w2 = in_range("m_e omega^2", M_E * w * w)
     return in_range("polarizability", -E**2 / m_w2 / POLARIZABILITY_AU, -math.inf, 0.0, "(]")
 

@@ -15,8 +15,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BranchResidualWarning, DomainError, ModelValidityWarning, _per_element, in_range
-from .units import TWO_PI, Frequency, angular
+from .errors import BranchResidualWarning, DomainError, ModelValidityWarning, _float_range
+from .errors import _per_element, in_range
+from .units import TWO_PI, Frequency
 
 _CBRT2 = 2.0 ** (1 / 3)
 _CBRT4 = 2.0 ** (2 / 3)
@@ -114,13 +115,10 @@ def vdw_shift(r: float, defect: Frequency | float, r_c: float) -> Frequency:
 def _pair_shift(r, defect, r_c, shift) -> Frequency:
     """``shift(delta, (R_c/R)^6)`` as a Frequency, with R, the defect and R_c checked."""
     r = in_range("separation R", r)
-    d = angular(defect)
+    d = in_range("defect", defect, -math.inf)
     r_c = in_range("r_c", r_c)
-    try:
-        with np.errstate(all="ignore"):  # a non-finite shift fails the range check
-            return Frequency(shift(d, _per_element(pow, r_c / r, 6)))
-    except OverflowError:
-        raise DomainError(f"(R_c/R)^6 is out of float range at R = {r!r}") from None
+    with _float_range("(R_c/R)^6"):
+        return Frequency(shift(d, _per_element(pow, r_c / r, 6)))
 
 
 def crossover_radius(
@@ -133,7 +131,7 @@ def crossover_radius(
     """
     c3 = in_range("c3", c3, -math.inf)
     angular_factor = in_range("angular factor D_kl", angular_factor)
-    d_ghz = abs(angular(defect)) / TWO_PI / 1e9
+    d_ghz = abs(in_range("defect", defect, -math.inf)) / TWO_PI / 1e9
     if d_ghz == 0 or c3 == 0:
         raise DomainError("c3 and the defect must be nonzero")
     return in_range(
@@ -145,11 +143,9 @@ def implied_c3(r_c: float, defect: Frequency | float, angular_factor: float = 12
     """Invert :func:`crossover_radius`: the C3 (GHz um^3) behind a given R_c (m)."""
     r_c = in_range("r_c", r_c)
     angular_factor = in_range("angular factor D_kl", angular_factor)
-    d_ghz = abs(angular(defect)) / TWO_PI / 1e9
-    try:
+    d_ghz = abs(in_range("defect", defect, -math.inf)) / TWO_PI / 1e9
+    with _float_range("R_c^3"):
         c3 = d_ghz * (r_c * 1e6) ** 3 / math.sqrt(4.0 * angular_factor)
-    except OverflowError:
-        raise DomainError(f"R_c^3 is out of float range at R_c = {r_c!r}") from None
     return in_range("c3", c3)
 
 
@@ -161,8 +157,8 @@ def blockade_radius(
     R_b = R_c |delta|^(1/3) / (2^(1/3) (|Delta| |Delta + delta|)^(1/6)), defined
     only for matched signs of detuning and defect.
     """
-    det = angular(detuning)
-    d = angular(defect)
+    det = in_range("detuning", detuning, -math.inf)
+    d = in_range("defect", defect, -math.inf)
     _check_signs(det, d)
     r_c = in_range("r_c", r_c)
     product = in_range("|Delta (Delta + delta)|", abs(det) * abs(det + d))
@@ -174,9 +170,9 @@ def pair_light_shift_free(rabi: Frequency | float, detuning: Frequency | float) 
 
     The arguments broadcast as ndarrays.
     """
-    w = angular(rabi)
-    det = angular(detuning)
-    with np.errstate(all="ignore"):  # a non-finite energy fails the range check
+    w = in_range("Rabi frequency", rabi, -math.inf)
+    det = in_range("detuning", detuning, -math.inf)
+    with _float_range("Delta^2 + Omega^2"):
         return Frequency(-det + np.copysign(1.0, det) * np.sqrt(det * det + w * w))
 
 
@@ -187,9 +183,9 @@ def pair_light_shift_blockaded(
 
     The arguments broadcast as ndarrays.
     """
-    w = angular(rabi)
-    det = angular(detuning)
-    with np.errstate(all="ignore"):  # a non-finite energy fails the range check
+    w = in_range("Rabi frequency", rabi, -math.inf)
+    det = in_range("detuning", detuning, -math.inf)
+    with _float_range("Delta^2 + 2 Omega^2"):
         return Frequency(0.5 * (-det + np.copysign(1.0, det) * np.sqrt(det * det + 2.0 * w * w)))
 
 
@@ -205,14 +201,12 @@ def dressing_depth_perturbative(
     rabi: Frequency | float, detuning: Frequency | float
 ) -> Frequency:
     """Leading-order soft-core depth -Omega^4/(8 Delta^3) (signed)."""
-    w = angular(rabi)
-    det = angular(detuning)
+    w = in_range("Rabi frequency", rabi, -math.inf)
+    det = in_range("detuning", detuning, -math.inf)
     if det == 0:
         raise DomainError("detuning must be nonzero")
-    try:
+    with _float_range("Omega^4 / Delta^3"):
         return Frequency(-(w**4) / (8.0 * det**3))
-    except ArithmeticError:
-        raise DomainError("Omega^4 / Delta^3 is out of float range") from None
 
 
 def _scale(rabi, detuning, pair_shift):
@@ -232,7 +226,7 @@ def dressed_ground_energy_exact(
     maximal overlap with the doubly-ground state. The arguments broadcast as
     ndarrays; all points are solved by one stacked eigensolve.
     """
-    value, _ = _ground_branch(angular(rabi), angular(detuning), angular(pair_shift))
+    value, _ = _ground_branch(*_dressed_arguments(rabi, detuning, pair_shift))
     return Frequency(value)
 
 
@@ -245,8 +239,14 @@ def dressed_ground_overlap(
 
     The arguments broadcast as ndarrays, as in :func:`dressed_ground_energy_exact`.
     """
-    _, overlap = _ground_branch(angular(rabi), angular(detuning), angular(pair_shift))
+    _, overlap = _ground_branch(*_dressed_arguments(rabi, detuning, pair_shift))
     return in_range("overlap", overlap)
+
+
+def _dressed_arguments(rabi, detuning, pair_shift):
+    """The Rabi frequency, detuning and pair shift of a dressed energy, checked, in rad/s."""
+    names = ("Rabi frequency", "detuning", "pair shift")
+    return [in_range(n, v, -math.inf) for n, v in zip(names, (rabi, detuning, pair_shift))]
 
 
 def _ground_branch(rabi, detuning, pair_shift):
@@ -259,7 +259,7 @@ def _ground_branch(rabi, detuning, pair_shift):
     scale = _scale(rabi, detuning, pair_shift)
     shape = scale.shape
     h = np.zeros(shape + (9,))
-    with np.errstate(over="ignore"):
+    with _float_range("dressed energy"):
         h[..., 1::2] = (rabi / (_SQRT2 * scale))[..., None]
         h[..., 4] = -detuning / scale
         h[..., 8] = (-2.0 * detuning + pair_shift) / scale
@@ -284,9 +284,9 @@ def dressed_ground_energy_closed_form(
     :class:`BranchResidualWarning` is issued if a returned root retains an
     imaginary residue above 1e-9 relative.
     """
-    w_raw, det, dd_raw = angular(rabi), angular(detuning), angular(pair_shift)
+    w_raw, det, dd_raw = _dressed_arguments(rabi, detuning, pair_shift)
     scale = _scale(w_raw, det, dd_raw)
-    with np.errstate(all="ignore"):  # non-finite results fail the range check of Frequency
+    with _float_range("dressed energy"):
         value, resid = _cardano_ground_branch(w_raw / scale, det / scale, dd_raw / scale)
         bad = resid > 1e-9 * np.maximum(abs(value), 1e-300)
         if bad.any():
@@ -331,8 +331,8 @@ def soft_core_scale(
 
     ``r_c`` may be an ndarray; the detuning and the defect are scalars.
     """
-    det = angular(detuning)
-    d = angular(defect)
+    det = in_range("detuning", detuning, -math.inf)
+    d = in_range("defect", defect, -math.inf)
     _check_signs(det, d)
     r_c = in_range("r_c", r_c)
     return in_range("core radius", r_c * (d / (8.0 * det)) ** (1 / 6))
@@ -354,12 +354,9 @@ def normalized_potential(r: float, params: DressingParams, kind: str = "full") -
     _check_signs(det, defect)
     r_c = params.pair.r_c
     if kind == "single_term":
-        try:
+        with _float_range("R^6 or xi^6"):
             xi6 = soft_core_scale(det, defect, r_c) ** 6
-            with np.errstate(all="ignore"):  # a non-finite value fails the range check
-                value = -math.copysign(1.0, det) * xi6 / (_per_element(pow, r, 6) + xi6)
-        except ArithmeticError:
-            raise DomainError("R^6 or xi^6 is out of float range") from None
+            value = -math.copysign(1.0, det) * xi6 / (_per_element(pow, r, 6) + xi6)
         return in_range("normalized potential", value, -math.inf)
     if kind == "full":
         shift = dipole_dipole_shift(r, defect, r_c)
@@ -371,7 +368,7 @@ def normalized_potential(r: float, params: DressingParams, kind: str = "full") -
     free = pair_light_shift_free(w, det).rad_per_s
     depth = in_range("well depth", abs(pair_light_shift_blockaded(w, det).rad_per_s - free))
     energy = dressed_ground_energy_exact(w, det, shift).rad_per_s
-    with np.errstate(all="ignore"):  # a non-finite value fails the range check
+    with _float_range("normalized potential"):
         value = (energy - free) / depth
     return in_range("normalized potential", value, -math.inf)
 
@@ -380,8 +377,8 @@ def dressed_decoherence_time(
     rabi: Frequency | float, detuning: Frequency | float, lifetime: float
 ) -> float:
     """Per-atom dressing decoherence time tau_dr = (2 Delta^2/Omega^2) tau, in s."""
-    w = angular(rabi)
-    det = angular(detuning)
+    w = in_range("Rabi frequency", rabi, -math.inf)
+    det = in_range("detuning", detuning, -math.inf)
     lifetime = in_range("lifetime", lifetime)
     w2 = in_range("Omega^2", w * w)
     return in_range("tau_dr", 2.0 * det * det / w2 * lifetime)
@@ -420,8 +417,8 @@ def f_prime_defect(
 
 def _avalanche_fom(result: str, rabi, name: str, frequency, lifetime) -> float:
     """Omega^2 tau/(4 pi |x|) for the frequency x passed as argument ``name``."""
-    w = angular(rabi)
-    x = angular(frequency)
+    w = in_range("Rabi frequency", rabi, -math.inf)
+    x = in_range(name, frequency, -math.inf)
     if w == 0 or x == 0:
         raise DomainError(f"rabi and {name} must be nonzero")
     lifetime = in_range("lifetime", lifetime)
@@ -471,10 +468,8 @@ def blockade_atom_count(dimension: int, r_b: float, spacing: float) -> float:
     elif dimension == 2:
         count = math.pi * x * x
     else:
-        try:
+        with _float_range("(R_b/2d)^3"):
             count = 4.0 * math.pi / 3.0 * x**3
-        except OverflowError:
-            raise DomainError(f"(R_b/2d)^3 is out of float range at R_b = {r_b!r}") from None
     return in_range("atoms in a blockade volume", count)
 
 
@@ -506,7 +501,7 @@ def figures_of_merit(params: DressingParams) -> tuple[FigureOfMerit, ...]:
     ops = operations_per_atom(params)
     fp = 2.0 * ops
     records = []
-    try:
+    with _float_range("a figure of merit"):
         for dim in (1, 2, 3):
             n_atoms = blockade_atom_count(dim, r_b, params.spacing)
             f_closed = _closed_form_fom(
@@ -526,8 +521,6 @@ def figures_of_merit(params: DressingParams) -> tuple[FigureOfMerit, ...]:
                     f_prime_per_atom=fp / n_atoms,
                 )
             )
-    except ArithmeticError:
-        raise DomainError("a figure of merit is out of float range") from None
     return tuple(records)
 
 

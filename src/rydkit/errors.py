@@ -1,5 +1,5 @@
-"""Exception and warning types shared across the package, the input check, and
-the per-element float math that keeps array results equal to scalar calls."""
+"""Exception and warning types shared across the package, the input check, the
+float-range context, and the per-element float math of array results."""
 
 import itertools
 import math
@@ -22,7 +22,7 @@ class BranchResidualWarning(RuntimeWarning):
 def in_range(
     name: str, value: float, lo: float = 0.0, hi: float = math.inf, bounds: str = "()"
 ) -> float:
-    """Return ``value`` as a float if it is finite and lies between lo and hi.
+    """Return ``value`` (a Frequency: its rad/s) as a float if finite and between lo and hi.
 
     ``bounds`` writes the interval in the usual notation: "(" or "[" for an
     open or closed lower end, ")" or "]" for the upper end. The default is
@@ -35,7 +35,7 @@ def in_range(
     if type(value) is float:
         if lo < value < hi:
             return value
-    elif type(value) is np.ndarray and value.ndim:
+    elif type(value := getattr(value, "rad_per_s", value)) is np.ndarray and value.ndim:
         return _in_range_array(name, value, lo, hi, bounds)
     try:
         v = float(value)
@@ -66,6 +66,26 @@ def _in_range_array(name: str, value: np.ndarray, lo: float, hi: float, bounds: 
 
 def _outside(name: str, lo: float, hi: float, bounds: str, got: str) -> str:
     return f"{name} must be finite and in {bounds[0]}{lo:g}, {hi:g}{bounds[1]}, got {got}"
+
+
+class _float_range(np.errstate):
+    """``with _float_range(expression):`` runs a formula that may leave the float range.
+
+    numpy's float warnings are off in the body, so a value that overflows to
+    inf fails the range check on the result; an ArithmeticError of Python's
+    float math becomes ``DomainError("<expression> is out of float range")``.
+    """
+
+    __slots__ = ("expression",)
+
+    def __init__(self, expression: str) -> None:
+        super().__init__(all="ignore")
+        self.expression = expression
+
+    def __exit__(self, kind, exc, tb) -> None:
+        super().__exit__(kind, exc, tb)
+        if kind is not None and issubclass(kind, ArithmeticError):
+            raise DomainError(f"{self.expression} is out of float range") from None
 
 
 def _per_element(fn, x, *args):

@@ -12,12 +12,11 @@ import math
 import warnings
 from dataclasses import dataclass
 
-import numpy as np
 from scipy.optimize import brentq
 
 from .constants import ATOMIC_TIME, K_B
-from .errors import DomainError, ModelValidityWarning, _per_element, in_range
-from .units import TWO_PI, Frequency, angular
+from .errors import DomainError, ModelValidityWarning, _float_range, _per_element, in_range
+from .units import TWO_PI, Frequency
 
 _SEVEN_PI = 7.0 * math.pi
 
@@ -41,7 +40,7 @@ class GateErrorBudget:
 
 def optimal_rabi(blockade: Frequency | float, lifetime: float) -> Frequency:
     """Rabi frequency (7 pi)^(1/3) B^(2/3) / tau^(1/3) minimizing the blockade gate error."""
-    b = in_range("blockade shift", angular(blockade))
+    b = in_range("blockade shift", blockade)
     lifetime = in_range("lifetime", lifetime)
     return Frequency(_SEVEN_PI ** (1 / 3) * b ** (2 / 3) * lifetime ** (-1 / 3))
 
@@ -53,7 +52,7 @@ def blockade_gate_error(blockade: Frequency | float, lifetime: float) -> float:
     Omega^2/(8 B^2) at the optimal Rabi frequency. Valid for B tau >> 1; a
     warning is issued below B tau = 10.
     """
-    b = in_range("blockade shift", angular(blockade))
+    b = in_range("blockade shift", blockade)
     lifetime = in_range("lifetime", lifetime)
     bt = in_range("B tau", b * lifetime)
     if bt < 10.0:
@@ -67,7 +66,7 @@ def blockade_gate_error(blockade: Frequency | float, lifetime: float) -> float:
 
 def entanglement_error_bound(blockade: Frequency | float, lifetime: float) -> float:
     """Fundamental lower bound 2/(B tau) for one unit of entanglement."""
-    b = in_range("blockade shift", angular(blockade))
+    b = in_range("blockade shift", blockade)
     lifetime = in_range("lifetime", lifetime)
     bt = in_range("B tau", b * lifetime)
     return in_range("entanglement error bound", 2.0 / bt)
@@ -76,10 +75,8 @@ def entanglement_error_bound(blockade: Frequency | float, lifetime: float) -> fl
 def rydberg_level_half_spacing(n: float) -> Frequency:
     """Half the neighboring-level spacing E_H/(2 hbar n^3), the usable shift ceiling."""
     n = in_range("n", n, 1.0, bounds="[)")
-    try:
+    with _float_range("n^3"):
         return Frequency(1.0 / (2.0 * ATOMIC_TIME * n**3))
-    except OverflowError:
-        raise DomainError(f"n^3 is out of float range at n = {n!r}") from None
 
 
 def asymptotic_blockade_floor(tau0: float) -> float:
@@ -96,9 +93,9 @@ def interaction_gate_error(
     v_dd: Frequency | float, lifetime: float, qubit_freq: Frequency | float
 ) -> float:
     """Error pi/(V tau) + 5 V/(sqrt(3) omega_q) of the weak-interaction phase gate."""
-    v = in_range("interaction strength", angular(v_dd))
+    v = in_range("interaction strength", v_dd)
     lifetime = in_range("lifetime", lifetime)
-    wq = in_range("qubit frequency", angular(qubit_freq))
+    wq = in_range("qubit frequency", qubit_freq)
     vt = in_range("V tau", v * lifetime)
     return in_range("interaction gate error", math.pi / vt + 5.0 * v / (math.sqrt(3.0) * wq))
 
@@ -106,14 +103,14 @@ def interaction_gate_error(
 def optimal_interaction_strength(lifetime: float, qubit_freq: Frequency | float) -> Frequency:
     """Interaction strength sqrt(pi sqrt(3) omega_q / (5 tau)) minimizing the gate error."""
     lifetime = in_range("lifetime", lifetime)
-    wq = in_range("qubit frequency", angular(qubit_freq))
+    wq = in_range("qubit frequency", qubit_freq)
     return Frequency(math.sqrt(math.pi * math.sqrt(3.0) * wq / (5.0 * lifetime)))
 
 
 def minimal_interaction_gate_error(lifetime: float, qubit_freq: Frequency | float) -> float:
     """Interaction gate error 2 sqrt(5 pi/(sqrt(3) omega_q tau)) at the optimal strength."""
     lifetime = in_range("lifetime", lifetime)
-    wq = in_range("qubit frequency", angular(qubit_freq))
+    wq = in_range("qubit frequency", qubit_freq)
     wt = in_range("sqrt(3) omega_q tau", math.sqrt(3.0) * wq * lifetime)
     return in_range("interaction gate error", 2.0 * math.sqrt(5.0 * math.pi / wt))
 
@@ -124,7 +121,7 @@ def dressing_gate_error(detuning: Frequency | float, lifetime: float) -> float:
     Minimum over Omega of spontaneous emission 8 pi Delta/(Omega^2 tau) plus
     blockade leakage Omega^2/Delta^2 in the weak-dressing limit.
     """
-    d = in_range("dressing detuning", angular(detuning))
+    d = in_range("dressing detuning", detuning)
     lifetime = in_range("lifetime", lifetime)
     dt = in_range("Delta tau", d * lifetime)
     return 2.0**2.5 * math.sqrt(math.pi) / math.sqrt(dt)
@@ -163,15 +160,9 @@ def doppler_infidelity(k: float, temperature: float, time: float, mass: float) -
     temperature = in_range("temperature", temperature, bounds="[)")
     time = in_range("time", time, bounds="[)")
     mass = in_range("mass", mass)
-    try:
-        with np.errstate(all="ignore"):  # a non-finite exponent fails the range check
-            exponent = (
-                _per_element(pow, k, 2) * K_B * temperature
-                * _per_element(pow, time, 2) / (2.0 * mass)
-            )
-            infidelity = -_per_element(math.expm1, -exponent) / 2.0
-    except OverflowError:
-        raise DomainError("k^2 or t^2 is out of float range") from None
+    with _float_range("k^2 or t^2"):
+        k2_t_t2 = _per_element(pow, k, 2) * K_B * temperature * _per_element(pow, time, 2)
+        infidelity = -_per_element(math.expm1, -k2_t_t2 / (2.0 * mass)) / 2.0
     return in_range("Doppler infidelity", infidelity, 0.0, 0.5, "[]")
 
 
@@ -180,8 +171,8 @@ def excitation_error(rabi: Frequency | float, detuning: Frequency | float) -> fl
 
     P(Delta) = Omega^2/(Omega^2 + Delta^2) sin^2(pi sqrt(Omega^2 + Delta^2)/(2 Omega)).
     """
-    w = in_range("Rabi frequency", angular(rabi))
-    d = angular(detuning)
+    w = in_range("Rabi frequency", rabi)
+    d = in_range("detuning", detuning, -math.inf)
     gen = math.sqrt(in_range("Omega^2 + Delta^2", w * w + d * d))
     area = in_range("pulse area", math.pi * gen / (2.0 * w))
     return 1.0 - (w * w / (gen * gen)) * math.sin(area) ** 2
@@ -194,7 +185,7 @@ def detuning_budget(rabi: Frequency | float, epsilon: float) -> Frequency:
     root-finding (Brent, 1e-12 relative). To leading order the result is
     Omega sqrt(epsilon).
     """
-    w = in_range("Rabi frequency", angular(rabi))
+    w = in_range("Rabi frequency", rabi)
     epsilon = in_range("epsilon", epsilon, 0.0, 1.0)
 
     def err(d: float) -> float:
@@ -222,7 +213,7 @@ def field_budget(
     default ``direct`` convention takes the shift as alpha0 E^2; ``half``
     uses alpha0 E^2 / 2 (a factor sqrt(2) larger field).
     """
-    d = in_range("detuning limit", angular(detuning_limit))
+    d = in_range("detuning limit", detuning_limit)
     alpha0 = in_range("alpha0", alpha0, -math.inf)
     if alpha0 == 0:
         raise DomainError("alpha0 must be nonzero")
@@ -252,11 +243,9 @@ def blockade_error_budget(
     Spontaneous emission 7 pi/(4 Omega tau) and blockade leakage
     Omega^2/(8 B^2) reproduce the optimized closed forms.
     """
-    b = in_range("blockade shift", angular(blockade))
+    b = in_range("blockade shift", blockade)
     lifetime = in_range("lifetime", lifetime)
-    w = in_range("Rabi frequency", angular(rabi)) if rabi is not None else (
-        optimal_rabi(b, lifetime).rad_per_s
-    )
+    w = in_range("Rabi frequency", optimal_rabi(b, lifetime) if rabi is None else rabi)
     spont = _SEVEN_PI / in_range("4 Omega tau", 4.0 * w * lifetime)
     leak = w * w / in_range("8 B^2", 8.0 * b * b)
     return GateErrorBudget(

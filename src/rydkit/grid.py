@@ -10,7 +10,7 @@ from typing import Callable
 import numpy as np
 
 from . import budget, core, dressing, gate_error
-from .errors import DomainError, _per_element, in_range
+from .errors import DomainError, _float_range, _per_element, in_range
 from .species import get_species
 from .units import Frequency
 
@@ -25,9 +25,12 @@ class Axis:
     spacing: str = "explicit"  # linear | log | explicit
 
     def __post_init__(self) -> None:
-        if not self.values:
+        try:
+            vals = tuple(map(float, self.values))
+        except (TypeError, ValueError) as exc:
+            raise DomainError(f"axis {self.name!r} values must be numbers: {exc}") from None
+        if not vals:
             raise DomainError(f"axis {self.name!r} has no values")
-        vals = tuple(map(float, self.values))
         bad = [v for v in vals if not math.isfinite(v)]
         if bad:
             raise DomainError(f"axis {self.name!r} values must be finite, got {bad[0]!r}")
@@ -58,9 +61,9 @@ def axis(
         spaced = np.geomspace
     else:
         raise DomainError(f"unknown spacing {spacing!r}")
-    with np.errstate(over="ignore"):  # a value that overflows fails the Axis check
+    with _float_range(f"axis {name!r}"):  # a value that overflows fails the Axis check
         values = spaced(lo, hi, points)
-    return Axis(name, unit, tuple(float(v) for v in values), spacing)
+    return Axis(name, unit, values, spacing)
 
 
 @dataclass(frozen=True)
@@ -77,8 +80,15 @@ class ScanGrid:
             raise DomainError("cell row count must match the y axis")
         if any(len(row) != len(self.x_axis.values) for row in self.cells):
             raise DomainError("cell column count must match the x axis")
-        cells = tuple(tuple(map(float, row)) for row in self.cells)
-        for iy, row in enumerate(cells):
+        cells = []
+        for iy, row in enumerate(self.cells):
+            try:
+                row = tuple(map(float, row))
+            except (TypeError, ValueError) as exc:
+                raise DomainError(
+                    f"{self.quantity} cells at {self.y_axis.name} = {self.y_axis.values[iy]!r}"
+                    f" must be numbers: {exc}"
+                ) from None
             if not all(map(math.isfinite, row)):
                 ix = next(i for i, v in enumerate(row) if not math.isfinite(v))
                 raise DomainError(
@@ -86,7 +96,8 @@ class ScanGrid:
                     f"{self.x_axis.values[ix]!r}, {self.y_axis.name} = "
                     f"{self.y_axis.values[iy]!r} is {row[ix]!r}: cells must be finite"
                 )
-        object.__setattr__(self, "cells", cells)
+            cells.append(row)
+        object.__setattr__(self, "cells", tuple(cells))
 
     def cell(self, ix: int, iy: int) -> float:
         return self.cells[iy][ix]
@@ -105,33 +116,42 @@ class ScanGrid:
 
     @classmethod
     def from_csv(cls, text: str) -> "ScanGrid":
+        """Parse the text of :meth:`to_csv`; a malformed line raises DomainError naming it."""
         meta: dict[str, str] = {}
-        rows: list[list[str]] = []
-        for line in text.splitlines():
+        rows: list[tuple[int, list[str]]] = []
+        for number, line in enumerate(text.splitlines(), 1):
             if not line.strip():
                 continue
             if line.startswith("#"):
                 key, _, value = line[1:].partition(":")
                 meta[key.strip()] = value.strip()
             else:
-                rows.append(line.split(","))
+                rows.append((number, line.split(",")))
         if not rows:
             raise DomainError("no data rows in CSV")
 
-        def parse_axis(header: str, values: list[float]) -> Axis:
-            name, rest = header.split("[", 1)
-            unit, _, spacing = rest.partition("]")
-            return Axis(name.strip(), unit.strip(), tuple(values), spacing.strip())
+        def numbers(number: int, fields: list[str]) -> tuple[float, ...]:
+            try:
+                return tuple(map(float, fields))
+            except ValueError as exc:
+                raise DomainError(f"CSV line {number}: {exc}") from None
 
-        header, data = rows[0], rows[1:]
-        x_values = [float(v) for v in header[1:]]
-        y_values = [float(r[0]) for r in data]
-        cells = tuple(tuple(float(v) for v in r[1:]) for r in data)
+        def parse_axis(key: str, values: tuple[float, ...]) -> Axis:
+            header = meta.get(key)
+            name, _, rest = (header or "").partition("[")
+            unit, bracket, spacing = rest.partition("]")
+            if not bracket:
+                raise DomainError(
+                    f"CSV needs a '# {key}: name [unit] spacing' line, got {header!r}"
+                )
+            return Axis(name.strip(), unit.strip(), values, spacing.strip())
+
+        (header_number, header), data = rows[0], [numbers(*row) for row in rows[1:]]
         return cls(
             quantity=meta.get("quantity", ""),
-            x_axis=parse_axis(meta["x"], x_values),
-            y_axis=parse_axis(meta["y"], y_values),
-            cells=cells,
+            x_axis=parse_axis("x", numbers(header_number, header[1:])),
+            y_axis=parse_axis("y", tuple(row[0] for row in data)),
+            cells=tuple(row[1:] for row in data),
         )
 
 

@@ -38,6 +38,4 @@ class Frequency:
 
 def angular(value: "Frequency | float") -> float:
     """Coerce a Frequency or raw float (interpreted as rad/s) to rad/s."""
-    if isinstance(value, Frequency):
-        return value.rad_per_s
     return in_range("frequency", value, -math.inf)

@@ -23,7 +23,7 @@ import rydkit
 from rydkit import CESIUM, DomainError, DressingParams, Frequency, PairInteraction
 from rydkit import budget, core, dressing, gate_error
 from rydkit.dressing import _SCALING_QUANTITIES
-from rydkit.errors import in_range
+from rydkit.errors import _float_range, in_range
 
 NAN, INF = float("nan"), float("inf")
 
@@ -194,6 +194,21 @@ K_ONE_PHOTON = CESIUM.scheme("one-photon").effective_k
         lambda: dressing.operations_per_atom(
             _dressing_params(1e70, 10.0, 10.0, 12.0, None, 1e-6, 1e200, 1e-6)
         ),
+        # one overflowing input per float-range site that maps Python's OverflowError
+        lambda: budget.measurement_crosstalk(1e200, 1e201, 0.5, 0.5),
+        lambda: core.rydberg_lifetime(1e103, 300.0, 1.0),
+        lambda: dressing.vdw_shift(1e-60, 1e9, 1.0),
+        lambda: dressing.implied_c3(1e200, 1e9),
+        lambda: dressing.dressing_depth_perturbative(1e100, 1.0),
+        lambda: dressing.normalized_potential(
+            1e100,
+            _dressing_params(1e6, 1e7, 2e7, 12.0, None, 1.5e-6, 320e-6, 1e-6),
+            "single_term",
+        ),
+        lambda: dressing.figures_of_merit(
+            _dressing_params(1e6, 1e7, 1e-3, 12.0, None, 1e149, 1e-3, 1e-6)
+        ),
+        lambda: gate_error.doppler_infidelity(1e200, 1e-6, 1e-7, CESIUM.mass),
     ],
 )
 def test_inputs_that_leaked_now_raise(call):
@@ -212,8 +227,77 @@ def test_in_range_checks_arrays_element_by_element():
         in_range("rabi", np.array([1.0, 1.0]), 0.0, 1.0)
 
 
+def test_float_range_maps_arithmetic_errors_and_silences_numpy():
+    with pytest.raises(DomainError, match=r"^x\^2 is out of float range$"):
+        with _float_range("x^2"):
+            1e200**2
+    with _float_range("x"):  # a RuntimeWarning would fail the suite
+        assert (np.array([1e308]) * 10.0)[0] == INF
+    assert np.geterr()["over"] == "warn"
+    with pytest.raises(KeyError):
+        with _float_range("x"):
+            {}["k"]
+
+
 def test_in_range_rejects_what_float_cannot_parse():
     assert in_range("x", "1.5") == 1.5
     for bad in ("abc", None, [1.0], ""):
         with pytest.raises(DomainError, match="x must be a number"):
             in_range("x", bad)
+
+
+# One valid call of each public function that takes a Frequency | float argument.
+FREQUENCY_BASELINES = {
+    "free_electron_polarizability": {"omega": 2.4e15},
+    "blockade_radius": {"detuning": 1e7, "defect": 2e7, "r_c": 1.5e-6},
+    "crossover_radius": {"c3": 5.0, "defect": 1e9},
+    "dipole_dipole_shift": {"r": 1e-6, "defect": 1e8, "r_c": 1.5e-6},
+    "vdw_shift": {"r": 1e-6, "defect": 1e8, "r_c": 1.5e-6},
+    "implied_c3": {"r_c": 1.5e-6, "defect": 1e8},
+    "soft_core_scale": {"detuning": 1e7, "defect": 2e7, "r_c": 1.5e-6},
+    "pair_light_shift_free": {"rabi": 1e6, "detuning": 1e7},
+    "pair_light_shift_blockaded": {"rabi": 1e6, "detuning": 1e7},
+    "dressing_depth_exact": {"rabi": 1e6, "detuning": 1e7},
+    "dressing_depth_perturbative": {"rabi": 1e6, "detuning": 1e7},
+    "dressed_ground_energy_exact": {"rabi": 1e6, "detuning": 1e7, "pair_shift": 1e8},
+    "dressed_ground_energy_closed_form": {"rabi": 1e6, "detuning": 1e7, "pair_shift": 1e8},
+    "dressed_ground_overlap": {"rabi": 1e6, "detuning": 1e7, "pair_shift": 1e8},
+    "dressed_decoherence_time": {"rabi": 1e6, "detuning": 1e7, "lifetime": 1e-4},
+    "f_prime": {"rabi": 1e6, "detuning": 1e7, "lifetime": 1e-4},
+    "f_prime_defect": {"rabi": 1e6, "defect": 1e8, "lifetime": 1e-4},
+    "optimal_rabi": {"blockade": 1e8, "lifetime": 1e-4},
+    "blockade_gate_error": {"blockade": 1e8, "lifetime": 1e-4},
+    "entanglement_error_bound": {"blockade": 1e8, "lifetime": 1e-4},
+    "blockade_error_budget": {"blockade": 1e8, "lifetime": 1e-4, "rabi": 1e6},
+    "interaction_gate_error": {"v_dd": 1e6, "lifetime": 1e-4, "qubit_freq": 1e10},
+    "optimal_interaction_strength": {"lifetime": 1e-4, "qubit_freq": 1e10},
+    "minimal_interaction_gate_error": {"lifetime": 1e-4, "qubit_freq": 1e10},
+    "dressing_gate_error": {"detuning": 1e8, "lifetime": 1e-4},
+    "excitation_error": {"rabi": 1e6, "detuning": 1e4},
+    "detuning_budget": {"rabi": 1e6, "epsilon": 1e-3},
+    "field_budget": {"detuning_limit": 1e5, "alpha0": 1.0},
+    "stark_budget": {"rabi": 1e6, "error_target": 1e-3, "alpha0": 1.0},
+}
+
+
+def _frequency_arguments(fn) -> list[str]:
+    hints = typing.get_type_hints(fn)
+    parameters = inspect.signature(fn).parameters
+    return [arg for arg in parameters if Frequency in typing.get_args(hints[arg])]
+
+
+def test_every_function_with_a_frequency_argument_has_a_baseline():
+    with_frequency = {name for name, fn in PUBLIC.items() if _frequency_arguments(fn)}
+    assert with_frequency - {"angular"} == set(FREQUENCY_BASELINES)
+
+
+@pytest.mark.parametrize(
+    "name, arg",
+    [(name, arg) for name in FREQUENCY_BASELINES for arg in _frequency_arguments(PUBLIC[name])],
+)
+def test_a_nan_frequency_argument_is_named_in_the_error(name, arg):
+    fn, baseline = PUBLIC[name], FREQUENCY_BASELINES[name]
+    fn(**baseline)
+    with pytest.raises(DomainError, match="must be finite") as raised:
+        fn(**{**baseline, arg: NAN})
+    assert not str(raised.value).startswith("frequency "), str(raised.value)

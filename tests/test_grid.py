@@ -1,4 +1,5 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,6 +9,8 @@ from rydkit import axis, get_species, scan
 from rydkit import doppler_infidelity, normalized_potential, required_vacuum_lifetime
 from rydkit import rydberg_lifetime
 from rydkit import budget, core, dressing, gate_error
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 class TestAxis:
@@ -81,6 +84,40 @@ class TestCsvRoundTrip:
         assert lines[0] == "# quantity: tau-vac"
         assert lines[3].startswith("n_code,4,20")
         assert lines[4].startswith("0.0001,")
+
+
+class TestMalformedInputRaisesDomainError:
+    """Malformed axis values, cells and CSV text name the axis, the row or the line."""
+
+    CSV = ScanGrid(
+        "demo", Axis("x", "um", (1.0, 2.0)), Axis("y", "K", (3.0, 4.0)), ((1.0, 2.0), (0.5, 0.25))
+    ).to_csv()
+
+    def test_csv_without_axis_headers(self):
+        with pytest.raises(DomainError, match=r"'# x: name \[unit\] spacing' line, got None"):
+            ScanGrid.from_csv("1,2\n3,4\n")
+
+    def test_axis_header_without_unit(self):
+        with pytest.raises(DomainError, match=r"'# y: name .* got 'y explicit'"):
+            ScanGrid.from_csv(self.CSV.replace("# y: y [K]", "# y: y"))
+
+    @pytest.mark.parametrize("old, new, line", [("0.25", "abc", 6), ("x,1,2", "x,1,abc", 4)])
+    def test_csv_value_that_is_not_a_number(self, old, new, line):
+        with pytest.raises(DomainError, match=f"CSV line {line}: .*'abc'"):
+            ScanGrid.from_csv(self.CSV.replace(old, new))
+
+    @pytest.mark.parametrize("values", [("a",), ((1.0, 2.0),)])
+    def test_axis_values_that_are_not_numbers(self, values):
+        with pytest.raises(DomainError, match="axis 'x' values must be numbers"):
+            Axis("x", "", values)
+
+    def test_grid_cell_that_is_not_a_number(self):
+        x_axis, y_axis = Axis("x", "", (1.0, 2.0)), Axis("y", "", (3.0, 4.0))
+        with pytest.raises(DomainError, match="demo cells at y = 4.0 must be numbers"):
+            ScanGrid("demo", x_axis, y_axis, ((1.0, 2.0), (0.5, "a")))
+
+    def test_axis_takes_an_ndarray_of_values(self):
+        assert Axis("x", "", np.array([1.0, 2.0])) == Axis("x", "", (1.0, 2.0))
 
 
 class TestScan:
@@ -265,3 +302,24 @@ class TestScanEqualsScalarCalls:
         scan("dressing-potential", x, y)
         assert calls == ["required_vacuum_lifetime", "doppler_infidelity", "rydberg_lifetime",
                          "normalized_potential", "normalized_potential"]
+
+
+# Small grids of the quantities at their default fixed values; the lifetime grid
+# has a T = 0 row. doppler-infidelity has its own golden file through the CLI.
+GOLDEN_SCANS = {
+    "tau-vac": (
+        axis("n_code", "qubits", 4, 100, 7, "log"), axis("epsilon", "", 1e-5, 1e-2, 5, "log")
+    ),
+    "lifetime": (
+        axis("n", "", 30, 300, 7, "log"), axis("temperature", "K", 0, 300, 5, "linear")
+    ),
+    "dressing-potential": (
+        axis("separation", "um", 0.2, 5, 7, "linear"), axis("rabi", "MHz", 0.5, 5, 5, "log")
+    ),
+}
+
+
+@pytest.mark.parametrize("quantity", sorted(GOLDEN_SCANS))
+def test_scan_matches_golden_file(quantity):
+    x, y = GOLDEN_SCANS[quantity]
+    assert scan(quantity, x, y).to_csv() == (GOLDEN / f"scan_{quantity}.csv").read_text()
