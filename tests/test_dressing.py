@@ -1,5 +1,6 @@
 import math
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -564,6 +565,22 @@ class TestArrayPairShifts:
         got = normalized_potential(r, p, kind)
         assert got.shape == (2000,)
         assert np.array_equal(got, [normalized_potential(x, p, kind) for x in r.tolist()])
+
+    @pytest.mark.parametrize("kind", ["full", "vdw"])
+    @pytest.mark.parametrize("params", [worked_params, weak_attractive_params])
+    def test_rabi_column_equals_per_row_calls_bit_for_bit(self, params, kind):
+        # a DressingParams holding an (n, 1) Rabi column gives one row per Rabi value
+        p = params()
+        rng = np.random.default_rng(54)
+        r = p.pair.r_c * _log_uniform(rng, 1e-2, 1e2, 40)[None, :]
+        rabi_hz = p.rabi.hz * rng.uniform(0.2, 5.0, (9, 1))
+        got = normalized_potential(r, replace(p, rabi=Frequency.from_hz(rabi_hz)), kind)
+        assert got.shape == (9, 40)
+        rows = [
+            normalized_potential(r, replace(p, rabi=Frequency.from_hz(hz)), kind)
+            for hz in rabi_hz.ravel().tolist()
+        ]
+        assert np.array_equal(got, np.concatenate(rows))
 
     def test_broadcast_keeps_its_shape(self):
         column, row = np.array([[1e-6], [4e-6]]), np.array([1e7, -2e7, 5e7])

@@ -304,22 +304,30 @@ class TestScanEqualsScalarCalls:
                          "normalized_potential", "normalized_potential"]
 
 
-# Small grids of the quantities at their default fixed values; the lifetime grid
-# has a T = 0 row. doppler-infidelity has its own golden file through the CLI.
+# Small grids of the quantities at their default fixed values, and the two other
+# dressing kinds; the lifetime grid has a T = 0 row. doppler-infidelity has its
+# own golden file through the CLI. Keys are the golden file names.
+_DRESSING_AXES = (
+    axis("separation", "um", 0.2, 5, 7, "linear"), axis("rabi", "MHz", 0.5, 5, 5, "log")
+)
 GOLDEN_SCANS = {
     "tau-vac": (
-        axis("n_code", "qubits", 4, 100, 7, "log"), axis("epsilon", "", 1e-5, 1e-2, 5, "log")
+        "tau-vac", axis("n_code", "qubits", 4, 100, 7, "log"),
+        axis("epsilon", "", 1e-5, 1e-2, 5, "log"), {},
     ),
     "lifetime": (
-        axis("n", "", 30, 300, 7, "log"), axis("temperature", "K", 0, 300, 5, "linear")
+        "lifetime", axis("n", "", 30, 300, 7, "log"),
+        axis("temperature", "K", 0, 300, 5, "linear"), {},
     ),
-    "dressing-potential": (
-        axis("separation", "um", 0.2, 5, 7, "linear"), axis("rabi", "MHz", 0.5, 5, 5, "log")
+    "dressing-potential": ("dressing-potential", *_DRESSING_AXES, {}),
+    "dressing-potential_vdw": ("dressing-potential", *_DRESSING_AXES, {"kind": "vdw"}),
+    "dressing-potential_single_term": (
+        "dressing-potential", *_DRESSING_AXES, {"kind": "single_term"}
     ),
 }
 
 
-@pytest.mark.parametrize("quantity", sorted(GOLDEN_SCANS))
-def test_scan_matches_golden_file(quantity):
-    x, y = GOLDEN_SCANS[quantity]
-    assert scan(quantity, x, y).to_csv() == (GOLDEN / f"scan_{quantity}.csv").read_text()
+@pytest.mark.parametrize("name", sorted(GOLDEN_SCANS))
+def test_scan_matches_golden_file(name):
+    quantity, x, y, fixed = GOLDEN_SCANS[name]
+    assert scan(quantity, x, y, fixed).to_csv() == (GOLDEN / f"scan_{name}.csv").read_text()
