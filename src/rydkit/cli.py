@@ -17,7 +17,7 @@ import numpy as np
 from . import budget as budget_mod
 from . import core, dressing, gate_error, report
 from .errors import DomainError
-from .grid import _FMT, SCAN_QUANTITIES, _dressing_params, axis, scan
+from .grid import _FMT, SCAN_QUANTITIES, _dressing_params, _resolve_doppler, axis, scan
 from .species import get_species, load_species_config
 from .units import Frequency
 
@@ -259,22 +259,19 @@ def doppler(temperature_uk, time_ns, species_name, scheme, k_per_m, config, do_s
             time_min_ns, time_max_ns, time_points, out) -> None:
     """Doppler-limited Bell fidelity; with --scan, a log10(1-F) contour grid."""
     species = _species_option(config, species_name)
-    if k_per_m is None:
-        k_per_m = species.scheme(scheme or None).effective_k
+    k_per_m, mass = _resolve_doppler(species, scheme, k_per_m, None)
     if do_scan:
         grid = scan(
             "doppler-infidelity",
             axis("temperature", "uK", temp_min_uk, temp_max_uk, temp_points, "log"),
             axis("rydberg_time", "ns", time_min_ns, time_max_ns, time_points, "log"),
-            {"k_per_m": k_per_m, "mass_kg": species.mass},
+            {"k_per_m": k_per_m, "mass_kg": mass},
         )
         _emit(grid.to_csv(), out)
         return
     if temperature_uk is None or time_ns is None:
         raise click.UsageError("--temperature-uk and --time-ns are required without --scan")
-    infid = gate_error.doppler_infidelity(
-        k_per_m, temperature_uk * 1e-6, time_ns * 1e-9, species.mass
-    )
+    infid = gate_error.doppler_infidelity(k_per_m, temperature_uk * 1e-6, time_ns * 1e-9, mass)
     _emit({
         "species": species.name, "k_per_m": k_per_m,
         "temperature_uk": temperature_uk, "time_ns": time_ns,
@@ -343,7 +340,7 @@ def dressing_curve(r_min_um, r_max_um, points, out, **point) -> None:
         for kind in ("full", "vdw", "single_term")
     ]
     lines = ["separation_um,v_full,v_vdw,v_single_term"]
-    lines += [",".join(map(_FMT.format, row)) for row in zip(*(c.tolist() for c in columns))]
+    lines += [",".join([_FMT] * 4) % row for row in zip(*(c.tolist() for c in columns))]
     _emit("\n".join(lines) + "\n", out)
 
 

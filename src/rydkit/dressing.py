@@ -407,8 +407,8 @@ def f_prime_defect(
 ) -> float:
     """Defect-scaled variant Omega^2 tau/(4 pi |delta|) of the avalanche figure of merit.
 
-    A commonly printed simplification of :func:`f_prime` that replaces the
-    dressing detuning by the Foerster defect; the two agree only when
+    A commonly printed simplification of :func:`f_prime` that swaps the
+    dressing detuning for the Foerster defect; the two agree only when
     |delta| = |Delta| and scale differently with principal quantum number
     (n^7 here vs n^6 for the definitional form).
     """

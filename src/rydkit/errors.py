@@ -41,6 +41,8 @@ def in_range(
         v = float(value)
     except (TypeError, ValueError):
         raise DomainError(f"{name} must be a number, got {value!r}") from None
+    except OverflowError:  # an int beyond the float range, too long to print in full
+        raise DomainError(f"{name} is out of float range") from None
     if lo < v < hi:
         return v
     if math.isfinite(v) and (

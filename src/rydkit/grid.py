@@ -2,19 +2,31 @@
 
 from __future__ import annotations
 
-import io
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
 
 from . import budget, core, dressing, gate_error
 from .errors import DomainError, _float_range, _per_element, in_range
-from .species import get_species
+from .species import Species, get_species
 from .units import Frequency
 
-_FMT = "{:.17g}"  # decimal text with 17 significant digits: exact for doubles
+_FMT = "%.17g"  # decimal text with 17 significant digits: exact for doubles
+
+
+def _numbers(values, what: str) -> tuple[float, ...]:
+    """``values`` as a tuple of floats, or DomainError naming ``what`` if they are not
+    numbers; a str or bytes is one value, not a sequence of digits."""
+    if isinstance(values, (str, bytes)):
+        raise DomainError(f"{what} must be numbers, not a {type(values).__name__}")
+    try:
+        return tuple(map(float, values))
+    except OverflowError:  # an int beyond the float range, too long to print in full
+        raise DomainError(f"{what} are out of float range") from None
+    except (TypeError, ValueError) as exc:
+        raise DomainError(f"{what} must be numbers: {exc}") from None
 
 
 @dataclass(frozen=True)
@@ -25,10 +37,7 @@ class Axis:
     spacing: str = "explicit"  # linear | log | explicit
 
     def __post_init__(self) -> None:
-        try:
-            vals = tuple(map(float, self.values))
-        except (TypeError, ValueError) as exc:
-            raise DomainError(f"axis {self.name!r} values must be numbers: {exc}") from None
+        vals = _numbers(self.values, f"axis {self.name!r} values")
         if not vals:
             raise DomainError(f"axis {self.name!r} has no values")
         bad = [v for v in vals if not math.isfinite(v)]
@@ -78,17 +87,13 @@ class ScanGrid:
     def __post_init__(self) -> None:
         if len(self.cells) != len(self.y_axis.values):
             raise DomainError("cell row count must match the y axis")
-        if any(len(row) != len(self.x_axis.values) for row in self.cells):
-            raise DomainError("cell column count must match the x axis")
         cells = []
         for iy, row in enumerate(self.cells):
-            try:
-                row = tuple(map(float, row))
-            except (TypeError, ValueError) as exc:
-                raise DomainError(
-                    f"{self.quantity} cells at {self.y_axis.name} = {self.y_axis.values[iy]!r}"
-                    f" must be numbers: {exc}"
-                ) from None
+            row = _numbers(
+                row, f"{self.quantity} cells at {self.y_axis.name} = {self.y_axis.values[iy]!r}"
+            )
+            if len(row) != len(self.x_axis.values):
+                raise DomainError("cell column count must match the x axis")
             if not all(map(math.isfinite, row)):
                 ix = next(i for i, v in enumerate(row) if not math.isfinite(v))
                 raise DomainError(
@@ -103,16 +108,15 @@ class ScanGrid:
         return self.cells[iy][ix]
 
     def to_csv(self) -> str:
-        out = io.StringIO()
-        out.write(f"# quantity: {self.quantity}\n")
-        out.write(f"# x: {self.x_axis.name} [{self.x_axis.unit}] {self.x_axis.spacing}\n")
-        out.write(f"# y: {self.y_axis.name} [{self.y_axis.unit}] {self.y_axis.spacing}\n")
-        out.write(",".join([self.x_axis.name] + [_FMT.format(v) for v in self.x_axis.values]))
-        out.write("\n")
-        for yv, row in zip(self.y_axis.values, self.cells):
-            out.write(",".join([_FMT.format(yv)] + [_FMT.format(c) for c in row]))
-            out.write("\n")
-        return out.getvalue()
+        values = ",".join([_FMT] * len(self.x_axis.values))
+        row = f"{_FMT},{values}\n"  # one format per line: the y value, then the cells
+        return "".join([
+            f"# quantity: {self.quantity}\n",
+            f"# x: {self.x_axis.name} [{self.x_axis.unit}] {self.x_axis.spacing}\n",
+            f"# y: {self.y_axis.name} [{self.y_axis.unit}] {self.y_axis.spacing}\n",
+            f"{self.x_axis.name},{values % self.x_axis.values}\n",
+            *(row % ((yv,) + cells) for yv, cells in zip(self.y_axis.values, self.cells)),
+        ])
 
     @classmethod
     def from_csv(cls, text: str) -> "ScanGrid":
@@ -171,13 +175,13 @@ def _tau_vac_cells(n_code: np.ndarray, epsilon: np.ndarray, fixed: dict) -> np.n
     return budget.required_vacuum_lifetime(n_code, t_qec_s, epsilon)
 
 
-def _resolve_doppler(fixed: dict) -> tuple[float, float]:
-    species = get_species(fixed["species"])
-    k = fixed["k_per_m"]
-    if k is None:
-        k = species.scheme(fixed["scheme"] or None).effective_k
-    mass = species.mass if fixed["mass_kg"] is None else fixed["mass_kg"]
-    return k, mass
+def _resolve_doppler(
+    species: Species, scheme: str | None, k_per_m: float | None, mass_kg: float | None
+) -> tuple[float, float]:
+    """Wavevector and mass of a Doppler estimate; an override given as None takes the
+    species' value (its first scheme when ``scheme`` is empty or None)."""
+    k = species.scheme(scheme or None).effective_k if k_per_m is None else k_per_m
+    return k, species.mass if mass_kg is None else mass_kg
 
 
 def _log10_or_minus_inf(value: float) -> float:
@@ -185,17 +189,19 @@ def _log10_or_minus_inf(value: float) -> float:
 
 
 def _doppler_cells(temperature_uk: np.ndarray, time_ns: np.ndarray, fixed: dict) -> np.ndarray:
-    k, mass = _resolve_doppler(fixed)
+    k, mass = _resolve_doppler(
+        get_species(fixed["species"]), fixed["scheme"], fixed["k_per_m"], fixed["mass_kg"]
+    )
     infid = gate_error.doppler_infidelity(k, temperature_uk * 1e-6, time_ns * 1e-9, mass)
     return _per_element(_log10_or_minus_inf, infid)
 
 
 def _dressing_params(
-    rabi_mhz: float, detuning_mhz: float, defect_mhz: float, rc_um: float | None = None,
-    c3_ghz_um3: float | None = None, d_kl: float = 12.0, tau_us: float = 320.0,
-    spacing_um: float = 1.0,
+    rabi_mhz: float | np.ndarray, detuning_mhz: float, defect_mhz: float,
+    rc_um: float | None = None, c3_ghz_um3: float | None = None, d_kl: float = 12.0,
+    tau_us: float = 320.0, spacing_um: float = 1.0,
 ) -> dressing.DressingParams:
-    """DressingParams from lab units: frequencies per 2pi in MHz, lengths in um."""
+    """DressingParams from lab units (per-2pi MHz, um); ``rabi_mhz`` may be an ndarray."""
     pair = dressing.PairInteraction(
         defect=Frequency.from_hz(defect_mhz * 1e6),
         angular_factor=d_kl,
@@ -210,19 +216,10 @@ def _dressing_params(
 
 
 def _dressing_cells(separation_um: np.ndarray, rabi_mhz: np.ndarray, fixed: dict) -> np.ndarray:
-    """One normalized_potential call per Rabi row: DressingParams holds scalars."""
-    rabi_rows = rabi_mhz.ravel().tolist()
-    params = _dressing_params(
-        rabi_rows[0], fixed["detuning_mhz"], fixed["defect_mhz"], fixed["rc_um"],
-        d_kl=fixed["d_kl"], tau_us=fixed["tau_us"], spacing_um=fixed["spacing_um"],
-    )  # the pair is built once; each row replaces the Rabi frequency
-    r = separation_um * 1e-6
-    return np.concatenate([
-        dressing.normalized_potential(
-            r, replace(params, rabi=Frequency.from_hz(rabi * 1e6)), fixed["kind"]
-        )
-        for rabi in rabi_rows
-    ])
+    params = _dressing_params(rabi_mhz, fixed["detuning_mhz"], fixed["defect_mhz"], fixed["rc_um"])
+    cells = dressing.normalized_potential(separation_um * 1e-6, params, fixed["kind"])
+    # single_term does not depend on the Rabi frequency: its one row fills the grid
+    return np.broadcast_to(cells, (rabi_mhz.size, separation_um.size))
 
 
 def _lifetime_cells(n: np.ndarray, temperature_k: np.ndarray, fixed: dict) -> np.ndarray:
@@ -239,8 +236,7 @@ SCAN_QUANTITIES: dict[str, _ScanQuantity] = {
     ),
     "dressing-potential": _ScanQuantity(
         "separation", "um", "rabi", "MHz", _dressing_cells,
-        {"detuning_mhz": 10.0, "defect_mhz": 20.0, "rc_um": 1.5, "kind": "full",
-         "d_kl": 12.0, "tau_us": 320.0, "spacing_um": 1.0},
+        {"detuning_mhz": 10.0, "defect_mhz": 20.0, "rc_um": 1.5, "kind": "full"},
     ),
     "lifetime": _ScanQuantity(
         "n", "", "temperature", "K", _lifetime_cells, {"tau0_ns": 3.3}

@@ -239,6 +239,19 @@ def test_float_range_maps_arithmetic_errors_and_silences_numpy():
             {}["k"]
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: in_range("n", 10**400),
+        lambda: in_range("n", 10**5000),  # too long for repr: the message must not print it
+        lambda: budget.simulate_loss(10**400, 1.0, 1.0, 1000, 1),
+    ],
+)
+def test_int_beyond_the_float_range_raises_domain_error(call):
+    with pytest.raises(DomainError, match=r"^n(_code)? is out of float range$"):
+        call()
+
+
 def test_in_range_rejects_what_float_cannot_parse():
     assert in_range("x", "1.5") == 1.5
     for bad in ("abc", None, [1.0], ""):

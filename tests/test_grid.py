@@ -116,6 +116,26 @@ class TestMalformedInputRaisesDomainError:
         with pytest.raises(DomainError, match="demo cells at y = 4.0 must be numbers"):
             ScanGrid("demo", x_axis, y_axis, ((1.0, 2.0), (0.5, "a")))
 
+    @pytest.mark.parametrize("values", ["12", b"12"], ids=["str", "bytes"])
+    def test_axis_values_that_are_text(self, values):
+        with pytest.raises(DomainError, match="axis 'x' values must be numbers, not a"):
+            Axis("x", "", values)
+
+    @pytest.mark.parametrize("row", ["12", b"12"], ids=["str", "bytes"])
+    def test_grid_row_that_is_text(self, row):
+        x_axis, y_axis = Axis("x", "", (1.0, 2.0)), Axis("y", "", (3.0, 4.0))
+        with pytest.raises(DomainError, match="demo cells at y = 4.0 must be numbers, not a"):
+            ScanGrid("demo", x_axis, y_axis, ((1.0, 2.0), row))
+
+    @pytest.mark.parametrize("exponent", [400, 5000])  # 10**5000 is too long to print
+    def test_int_beyond_the_float_range(self, exponent):
+        big = 10**exponent
+        with pytest.raises(DomainError, match="^axis 'x' values are out of float range$"):
+            Axis("x", "", (1.0, big))
+        x_axis, y_axis = Axis("x", "", (1.0, 2.0)), Axis("y", "", (3.0, 4.0))
+        with pytest.raises(DomainError, match="^demo cells at y = 3.0 are out of float range$"):
+            ScanGrid("demo", x_axis, y_axis, ((1.0, big), (0.5, 0.25)))
+
     def test_axis_takes_an_ndarray_of_values(self):
         assert Axis("x", "", np.array([1.0, 2.0])) == Axis("x", "", (1.0, 2.0))
 
@@ -204,6 +224,12 @@ class TestScan:
             scan("tau-vac", x, y, {"t_qec_ms": "abc"})
         with pytest.raises(DomainError, match="k_per_m"):
             scan("doppler-infidelity", t, tr, {"k_per_m": "abc"})
+
+    @pytest.mark.parametrize("key", ["d_kl", "tau_us", "spacing_um"])
+    def test_dressing_keys_that_reach_no_formula_are_rejected(self, key):
+        with pytest.raises(DomainError, match=f"unknown fixed parameter '{key}'"):
+            scan("dressing-potential", Axis("separation", "um", (1.0,)),
+                 Axis("rabi", "MHz", (1.0,)), {key: 1.0})
 
     def test_dressing_grid_builds_one_pair(self, monkeypatch):
         built = []
@@ -301,7 +327,7 @@ class TestScanEqualsScalarCalls:
         scan("lifetime", Axis("n", "", (50.0, 60.0, 70.0)), y)
         scan("dressing-potential", x, y)
         assert calls == ["required_vacuum_lifetime", "doppler_infidelity", "rydberg_lifetime",
-                         "normalized_potential", "normalized_potential"]
+                         "normalized_potential"]
 
 
 # Small grids of the quantities at their default fixed values, and the two other
