@@ -11,8 +11,10 @@ fails.
 import dataclasses
 import functools
 import inspect
+import json
 import math
 import typing
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -314,3 +316,26 @@ def test_a_nan_frequency_argument_is_named_in_the_error(name, arg):
     with pytest.raises(DomainError, match="must be finite") as raised:
         fn(**{**baseline, arg: NAN})
     assert not str(raised.value).startswith("frequency "), str(raised.value)
+
+
+GOLDEN_API = Path(__file__).parent / "golden" / "public_api.json"
+
+
+def _public_api() -> dict[str, str]:
+    """Each public name of rydkit: its call signature, or the type name where it has none.
+
+    Submodules are left out: which of them are attributes depends on what was imported.
+    """
+    api = {}
+    for name, obj in vars(rydkit).items():
+        if name.startswith("_") or inspect.ismodule(obj):
+            continue
+        try:
+            api[name] = str(inspect.signature(obj))
+        except (TypeError, ValueError):  # not callable, or a builtin-derived class
+            api[name] = type(obj).__name__
+    return dict(sorted(api.items()))
+
+
+def test_public_api_matches_golden_file():
+    assert _public_api() == json.loads(GOLDEN_API.read_text())

@@ -26,6 +26,7 @@ from rydkit import (
     vdw_shift,
 )
 from rydkit.dressing import (
+    _closed_form_fom,
     dressed_ground_overlap,
     f_prime,
     f_prime_defect,
@@ -358,6 +359,27 @@ class TestFiguresOfMerit:
         assert records[0].f == pytest.approx(2158.315, rel=1e-6)
         assert records[1].f == pytest.approx(11433.24, rel=1e-6)
         assert records[2].f == pytest.approx(51409.46, rel=1e-6)
+
+    def test_closed_form_matches_the_written_out_forms(self):
+        # F_d spelled out once per dimension; the closed form must equal each bit for bit.
+        # Arguments: Omega^2, |delta|, |Delta|, |Delta + delta|, tau, R_c/a.
+        reference = {
+            1: lambda w2, dq, dt, s, tau, x: (
+                w2 * dq ** (1 / 3) / (2.0 ** (1 / 3) * 8.0 * math.pi)
+                / (dt ** (7 / 6) * s ** (1 / 6)) * tau * x
+            ),
+            2: lambda w2, dq, dt, s, tau, x: (
+                w2 * dq ** (2 / 3) / (2.0 ** (2 / 3) * 32.0)
+                / (dt ** (4 / 3) * s ** (1 / 3)) * tau * x**2
+            ),
+            3: lambda w2, dq, dt, s, tau, x: (
+                w2 * dq / 96.0 / (dt ** (3 / 2) * s ** (1 / 2)) * tau * x**3
+            ),
+        }
+        rng = np.random.default_rng(61)
+        for dim, expected in reference.items():
+            for rabi, *rest in _log_uniform(rng, 1e-5, 1e12, (2000, 6)).tolist():
+                assert _closed_form_fom(dim, rabi, *rest) == expected(rabi * rabi, *rest)
 
     def test_closed_form_vs_composed_route(self):
         for record in figures_of_merit(worked_params()):
