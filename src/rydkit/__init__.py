@@ -71,6 +71,6 @@ from .species import (
     get_species,
     load_species_config,
 )
-from .units import Frequency, angular
+from .units import Frequency
 
 __version__ = "0.1.0"

@@ -425,6 +425,9 @@ def _avalanche_fom(result: str, rabi, name: str, frequency, lifetime) -> float:
     return in_range(result, w * w * lifetime / (4.0 * math.pi * abs(x)))
 
 
+_FOM_C = {1: 8.0 * math.pi, 2: 32.0, 3: 48.0}  # c_d of the closed-form F_d
+
+
 def _closed_form_fom(
     dimension: int,
     rabi: float,
@@ -434,26 +437,16 @@ def _closed_form_fom(
     lifetime: float,
     rc_over_d: float,
 ) -> float:
-    w2 = rabi * rabi
-    if dimension == 1:
-        return (
-            w2 * defect_abs ** (1 / 3) / (2.0 ** (1 / 3) * 8.0 * math.pi)
-            / (detuning_abs ** (7 / 6) * sum_abs ** (1 / 6))
-            * lifetime * rc_over_d
-        )
-    if dimension == 2:
-        return (
-            w2 * defect_abs ** (2 / 3) / (2.0 ** (2 / 3) * 32.0)
-            / (detuning_abs ** (4 / 3) * sum_abs ** (1 / 3))
-            * lifetime * rc_over_d**2
-        )
-    if dimension == 3:
-        return (
-            w2 * defect_abs / 96.0
-            / (detuning_abs ** (3 / 2) * sum_abs ** (1 / 2))
-            * lifetime * rc_over_d**3
-        )
-    raise DomainError(f"dimension must be 1, 2, or 3, got {dimension}")
+    """F_d of a lattice of dimension d = 1, 2 or 3 and spacing a:
+
+    Omega^2 |delta|^(d/3) tau (R_c/a)^d / (2^(d/3) c_d |Delta|^(1+d/6) |Delta+delta|^(d/6)).
+    """
+    d = dimension
+    return (
+        rabi * rabi * defect_abs ** (d / 3) / (2.0 ** (d / 3) * _FOM_C[d])
+        / (detuning_abs ** ((6 + d) / 6) * sum_abs ** (d / 6))
+        * lifetime * rc_over_d**d
+    )
 
 
 def blockade_atom_count(dimension: int, r_b: float, spacing: float) -> float:

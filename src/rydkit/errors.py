@@ -29,20 +29,21 @@ def in_range(
     (0, inf), the positive reals; ``lo=-math.inf`` admits every finite value.
     Raises DomainError naming ``name`` when the value is NaN, infinite or
     outside the interval, or not a number ``float()`` can parse. An ndarray of
-    one or more dimensions is checked element by element and returned as a
-    float64 array of the same shape.
+    one or more dimensions, of bool, int or float dtype, is checked element by
+    element and returned as a float64 array of the same shape.
     """
     if type(value) is float:
         if lo < value < hi:
             return value
-    elif type(value := getattr(value, "rad_per_s", value)) is np.ndarray and value.ndim:
-        return _in_range_array(name, value, lo, hi, bounds)
-    try:
-        v = float(value)
-    except (TypeError, ValueError):
-        raise DomainError(f"{name} must be a number, got {value!r}") from None
+    array = type(value := getattr(value, "rad_per_s", value)) is np.ndarray and value.ndim
+    try:  # an array of complex, str or object elements fails the same_kind cast
+        v = value.astype(float, casting="same_kind", copy=False) if array else float(value)
+    except (TypeError, ValueError) as exc:  # a message that cannot fail to format
+        raise DomainError(f"{name} must be a number: {exc}") from None
     except OverflowError:  # an int beyond the float range, too long to print in full
         raise DomainError(f"{name} is out of float range") from None
+    if array:
+        return _in_range_array(name, v, lo, hi, bounds)
     if lo < v < hi:
         return v
     if math.isfinite(v) and (
@@ -52,8 +53,7 @@ def in_range(
     raise DomainError(_outside(name, lo, hi, bounds, repr(value)))
 
 
-def _in_range_array(name: str, value: np.ndarray, lo: float, hi: float, bounds: str):
-    a = np.asarray(value, dtype=float)
+def _in_range_array(name: str, a: np.ndarray, lo: float, hi: float, bounds: str):
     ok = (
         np.isfinite(a)
         & (a >= lo if bounds[0] == "[" else a > lo)

@@ -23,6 +23,9 @@ from .species import CESIUM
 from .units import TWO_PI, Frequency
 
 _EXACT = 1e-12  # relative tolerance standing in for "exact arithmetic"
+# Seeds the Monte Carlo and the random oracle points; another seed fails the 3-sigma
+# Monte Carlo checkpoint about once in 400 runs.
+_SEED = 20250810
 
 
 @dataclass(frozen=True)
@@ -157,9 +160,7 @@ def _worked_example() -> dressing.DressingParams:
     )
 
 
-def reproduce(
-    tau0_s: float = 3.3e-9, seed: int = 20250810, trials: int = 100000
-) -> ReproductionReport:
+def reproduce(tau0_s: float = 3.3e-9, trials: int = 100000) -> ReproductionReport:
     """Recompute all reference checkpoints and return the comparison report."""
     entries: list[ReproEntry] = []
     add = entries.append
@@ -178,7 +179,7 @@ def reproduce(
     add(_band("crosstalk absorption/detection ratio", xt.ratio, 0.04, 0.040, 0.050))
 
     exact_p = -math.expm1(-20 * 2e-3 / 400.0)  # 1 - (per-atom survival)^20
-    mc = budget.simulate_loss(20, 400.0, 2e-3, trials, seed)
+    mc = budget.simulate_loss(20, 400.0, 2e-3, trials, _SEED)
     sigma_dev = abs(mc.estimate - exact_p) / mc.standard_error if mc.standard_error else 0.0
     add(_entry("Monte Carlo loss vs exact survival model [std errors]",
                sigma_dev, 0.0, 0.0, 3.0))
@@ -206,7 +207,7 @@ def reproduce(
     add(_entry("dressing floor n-independence [rel spread]",
                _floor_variation(gate_error.dressing_gate_error, tau0_s), 0.0, 0.0, 1e-10))
 
-    deviations = _minimizer_checks(np.random.default_rng(seed + 1))
+    deviations = _minimizer_checks(np.random.default_rng(_SEED + 1))
     for gate, dev in zip(("blockade", "dressing"), deviations):
         add(_entry(f"{gate} optimum vs numeric minimizer, 100 points [rel dev]",
                    dev, 0.0, 0.0, 1e-6))
@@ -256,7 +257,7 @@ def reproduce(
                dressing.crossover_radius(dressing.implied_c3(r_c, defect), defect) / r_c,
                1.0, -1e-9, 1e-9))
 
-    rng2 = np.random.default_rng(seed + 2)
+    rng2 = np.random.default_rng(_SEED + 2)
     add(_entry("dressed energy: closed form vs eigensolver, 1e4 points [rel dev]",
                _closed_vs_eigensolver(rng2), 0.0, 0.0, 1e-9))
     w, d0 = TWO_PI * 20e6, TWO_PI * 100e6

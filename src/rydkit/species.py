@@ -7,12 +7,11 @@ species load from a JSON config file, see :func:`load_species_config`.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
 
 from .constants import ATOMIC_MASS_UNIT
 from .errors import DomainError, in_range
-from .units import TWO_PI, Frequency
+from .units import TWO_PI
 
 
 @dataclass(frozen=True)
@@ -40,14 +39,12 @@ class ExcitationScheme:
 
 @dataclass(frozen=True)
 class Species:
-    """Per-species constants used by the lifetime, Doppler, and Stark models."""
+    """Per-species constants used by the lifetime and Doppler models."""
 
     name: str
     mass: float          # kg
     tau0: float          # s, low-l Rydberg lifetime coefficient (tau ~ tau0 n^3)
-    qubit_freq: Frequency
     schemes: tuple[ExcitationScheme, ...] = ()
-    polarizabilities: tuple[tuple[str, float, float], ...] = ()  # (state, alpha0, alpha2) in GHz/(V/cm)^2
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "mass", in_range(f"mass of {self.name}", self.mass))
@@ -70,20 +67,17 @@ CESIUM = Species(
     name="Cs",
     mass=132.905451961 * ATOMIC_MASS_UNIT,
     tau0=3.3e-9,
-    qubit_freq=Frequency.from_hz(9.192631770e9),
     schemes=(
         ExcitationScheme("one-photon", ((319e-9, 1),)),
         # nominal counterpropagating two-photon route via the first resonance line
         ExcitationScheme("two-photon-counterprop", ((894.6e-9, 1), (494.4e-9, -1))),
     ),
-    polarizabilities=(("100p3/2", 205.0, -17.8),),
 )
 
 RUBIDIUM = Species(
     name="Rb",
     mass=86.909180531 * ATOMIC_MASS_UNIT,
     tau0=2.80e-9,
-    qubit_freq=Frequency.from_hz(6.834682611e9),
     schemes=(
         ExcitationScheme("two-photon-counterprop", ((780e-9, 1), (480e-9, -1))),
     ),
@@ -95,10 +89,9 @@ BUILTIN_SPECIES = {"cs": CESIUM, "rb": RUBIDIUM}
 def species_from_dict(data: dict) -> Species:
     """Build a Species from config keys.
 
-    Required keys: ``name``, ``mass_kg``, ``tau0_ns``, ``qubit_freq_ghz``.
-    Optional: ``schemes`` (list of ``{label, wavelengths_nm, signs}``) and
-    ``polarizabilities`` (list of ``[state, alpha0, alpha2]`` in GHz/(V/cm)^2).
-    A missing key or a value that is not a valid number raises DomainError
+    Required keys: ``name``, ``mass_kg``, ``tau0_ns``. Optional: ``schemes``
+    (list of ``{label, wavelengths_nm, signs}``). Other keys are ignored. A
+    missing key or a value that is not a valid number raises DomainError
     naming the species.
     """
     name = data.get("name") if isinstance(data, dict) else None
@@ -111,23 +104,15 @@ def species_from_dict(data: dict) -> Species:
             )
             for s in data.get("schemes", ())
         )
-        pols = tuple(
-            (state, *(in_range(f"polarizability of {state}", a, -math.inf) for a in (a0, a2)))
-            for state, a0, a2 in data.get("polarizabilities", ())
-        )
         return Species(
             name=str(data["name"]),
             mass=float(data["mass_kg"]),
             tau0=float(data["tau0_ns"]) * 1e-9,
-            qubit_freq=Frequency.from_hz(
-                in_range("qubit_freq_ghz", data["qubit_freq_ghz"]) * 1e9
-            ),
             schemes=schemes,
-            polarizabilities=pols,
         )
     except KeyError as exc:
         raise DomainError(f"species {name!r}: config missing key {exc}") from None
-    except (AttributeError, TypeError, ValueError) as exc:
+    except (AttributeError, TypeError, ValueError, OverflowError) as exc:
         raise DomainError(f"species {name!r}: {exc}") from None
 
 

@@ -34,8 +34,3 @@ class Frequency:
     def hz(self) -> float:
         """Ordinary frequency in Hz (value / 2pi)."""
         return self.rad_per_s / TWO_PI
-
-
-def angular(value: "Frequency | float") -> float:
-    """Coerce a Frequency or raw float (interpreted as rad/s) to rad/s."""
-    return in_range("frequency", value, -math.inf)

@@ -282,6 +282,12 @@ class TestExitCodes:
         (["doppler", "--temperature-uk", "5", "--time-ns", "100", "--species", "y"],
          [{"name": "Y", "mass_kg": 2.2e-25, "tau0_ns": 3.3, "qubit_freq_ghz": 9.0}],
          "Y has no excitation scheme"),
+        *((["lifetime", "--n", "100", "--temperature-k", "300", "--species", "x"],
+           {"species": [{"name": "X", "mass_kg": 2.2e-25, "tau0_ns": 3.3, **entry}]},
+           "species.json: species 'X': int too large to convert to float\n")
+          for entry in ({"mass_kg": 10**400}, {"tau0_ns": 10**400},
+                        {"schemes": [{"label": "uv", "wavelengths_nm": [10**400],
+                                      "signs": [1]}]})),
     ])
     def test_bad_species_config_is_domain_error(self, command, config, named, tmp_path,
                                                 capsys):

@@ -7,7 +7,6 @@ from rydkit import (
     RUBIDIUM,
     DomainError,
     ExcitationScheme,
-    Frequency,
     Species,
     get_species,
     load_species_config,
@@ -18,14 +17,10 @@ from rydkit.units import TWO_PI
 
 def test_builtin_cesium():
     assert CESIUM.tau0 == 3.3e-9
-    assert CESIUM.qubit_freq.hz == pytest.approx(9.1926e9, rel=1e-4)
     assert CESIUM.mass == pytest.approx(2.2069e-25, rel=1e-4)
-    assert CESIUM.polarizabilities[0][1] == 205.0
-    assert CESIUM.polarizabilities[0][2] == -17.8
 
 
 def test_builtin_rubidium():
-    assert RUBIDIUM.qubit_freq.hz == pytest.approx(6.8347e9, rel=1e-4)
     assert RUBIDIUM.mass == pytest.approx(1.4432e-25, rel=1e-4)
 
 
@@ -57,7 +52,7 @@ def test_scheme_without_label_is_the_first():
 
 
 def test_species_without_scheme_names_itself():
-    bare = Species("Bare", mass=1e-25, tau0=1e-9, qubit_freq=Frequency.from_hz(1e9))
+    bare = Species("Bare", mass=1e-25, tau0=1e-9)
     for label in (None, "one-photon"):
         with pytest.raises(DomainError, match="Bare has no excitation scheme"):
             bare.scheme(label)
@@ -65,9 +60,9 @@ def test_species_without_scheme_names_itself():
 
 def test_invalid_species_fields():
     with pytest.raises(DomainError):
-        Species("x", mass=-1.0, tau0=1e-9, qubit_freq=Frequency.from_hz(1e9))
+        Species("x", mass=-1.0, tau0=1e-9)
     with pytest.raises(DomainError):
-        Species("x", mass=1e-25, tau0=0.0, qubit_freq=Frequency.from_hz(1e9))
+        Species("x", mass=1e-25, tau0=0.0)
     with pytest.raises(DomainError):
         ExcitationScheme("x", ((319e-9, 2),))
 
@@ -75,9 +70,9 @@ def test_invalid_species_fields():
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), "abc"])
 def test_non_finite_or_non_numeric_fields_name_the_field(bad):
     with pytest.raises(DomainError, match="mass of x"):
-        Species("x", mass=bad, tau0=1e-9, qubit_freq=Frequency.from_hz(1e9))
+        Species("x", mass=bad, tau0=1e-9)
     with pytest.raises(DomainError, match="tau0 of x"):
-        Species("x", mass=1e-25, tau0=bad, qubit_freq=Frequency.from_hz(1e9))
+        Species("x", mass=1e-25, tau0=bad)
     with pytest.raises(DomainError, match="wavelength"):
         ExcitationScheme("x", ((bad, 1),))
 
@@ -103,9 +98,7 @@ def test_config_round_trip(tmp_path):
     loaded = load_species_config(str(path))
     sp = loaded["cs2"]
     assert sp.tau0 == pytest.approx(3.3e-9, rel=1e-12)
-    assert sp.qubit_freq.hz == pytest.approx(9.1926e9, rel=1e-12)
     assert sp.scheme("uv").effective_k == pytest.approx(TWO_PI / 319e-9, rel=1e-12)
-    assert sp.polarizabilities == (("100p3/2", 205.0, -17.8),)
     # config entries shadow built-ins only by name
     assert get_species("cs", loaded) is CESIUM
     assert get_species("cs2", loaded) is sp
@@ -130,14 +123,9 @@ CONFIG_ENTRY = {
 @pytest.mark.parametrize("field, value", [
     ("mass_kg", "abc"),
     ("tau0_ns", None),
-    ("qubit_freq_ghz", [1.0]),
     ("schemes", [{"label": "uv", "wavelengths_nm": ["abc"], "signs": [1]}]),
     ("schemes", 5),
     ("schemes", [{"label": "uv", "wavelengths_nm": [894.6, 494.4], "signs": [1]}]),
-    ("qubit_freq_ghz", -1),
-    ("qubit_freq_ghz", 0.0),
-    ("polarizabilities", [["s", "nan", "inf"]]),
-    ("polarizabilities", [["s", 205.0]]),
 ])
 def test_config_bad_value_names_the_species(field, value):
     with pytest.raises(DomainError, match="species 'Xe'"):

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from rydkit import DomainError, Frequency, angular
+from rydkit import DomainError, Frequency
 from rydkit.units import TWO_PI
 
 
@@ -28,10 +28,3 @@ def test_nonfinite_rejected(bad):
         Frequency(bad)
     with pytest.raises(DomainError):
         Frequency.from_hz(bad)
-
-
-def test_angular_coercion():
-    assert angular(Frequency(2.5)) == 2.5
-    assert angular(2.5) == 2.5
-    with pytest.raises(DomainError):
-        angular(float("nan"))
