@@ -37,6 +37,8 @@ def in_range(
             return value
     array = type(value := getattr(value, "rad_per_s", value)) is np.ndarray and value.ndim
     try:  # an array of complex, str or object elements fails the same_kind cast
+        if isinstance(value, np.complexfloating):  # whose float() drops the imaginary part
+            raise TypeError(f"{type(value).__name__} is not a real number")
         v = value.astype(float, casting="same_kind", copy=False) if array else float(value)
     except (TypeError, ValueError) as exc:  # a message that cannot fail to format
         raise DomainError(f"{name} must be a number: {exc}") from None

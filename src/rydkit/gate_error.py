@@ -12,13 +12,28 @@ import math
 import warnings
 from dataclasses import dataclass
 
-from scipy.optimize import brentq
-
 from .constants import ATOMIC_TIME, K_B
 from .errors import DomainError, ModelValidityWarning, _float_range, _per_element, in_range
 from .units import TWO_PI, Frequency
 
 _SEVEN_PI = 7.0 * math.pi
+
+
+def _gate_error(name: str, value: float) -> float:
+    """``in_range(name, value)``, flagged by a ModelValidityWarning when above 1.
+
+    An error above 1 means the formula has left the regime where it models a
+    gate; the value is still returned. The warning points at the line that
+    called the public function.
+    """
+    error = in_range(name, value)
+    if error > 1.0:
+        warnings.warn(
+            f"{name} = {error:.6g} > 1: outside the regime of the error model",
+            ModelValidityWarning,
+            stacklevel=3,
+        )
+    return error
 
 
 @dataclass(frozen=True)
@@ -50,7 +65,8 @@ def blockade_gate_error(blockade: Frequency | float, lifetime: float) -> float:
 
     Balances spontaneous emission 7 pi/(4 Omega tau) against blockade leakage
     Omega^2/(8 B^2) at the optimal Rabi frequency. Valid for B tau >> 1; a
-    warning is issued below B tau = 10.
+    warning is issued below B tau = 10. The value may exceed 1 outside the
+    model's regime, flagged by a warning.
     """
     b = in_range("blockade shift", blockade)
     lifetime = in_range("lifetime", lifetime)
@@ -65,11 +81,14 @@ def blockade_gate_error(blockade: Frequency | float, lifetime: float) -> float:
 
 
 def entanglement_error_bound(blockade: Frequency | float, lifetime: float) -> float:
-    """Fundamental lower bound 2/(B tau) for one unit of entanglement."""
+    """Fundamental lower bound 2/(B tau) for one unit of entanglement.
+
+    The value may exceed 1 outside the model's regime, flagged by a warning.
+    """
     b = in_range("blockade shift", blockade)
     lifetime = in_range("lifetime", lifetime)
     bt = in_range("B tau", b * lifetime)
-    return in_range("entanglement error bound", 2.0 / bt)
+    return _gate_error("entanglement error bound", 2.0 / bt)
 
 
 def rydberg_level_half_spacing(n: float) -> Frequency:
@@ -92,12 +111,15 @@ def asymptotic_blockade_floor(tau0: float) -> float:
 def interaction_gate_error(
     v_dd: Frequency | float, lifetime: float, qubit_freq: Frequency | float
 ) -> float:
-    """Error pi/(V tau) + 5 V/(sqrt(3) omega_q) of the weak-interaction phase gate."""
+    """Error pi/(V tau) + 5 V/(sqrt(3) omega_q) of the weak-interaction phase gate.
+
+    The value may exceed 1 outside the model's regime, flagged by a warning.
+    """
     v = in_range("interaction strength", v_dd)
     lifetime = in_range("lifetime", lifetime)
     wq = in_range("qubit frequency", qubit_freq)
     vt = in_range("V tau", v * lifetime)
-    return in_range("interaction gate error", math.pi / vt + 5.0 * v / (math.sqrt(3.0) * wq))
+    return _gate_error("interaction gate error", math.pi / vt + 5.0 * v / (math.sqrt(3.0) * wq))
 
 
 def optimal_interaction_strength(lifetime: float, qubit_freq: Frequency | float) -> Frequency:
@@ -108,23 +130,27 @@ def optimal_interaction_strength(lifetime: float, qubit_freq: Frequency | float)
 
 
 def minimal_interaction_gate_error(lifetime: float, qubit_freq: Frequency | float) -> float:
-    """Interaction gate error 2 sqrt(5 pi/(sqrt(3) omega_q tau)) at the optimal strength."""
+    """Interaction gate error 2 sqrt(5 pi/(sqrt(3) omega_q tau)) at the optimal strength.
+
+    The value may exceed 1 outside the model's regime, flagged by a warning.
+    """
     lifetime = in_range("lifetime", lifetime)
     wq = in_range("qubit frequency", qubit_freq)
     wt = in_range("sqrt(3) omega_q tau", math.sqrt(3.0) * wq * lifetime)
-    return in_range("interaction gate error", 2.0 * math.sqrt(5.0 * math.pi / wt))
+    return _gate_error("interaction gate error", 2.0 * math.sqrt(5.0 * math.pi / wt))
 
 
 def dressing_gate_error(detuning: Frequency | float, lifetime: float) -> float:
     """Optimized dressing-gate error 2^(5/2) sqrt(pi) / sqrt(Delta tau).
 
     Minimum over Omega of spontaneous emission 8 pi Delta/(Omega^2 tau) plus
-    blockade leakage Omega^2/Delta^2 in the weak-dressing limit.
+    blockade leakage Omega^2/Delta^2 in the weak-dressing limit. The value may
+    exceed 1 outside the model's regime, flagged by a warning.
     """
     d = in_range("dressing detuning", detuning)
     lifetime = in_range("lifetime", lifetime)
     dt = in_range("Delta tau", d * lifetime)
-    return 2.0**2.5 * math.sqrt(math.pi) / math.sqrt(dt)
+    return _gate_error("dressing gate error", 2.0**2.5 * math.sqrt(math.pi) / math.sqrt(dt))
 
 
 def asymptotic_dressing_floor(tau0: float) -> float:
@@ -183,8 +209,10 @@ def detuning_budget(rabi: Frequency | float, epsilon: float) -> Frequency:
 
     Inverts ``excitation_error`` for its first positive root by bracketed
     root-finding (Brent, 1e-12 relative). To leading order the result is
-    Omega sqrt(epsilon).
+    Omega sqrt(epsilon). scipy is imported here, on first use, not with rydkit.
     """
+    from scipy.optimize import brentq
+
     w = in_range("Rabi frequency", rabi)
     epsilon = in_range("epsilon", epsilon, 0.0, 1.0)
 

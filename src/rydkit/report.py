@@ -11,13 +11,14 @@ from __future__ import annotations
 
 import json
 import math
+import warnings
 from dataclasses import asdict, dataclass
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 from . import budget, core, dressing, gate_error
 from .constants import MU_B
+from .errors import ModelValidityWarning
 from .grid import Axis, scan
 from .species import CESIUM
 from .units import TWO_PI, Frequency
@@ -87,7 +88,12 @@ def _band(label: str, computed: float, reference: float, lo: float, hi: float) -
 
 
 def _minimize_log(cost, center: float) -> float:
-    """Numeric 1-D minimum of cost(x) for x near `center`, via log-space search."""
+    """Numeric 1-D minimum of cost(x) for x near `center`, via log-space search.
+
+    scipy is imported here, on first use, not with rydkit.
+    """
+    from scipy.optimize import minimize_scalar
+
     res = minimize_scalar(
         lambda u: cost(math.exp(u)),
         bounds=(math.log(center) - 8.0, math.log(center) + 8.0),
@@ -110,15 +116,19 @@ def _minimizer_checks(rng: np.random.Generator, points: int = 100) -> list[float
          gate_error.dressing_gate_error),
     )
     worst = []
-    for cost, center, w_opt, error_min in cases:
-        dev = 0.0
-        for _ in range(points):
-            x = TWO_PI * 10 ** rng.uniform(6, 9)
-            tau = 10 ** rng.uniform(-6, -3)
-            w_num = _minimize_log(lambda w: cost(w, x, tau), center(x, tau))
-            dev = max(dev, abs(w_num / w_opt(x, tau) - 1),
-                      abs(cost(w_num, x, tau) / error_min(x, tau) - 1))
-        worst.append(dev)
+    # Some draws have Delta tau < 32 pi, where the dressing error exceeds 1 and warns;
+    # the closed form is still the cost's minimum there, which is what is checked.
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", ModelValidityWarning)
+        for cost, center, w_opt, error_min in cases:
+            dev = 0.0
+            for _ in range(points):
+                x = TWO_PI * 10 ** rng.uniform(6, 9)
+                tau = 10 ** rng.uniform(-6, -3)
+                w_num = _minimize_log(lambda w: cost(w, x, tau), center(x, tau))
+                dev = max(dev, abs(w_num / w_opt(x, tau) - 1),
+                          abs(cost(w_num, x, tau) / error_min(x, tau) - 1))
+            worst.append(dev)
     return worst
 
 

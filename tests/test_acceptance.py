@@ -76,6 +76,8 @@ def test_criterion_03_gate_error_floors():
     _announce(3, "asymptotic gate-error floors, n-independent")
 
 
+# The draws include Delta tau < 32 pi, where the dressing error exceeds 1 and is flagged.
+@pytest.mark.filterwarnings("ignore::rydkit.errors.ModelValidityWarning")
 def test_criterion_04_minimizer_oracle_equivalence():
     rng = np.random.default_rng(2025)
     for _ in range(100):

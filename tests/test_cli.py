@@ -1,5 +1,8 @@
 import json
+import os
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -361,3 +364,28 @@ class TestContract:
         result = runner.invoke(cli, example["argv"], catch_exceptions=False)
         assert result.exit_code == 0
         assert result.output == example["stdout"]
+
+
+# Run in a fresh interpreter: in this process earlier tests have already imported scipy.
+_LAZY_SCIPY = """
+import contextlib, io, sys
+import rydkit, rydkit.cli
+
+def run(argv):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert rydkit.cli.main(argv) == 0, argv
+
+run(["budget", "loss", "--n-code", "20", "--t-ms", "2", "--tau-vac-s", "400"])
+loaded = [name for name in sys.modules if name == "scipy" or name.startswith("scipy.")]
+assert not loaded, f"closed-form command loaded {sorted(loaded)[:5]}"
+run(["gate-error", "stark", "--rabi-mhz", "20", "--epsilon", "1e-5",
+     "--alpha0-ghz-cm2-v2", "205"])
+assert "scipy.optimize" in sys.modules, "gate-error stark ran without scipy.optimize"
+"""
+
+
+def test_scipy_is_imported_by_its_solvers_only():
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).parents[1] / "src")}
+    proc = subprocess.run([sys.executable, "-c", _LAZY_SCIPY], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr

@@ -262,7 +262,7 @@ def test_in_range_rejects_what_float_cannot_parse():
 
 
 # The repr of 10**5000 raises ValueError; a float cast of these arrays overflows,
-# fails to parse, or drops the imaginary part.
+# fails to parse, or drops the imaginary part, as float() of a numpy complex scalar does.
 @pytest.mark.parametrize(
     "value",
     [
@@ -270,8 +270,14 @@ def test_in_range_rejects_what_float_cannot_parse():
         np.array([10**400, 1], dtype=object),
         np.array(["abc", "1"]),
         np.array([1 + 2j, 1]),
+        np.complex128(1 + 2j),
+        np.complex64(1 + 2j),
+        np.complex128(1),
     ],
-    ids=["huge-int-in-list", "huge-int-array", "str-array", "complex-array"],
+    ids=[
+        "huge-int-in-list", "huge-int-array", "str-array", "complex-array",
+        "complex128", "complex64", "complex128-real-valued",
+    ],
 )
 def test_in_range_rejects_what_is_not_a_real_number(value):
     with pytest.raises(DomainError, match="^n must be a number"):

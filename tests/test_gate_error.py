@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -177,6 +178,35 @@ class TestDressingGate:
         w_num = minimize_log(cost, (det**3 / tau) ** 0.25)
         assert w_num == pytest.approx((8 * math.pi * det**3 / tau) ** 0.25, rel=1e-6)
         assert cost(w_num) == pytest.approx(dressing_gate_error(det, tau), rel=1e-6)
+
+
+# Each value is the closed form written out; above 1 it is flagged, not changed.
+@pytest.mark.parametrize(
+    "call, value",
+    [
+        (lambda: entanglement_error_bound(1e3, 1e-6), 2.0 / (1e3 * 1e-6)),
+        (lambda: interaction_gate_error(1e3, 1e-6, 1e9),
+         math.pi / (1e3 * 1e-6) + 5.0 * 1e3 / (math.sqrt(3.0) * 1e9)),
+        (lambda: minimal_interaction_gate_error(1e-6, 1e3),
+         2.0 * math.sqrt(5.0 * math.pi / (math.sqrt(3.0) * 1e3 * 1e-6))),
+        (lambda: dressing_gate_error(1e3, 1e-6),
+         2.0**2.5 * math.sqrt(math.pi) / math.sqrt(1e3 * 1e-6)),
+    ],
+    ids=["entanglement", "interaction", "minimal-interaction", "dressing"],
+)
+def test_gate_error_above_one_is_flagged_and_kept(call, value):
+    with pytest.warns(ModelValidityWarning, match="> 1: outside the regime") as record:
+        assert call() == value > 1.0
+    assert [w.filename for w in record] == [__file__]  # the caller's line is named
+
+
+def test_gate_errors_below_one_do_not_warn():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", ModelValidityWarning)
+        entanglement_error_bound(2.0, 1.0)
+        interaction_gate_error(Frequency.from_hz(1e6), TAU_REF, Frequency.from_hz(9.19e9))
+        minimal_interaction_gate_error(TAU_REF, Frequency.from_hz(9.19e9))
+        dressing_gate_error(101.0, 1.0)
 
 
 class TestSpontaneousBudget:
