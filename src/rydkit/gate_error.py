@@ -12,6 +12,8 @@ import math
 import warnings
 from dataclasses import dataclass
 
+import numpy as np
+
 from .constants import ATOMIC_TIME, K_B
 from .errors import DomainError, ModelValidityWarning, _float_range, _per_element, in_range
 from .units import TWO_PI, Frequency
@@ -23,16 +25,13 @@ def _gate_error(name: str, value: float) -> float:
     """``in_range(name, value)``, flagged by a ModelValidityWarning when above 1.
 
     An error above 1 means the formula has left the regime where it models a
-    gate; the value is still returned. The warning points at the line that
-    called the public function.
+    gate; the value is still returned. One warning per call, quoting the largest
+    element of an array, points at the line that called the public function.
     """
     error = in_range(name, value)
-    if error > 1.0:
-        warnings.warn(
-            f"{name} = {error:.6g} > 1: outside the regime of the error model",
-            ModelValidityWarning,
-            stacklevel=3,
-        )
+    if np.any(error > 1.0):
+        warnings.warn(f"{name} = {np.max(error):.6g} > 1: outside the regime of the error model",
+                      ModelValidityWarning, stacklevel=3)
     return error
 
 
@@ -195,41 +194,38 @@ def doppler_infidelity(k: float, temperature: float, time: float, mass: float) -
 def excitation_error(rabi: Frequency | float, detuning: Frequency | float) -> float:
     """Exact population error 1 - P of a resonant-pi-pulse at detuning Delta.
 
-    P(Delta) = Omega^2/(Omega^2 + Delta^2) sin^2(pi sqrt(Omega^2 + Delta^2)/(2 Omega)).
+    P = Omega^2/G^2 sin^2(pi G/(2 Omega)), G^2 = Omega^2 + Delta^2. Computed as
+    (Delta^2 + Omega^2 sin^2 phi)/G^2 with phi = pi G/(2 Omega) - pi/2 =
+    (pi/2) (Delta/(G + Omega)) (Delta/Omega), which does not cancel as Delta/Omega -> 0.
     """
     w = in_range("Rabi frequency", rabi)
     d = in_range("detuning", detuning, -math.inf)
-    gen = math.sqrt(in_range("Omega^2 + Delta^2", w * w + d * d))
-    area = in_range("pulse area", math.pi * gen / (2.0 * w))
-    return 1.0 - (w * w / (gen * gen)) * math.sin(area) ** 2
+    g2 = in_range("Omega^2 + Delta^2", w * w + d * d)
+    phi = in_range("pulse area", math.pi / 2.0 * (d / (math.sqrt(g2) + w)) * (d / w), -math.inf)
+    return (d * d + w * w * math.sin(phi) ** 2) / g2
 
 
 def detuning_budget(rabi: Frequency | float, epsilon: float) -> Frequency:
     """Largest detuning keeping the exact pi-pulse transfer error at epsilon.
 
-    Inverts ``excitation_error`` for its first positive root by bracketed
-    root-finding (Brent, 1e-12 relative). To leading order the result is
-    Omega sqrt(epsilon). scipy is imported here, on first use, not with rydkit.
+    Inverts ``excitation_error`` for its first positive root by bisection,
+    halving the bracket until its ends are adjacent floats; the upper end,
+    where the error has reached epsilon, is returned. To leading order the
+    result is Omega sqrt(epsilon).
     """
-    from scipy.optimize import brentq
-
     w = in_range("Rabi frequency", rabi)
     epsilon = in_range("epsilon", epsilon, 0.0, 1.0)
-
-    def err(d: float) -> float:
-        return excitation_error(w, d) - epsilon
-
     # All epsilon-crossings satisfy d^2/(w^2+d^2) <= eps, bounding the bracket.
-    hi = w * math.sqrt(epsilon / (1.0 - epsilon)) * 1.001
-    try:
-        for _ in range(60):
-            if err(hi) >= 0.0:
-                break
-            hi *= 2.0
-        root = brentq(err, 0.0, hi, rtol=1e-13, xtol=1e-300, maxiter=200)
-    except (ArithmeticError, ValueError) as exc:
-        raise DomainError(f"no detuning root found: {exc}") from None
-    return Frequency(float(root))
+    lo, hi = 0.0, w * math.sqrt(epsilon / (1.0 - epsilon)) * 1.001
+    for _ in range(60):
+        if excitation_error(w, hi) >= epsilon:
+            break
+        hi *= 2.0
+    else:
+        raise DomainError("no detuning root found")
+    while lo < (mid := 0.5 * (lo + hi)) < hi:
+        lo, hi = (lo, mid) if excitation_error(w, mid) >= epsilon else (mid, hi)
+    return Frequency(hi)
 
 
 def field_budget(
@@ -277,7 +273,7 @@ def blockade_error_budget(
     spont = _SEVEN_PI / in_range("4 Omega tau", 4.0 * w * lifetime)
     leak = w * w / in_range("8 B^2", 8.0 * b * b)
     return GateErrorBudget(
-        total=in_range("total error", spont + leak),
+        total=_gate_error("total error", spont + leak),
         spontaneous=spont,
         blockade_leakage=leak,
     )

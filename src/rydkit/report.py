@@ -27,6 +27,7 @@ _EXACT = 1e-12  # relative tolerance standing in for "exact arithmetic"
 # Seeds the Monte Carlo and the random oracle points; another seed fails the 3-sigma
 # Monte Carlo checkpoint about once in 400 runs.
 _SEED = 20250810
+_INV_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0  # 1/phi, the golden-section step
 
 
 @dataclass(frozen=True)
@@ -88,19 +89,19 @@ def _band(label: str, computed: float, reference: float, lo: float, hi: float) -
 
 
 def _minimize_log(cost, center: float) -> float:
-    """Numeric 1-D minimum of cost(x) for x near `center`, via log-space search.
-
-    scipy is imported here, on first use, not with rydkit.
-    """
-    from scipy.optimize import minimize_scalar
-
-    res = minimize_scalar(
-        lambda u: cost(math.exp(u)),
-        bounds=(math.log(center) - 8.0, math.log(center) + 8.0),
-        method="bounded",
-        options={"xatol": 1e-12},
-    )
-    return math.exp(res.x)
+    """Numeric 1-D minimum of cost(x): golden-section search (Kiefer 1953) on u = ln x,
+    narrowing the bracket ln(center) +- 8 to a width of 1e-12 in u."""
+    a, b = math.log(center) - 8.0, math.log(center) + 8.0
+    c, d = b - _INV_GOLDEN * (b - a), a + _INV_GOLDEN * (b - a)
+    fc, fd = cost(math.exp(c)), cost(math.exp(d))
+    while b - a > 1e-12:
+        if fc < fd:  # the minimum lies in [a, d]
+            b, c, d, fd = d, d - _INV_GOLDEN * (d - a), c, fc
+            fc = cost(math.exp(c))
+        else:  # in [c, b]
+            a, c, d, fc = c, d, c + _INV_GOLDEN * (b - c), fd
+            fd = cost(math.exp(d))
+    return math.exp(0.5 * (a + b))
 
 
 def _minimizer_checks(rng: np.random.Generator, points: int = 100) -> list[float]:

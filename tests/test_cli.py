@@ -9,6 +9,7 @@ import pytest
 from click.testing import CliRunner
 
 from rydkit.cli import cli, main
+from rydkit.errors import ModelValidityWarning
 from rydkit.report import ReproductionReport, ReproEntry
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -80,6 +81,16 @@ class TestGateErrorCommands:
         assert out["rabi_opt_mhz"] == pytest.approx(13.9836, rel=1e-4)
         assert out["error_min"] == pytest.approx(2.9331e-4, rel=1e-4)
         assert out["entanglement_bound"] == pytest.approx(1.9894e-6, rel=1e-4)
+
+    def test_blockade_total_above_one_is_flagged(self, runner):
+        # B tau = 6e4 keeps blockade_gate_error quiet; the spontaneous part alone is 8.75
+        with pytest.warns(ModelValidityWarning, match="total error = 8.75 > 1") as record:
+            out = run_json(runner, [
+                "gate-error", "blockade", "--blockade-mhz", "100", "--tau-us", "100",
+                "--rabi-mhz", "0.001",
+            ])
+        assert len(record) == 1
+        assert out["error_at_rabi"] == out["spontaneous"] + out["blockade_leakage"]
 
     def test_floors(self, runner):
         out = run_json(runner, ["gate-error", "floors"])
@@ -366,26 +377,24 @@ class TestContract:
         assert result.output == example["stdout"]
 
 
-# Run in a fresh interpreter: in this process earlier tests have already imported scipy.
-_LAZY_SCIPY = """
+# A fresh interpreter in which any import of scipy fails.
+_NO_SCIPY = """
 import contextlib, io, sys
+sys.modules["scipy"] = None
 import rydkit, rydkit.cli
 
-def run(argv):
+for argv in (
+    ["gate-error", "stark", "--rabi-mhz", "20", "--epsilon", "1e-5",
+     "--alpha0-ghz-cm2-v2", "205"],
+    ["reproduce"],
+):
     with contextlib.redirect_stdout(io.StringIO()):
         assert rydkit.cli.main(argv) == 0, argv
-
-run(["budget", "loss", "--n-code", "20", "--t-ms", "2", "--tau-vac-s", "400"])
-loaded = [name for name in sys.modules if name == "scipy" or name.startswith("scipy.")]
-assert not loaded, f"closed-form command loaded {sorted(loaded)[:5]}"
-run(["gate-error", "stark", "--rabi-mhz", "20", "--epsilon", "1e-5",
-     "--alpha0-ghz-cm2-v2", "205"])
-assert "scipy.optimize" in sys.modules, "gate-error stark ran without scipy.optimize"
 """
 
 
-def test_scipy_is_imported_by_its_solvers_only():
+def test_runs_without_scipy():
     env = {**os.environ, "PYTHONPATH": str(Path(__file__).parents[1] / "src")}
-    proc = subprocess.run([sys.executable, "-c", _LAZY_SCIPY], env=env,
+    proc = subprocess.run([sys.executable, "-c", _NO_SCIPY], env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr

@@ -14,6 +14,7 @@ import inspect
 import json
 import math
 import typing
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -22,7 +23,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import rydkit
-from rydkit import CESIUM, DomainError, DressingParams, Frequency, PairInteraction
+from rydkit import (
+    CESIUM,
+    DomainError,
+    DressingParams,
+    Frequency,
+    ModelValidityWarning,
+    PairInteraction,
+)
 from rydkit import budget, core, dressing, gate_error
 from rydkit.dressing import _SCALING_QUANTITIES
 from rydkit.errors import _float_range, in_range
@@ -188,6 +196,7 @@ K_ONE_PHOTON = CESIUM.scheme("one-photon").effective_k
         lambda: rydkit.crossover_radius(NAN, 2e9),
         lambda: gate_error.excitation_error(1e160, 1.0),
         lambda: gate_error.excitation_error(1e-160, 1e150),
+        lambda: gate_error.excitation_error(5e-324, 0.1),  # 2 Omega (G + Omega) underflows
         lambda: gate_error.rydberg_level_half_spacing(1e103),
         lambda: dressing.f_prime(1e200, 1e-300, 1.0),
         lambda: dressing.f_prime_defect(1.0, 5e-324, 1.0),
@@ -291,6 +300,37 @@ def test_in_range_converts_int_bool_and_float_arrays():
         assert got.tolist() == np.asarray(value, dtype=float).tolist()
     floats = np.array([0.5, 2.0])
     assert in_range("n", floats) is floats
+
+
+# Each case mixes gate errors above and below 1, except the last.
+@pytest.mark.parametrize(
+    "fn, args",
+    [
+        (gate_error.entanglement_error_bound, (np.array([1e3, 1e9, 2e10]), 1e-6)),
+        (gate_error.entanglement_error_bound, (1e9, np.array([1e-9, 1e-6, 1e-3]))),
+        (gate_error.interaction_gate_error, (np.array([1e3, 1e6, 1e8]), 1e-4, 1e10)),
+        (gate_error.interaction_gate_error, (1e6, np.array([1e-9, 1e-4]), 1e10)),
+        (gate_error.interaction_gate_error, (1e6, 1e-4, np.array([1e3, 1e10]))),
+        (gate_error.entanglement_error_bound, (np.array([1e9, 1e10]), 1e-6)),
+    ],
+)
+def test_gate_error_of_an_array_is_the_scalar_calls_with_one_warning(fn, args):
+    size = max(np.size(a) for a in args)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", ModelValidityWarning)
+        expected = [
+            fn(*(a.tolist()[i] if np.ndim(a) else a for a in args)) for i in range(size)
+        ]
+    with warnings.catch_warnings(record=True) as record:
+        warnings.simplefilter("always")
+        got = fn(*args)
+    assert got.tolist() == expected
+    messages = [str(w.message) for w in record]
+    if max(expected) > 1.0:
+        assert len(messages) == 1 and record[0].category is ModelValidityWarning
+        assert f"= {max(expected):.6g} > 1" in messages[0]
+    else:
+        assert messages == []
 
 
 # One valid call of each public function that takes a Frequency | float argument.

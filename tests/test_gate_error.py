@@ -319,7 +319,24 @@ class TestDetuningBudget:
     def test_vanishes_with_epsilon(self):
         roots = [detuning_budget(self.OMEGA, eps).rad_per_s for eps in (1e-4, 1e-6, 1e-8, 1e-10)]
         assert all(a > b for a, b in zip(roots, roots[1:]))
-        assert roots[-1] < 1e-5 * self.OMEGA.rad_per_s
+        # 1 - P = x^2 - (1 - pi^2/16) x^4 + ... with x = Delta/Omega puts the root just
+        # above Omega sqrt(eps): at second order, Omega sqrt(eps) (1 + (1 - pi^2/16) eps/2).
+        eps, w = 1e-10, self.OMEGA.rad_per_s
+        assert roots[-1] == pytest.approx(
+            w * math.sqrt(eps) * (1 + (1 - math.pi**2 / 16) / 2 * eps), rel=1e-13
+        )
+
+    @pytest.mark.parametrize(
+        "eps, root",  # the first root at Omega/2pi = 20 MHz, to 50 digits, rounded
+        [(1e-5, 397384.29192241615), (1e-10, 1256.6370614599913)],
+    )
+    def test_matches_high_precision_root(self, eps, root):
+        assert self.OMEGA.rad_per_s == 125663706.14359173
+        assert detuning_budget(self.OMEGA, eps).rad_per_s == pytest.approx(root, rel=1e-15)
+
+    def test_tiny_epsilon_keeps_its_scale(self):
+        # the root stays Omega sqrt(eps) however small eps: no 1 - P cancellation floor
+        assert detuning_budget(1e8, 1e-30).rad_per_s == pytest.approx(1e-7, rel=1e-15, abs=0.0)
 
     def test_monotone_in_rabi_and_epsilon(self):
         eps_roots = [detuning_budget(self.OMEGA, e).rad_per_s for e in (1e-6, 1e-4, 1e-2, 0.3)]
@@ -335,6 +352,12 @@ class TestDetuningBudget:
             detuning_budget(self.OMEGA, 0.0)
         with pytest.raises(DomainError):
             detuning_budget(self.OMEGA, 1.0)
+
+
+def test_excitation_error_keeps_precision_at_small_detuning():
+    # 1 - P = x^2 - 0.38 x^4 with x = Delta/Omega = 1e-10, where 1.0 - P rounds to 0.0
+    w = 2e8
+    assert excitation_error(w, 1e-10 * w) == pytest.approx(1e-20, rel=1e-15, abs=0.0)
 
 
 class TestFieldBudget:
