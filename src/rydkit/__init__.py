@@ -43,7 +43,6 @@ from .dressing import (
 from .errors import BranchResidualWarning, DomainError, ModelValidityWarning
 from .gate_error import (
     GateErrorBudget,
-    StarkBudget,
     asymptotic_blockade_floor,
     asymptotic_dressing_floor,
     blockade_gate_error,
@@ -58,7 +57,6 @@ from .gate_error import (
     optimal_interaction_strength,
     optimal_rabi,
     spontaneous_budget,
-    stark_budget,
 )
 from .grid import Axis, ScanGrid, axis, scan
 from .report import ReproductionReport, reproduce

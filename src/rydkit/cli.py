@@ -222,14 +222,14 @@ def gate_error_spontaneous(t_pi_ns: float, epsilon: float) -> None:
 def gate_error_stark(rabi_mhz: float, epsilon: float, alpha0_ghz_cm2_v2: float,
                      convention: str) -> None:
     """Detuning and dc-field budgets for a pulse-error target."""
-    sb = gate_error.stark_budget(
-        Frequency.from_hz(rabi_mhz * 1e6), epsilon, alpha0_ghz_cm2_v2, convention
-    )
+    detuning_limit = gate_error.detuning_budget(Frequency.from_hz(rabi_mhz * 1e6), epsilon)
     _emit({
         "rabi_mhz": rabi_mhz, "epsilon": epsilon,
         "alpha0_ghz_cm2_v2": alpha0_ghz_cm2_v2, "convention": convention,
-        "detuning_limit_khz": sb.detuning_limit.hz / 1e3,
-        "field_limit_v_per_cm": sb.field_limit,
+        "detuning_limit_khz": detuning_limit.hz / 1e3,
+        "field_limit_v_per_cm": gate_error.field_budget(
+            detuning_limit, alpha0_ghz_cm2_v2, convention
+        ),
     })
 
 
@@ -352,13 +352,14 @@ def dressing_fom(**point) -> None:
     """Figures of merit for 1D/2D/3D lattices at a dressing point."""
     params = _dressing_params(**point)
     records = dressing.figures_of_merit(params)
+    rabi, det = params.rabi, params.detuning
     _emit({
         **point, "rc_um": params.pair.r_c * 1e6, "c3_ghz_um3": params.pair.c3,
         "blockade_radius_um": dressing.blockade_radius(
             params.detuning.rad_per_s, params.pair.defect.rad_per_s, params.pair.r_c
         ) * 1e6,
-        "depth_khz": records[0].depth.hz / 1e3,
-        "tau_dr_ms": records[0].tau_dr * 1e3,
+        "depth_khz": abs(dressing.dressing_depth_perturbative(rabi, det).hz) / 1e3,
+        "tau_dr_ms": dressing.dressed_decoherence_time(rabi, det, params.lifetime) * 1e3,
         "operations_per_atom": dressing.operations_per_atom(params),
         "f_prime": records[0].f_prime,
         "records": [
@@ -426,7 +427,7 @@ def reproduce_command(json_out: str | None, trials: int) -> int:
     for line in rep.format_lines():
         click.echo(line)
     if json_out:
-        _emit(rep.to_json(), json_out)
+        _emit(rep.to_dict(), json_out)
     return 0 if rep.passed else 3
 
 

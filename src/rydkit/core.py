@@ -37,12 +37,8 @@ def rydberg_lifetime(n: float, temperature: float, tau0: float) -> float:
     tau0 = in_range("tau0", tau0)
     with _float_range("lifetime"):
         radiative = tau0 * _per_element(pow, n, 3)
-        if type(temperature) is float and temperature == 0:
-            return in_range("lifetime", radiative)
         lifetime = 1.0 / (1.0 / radiative + blackbody_depopulation_rate(n, temperature))
-        if type(temperature) is np.ndarray:  # exactly tau0 n^3 at T = 0 here too
-            lifetime = np.where(temperature == 0, radiative, lifetime)
-    return in_range("lifetime", lifetime)
+    return in_range("lifetime", np.where(temperature == 0, radiative, lifetime))
 
 
 def free_electron_polarizability(omega: Frequency | float) -> float:

@@ -82,8 +82,6 @@ class FigureOfMerit:
     """Per-dimension coherent-operations figure of merit of a dressing setup."""
 
     dimension: int
-    depth: Frequency        # perturbative soft-core depth |Omega|^4/(8 Delta^3)
-    tau_dr: float           # s, per-atom dressing decoherence time
     n_atoms: float          # atoms inside a blockade volume (real-valued)
     n_atoms_floored: int
     f: float                # closed-form figure of merit
@@ -92,7 +90,7 @@ class FigureOfMerit:
     f_prime_per_atom: float
 
     def __post_init__(self) -> None:
-        for name in ("tau_dr", "n_atoms", "f", "f_composed", "f_prime", "f_prime_per_atom"):
+        for name in ("n_atoms", "f", "f_composed", "f_prime", "f_prime_per_atom"):
             in_range(name, getattr(self, name))
 
 
@@ -469,12 +467,14 @@ def blockade_atom_count(dimension: int, r_b: float, spacing: float) -> float:
 def figures_of_merit(params: DressingParams) -> tuple[FigureOfMerit, ...]:
     """Figures of merit for 1D, 2D, and 3D lattices at the given dressing point.
 
-    Each record carries the perturbative depth, decoherence time tau_dr, the
-    (real and floored) atom number inside a blockade volume, the figure of
-    merit computed both from its explicit closed form and composed as
-    depth x tau_dr x N / 2pi, and the avalanche-limited variant with its
-    per-atom value. Magnitudes enter the formulas; the signs only gate
-    validity (matched signs required, weak dressing |Omega| < |Delta| warned).
+    Each record carries the (real and floored) atom number inside a blockade
+    volume, the figure of merit computed both from its explicit closed form
+    and composed as N x :func:`operations_per_atom`, and the avalanche-limited
+    variant with its per-atom value. The dimension-independent depth and
+    tau_dr are :func:`dressing_depth_perturbative` and
+    :func:`dressed_decoherence_time`. Magnitudes enter the formulas; the signs
+    only gate validity (matched signs required, weak dressing |Omega| < |Delta|
+    warned).
     """
     w = params.rabi.rad_per_s
     det = params.detuning.rad_per_s
@@ -489,8 +489,6 @@ def figures_of_merit(params: DressingParams) -> tuple[FigureOfMerit, ...]:
         )
     sum_abs = abs(det + defect)
     r_b = blockade_radius(det, defect, params.pair.r_c)
-    depth = Frequency(abs(dressing_depth_perturbative(w, det).rad_per_s))
-    tau_dr = dressed_decoherence_time(w, det, params.lifetime)
     ops = operations_per_atom(params)
     fp = 2.0 * ops
     records = []
@@ -504,8 +502,6 @@ def figures_of_merit(params: DressingParams) -> tuple[FigureOfMerit, ...]:
             records.append(
                 FigureOfMerit(
                     dimension=dim,
-                    depth=depth,
-                    tau_dr=tau_dr,
                     n_atoms=n_atoms,
                     n_atoms_floored=math.floor(n_atoms),
                     f=f_closed,

@@ -36,14 +36,6 @@ def _gate_error(name: str, value: float) -> float:
 
 
 @dataclass(frozen=True)
-class StarkBudget:
-    """Detuning and dc-field limits implied by a pulse-error target."""
-
-    detuning_limit: Frequency
-    field_limit: float       # V/cm
-
-
-@dataclass(frozen=True)
 class GateErrorBudget:
     """A gate error split into its dominant contributions."""
 
@@ -246,17 +238,6 @@ def field_budget(
     shift_ghz = d / TWO_PI / 1e9
     factor = 1.0 if convention == "direct" else 2.0
     return in_range("field limit", math.sqrt(factor * shift_ghz / abs(alpha0)))
-
-
-def stark_budget(
-    rabi: Frequency | float,
-    error_target: float,
-    alpha0: float,
-    convention: str = "direct",
-) -> StarkBudget:
-    """Chain the detuning budget and field limit for a pulse-error target."""
-    detuning_limit = detuning_budget(rabi, error_target)
-    return StarkBudget(detuning_limit, field_budget(detuning_limit, alpha0, convention))
 
 
 def blockade_error_budget(

@@ -275,6 +275,22 @@ class TestExitCodes:
         out = capsys.readouterr().out
         assert "overall: PASS" in out
 
+    def test_reproduce_json_out_writes_the_golden_report(self, tmp_path, capsys):
+        target = tmp_path / "report.json"
+        assert main(["reproduce", "--json-out", str(target)]) == 0
+        assert target.read_bytes() == (GOLDEN / "reproduce.json").read_bytes()
+
+    def test_reproduce_json_out_with_a_nan_is_domain_error(self, monkeypatch, tmp_path, capsys):
+        import rydkit.cli as cli_mod
+
+        nan = float("nan")
+        failing = ReproductionReport(entries=(ReproEntry("nan", nan, 1.0, nan, 0.0, 0.0, False),))
+        monkeypatch.setattr(cli_mod.report, "reproduce", lambda trials: failing)
+        target = tmp_path / "report.json"
+        assert main(["reproduce", "--json-out", str(target)]) == 2
+        assert capsys.readouterr().err.startswith("domain error: output holds a NaN")
+        assert not target.exists()
+
     @pytest.mark.parametrize("args", [
         ["budget", "loss", "--n-code", "5", "--t-ms", "nan", "--tau-vac-s", "400"],
         ["doppler", "--temperature-uk", "nan", "--time-ns", "100"],

@@ -363,7 +363,6 @@ FREQUENCY_BASELINES = {
     "excitation_error": {"rabi": 1e6, "detuning": 1e4},
     "detuning_budget": {"rabi": 1e6, "epsilon": 1e-3},
     "field_budget": {"detuning_limit": 1e5, "alpha0": 1.0},
-    "stark_budget": {"rabi": 1e6, "error_target": 1e-3, "alpha0": 1.0},
 }
 
 

@@ -27,6 +27,7 @@ from rydkit import (
 )
 from rydkit.dressing import (
     _closed_form_fom,
+    dressed_decoherence_time,
     dressed_ground_overlap,
     f_prime,
     f_prime_defect,
@@ -337,10 +338,14 @@ class TestNormalizedPotential:
 
 class TestFiguresOfMerit:
     def test_worked_example(self):
-        records = figures_of_merit(worked_params())
+        params = worked_params()
+        records = figures_of_merit(params)
         by_dim = {r.dimension: r for r in records}
-        assert by_dim[1].depth.hz == pytest.approx(20e3, rel=0.02)
-        assert by_dim[1].tau_dr == pytest.approx(16e-3, rel=0.01)
+        depth = dressing_depth_perturbative(params.rabi, params.detuning)
+        assert abs(depth.hz) == pytest.approx(20e3, rel=0.02)
+        assert dressed_decoherence_time(
+            params.rabi, params.detuning, params.lifetime
+        ) == pytest.approx(16e-3, rel=0.01)
         assert operations_per_atom(worked_params()) == pytest.approx(320.0, rel=0.03)
         assert [by_dim[d].n_atoms_floored for d in (1, 2, 3)] == [6, 35, 160]
         assert by_dim[1].f == pytest.approx(2200, rel=0.05)
@@ -420,6 +425,10 @@ class TestFiguresOfMerit:
         )
         with pytest.raises(DomainError, match="resonance"):
             figures_of_merit(params)
+
+    def test_zero_detuning_rejected(self):
+        with pytest.raises(DomainError, match="dressing detuning must be nonzero"):
+            replace(worked_params(), detuning=Frequency(0.0))
 
     def test_strong_dressing_warns(self):
         params = DressingParams(

@@ -26,7 +26,6 @@ from rydkit import (
     optimal_interaction_strength,
     optimal_rabi,
     spontaneous_budget,
-    stark_budget,
 )
 from rydkit.gate_error import (
     blockade_error_budget,
@@ -382,14 +381,6 @@ class TestFieldBudget:
             field_budget(Frequency.from_hz(90e3), 0.0)
         with pytest.raises(DomainError):
             field_budget(Frequency.from_hz(90e3), 205.0, convention="bogus")
-
-
-def test_stark_budget_chains_detuning_and_field():
-    sb = stark_budget(Frequency.from_hz(20e6), 1e-5, 205.0)
-    assert sb.detuning_limit.hz == pytest.approx(63.25e3, rel=1e-3)
-    assert sb.field_limit == pytest.approx(
-        field_budget(sb.detuning_limit, 205.0), rel=1e-15
-    )
 
 
 def test_monotonicity_grid_blockade_error():

@@ -136,6 +136,20 @@ class TestMalformedInputRaisesDomainError:
         with pytest.raises(DomainError, match="^demo cells at y = 3.0 are out of float range$"):
             ScanGrid("demo", x_axis, y_axis, ((1.0, big), (0.5, 0.25)))
 
+    @pytest.mark.parametrize("build, message", [
+        (lambda: Axis("x", "", ()), "axis 'x' has no values"),
+        (lambda: axis("x", "", 1.0, 2.0, 3, "cubic"), "unknown spacing 'cubic'"),
+        (lambda: ScanGrid("demo", Axis("x", "", (1.0, 2.0)), Axis("y", "", (3.0, 4.0)),
+                          ((1.0, 2.0),)), "cell row count must match the y axis"),
+        (lambda: ScanGrid("demo", Axis("x", "", (1.0, 2.0)), Axis("y", "", (3.0, 4.0)),
+                          ((1.0, 2.0), (0.5,))), "cell column count must match the x axis"),
+        (lambda: ScanGrid.from_csv("# quantity: demo\n# x: x [um] explicit\n"),
+         "no data rows in CSV"),
+    ], ids=["empty-axis", "spacing", "rows", "columns", "header-only-csv"])
+    def test_shape_and_spacing_errors(self, build, message):
+        with pytest.raises(DomainError, match=f"^{message}$"):
+            build()
+
     def test_axis_takes_an_ndarray_of_values(self):
         assert Axis("x", "", np.array([1.0, 2.0])) == Axis("x", "", (1.0, 2.0))
 

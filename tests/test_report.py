@@ -45,6 +45,13 @@ def test_json_shape_and_lines():
     assert lines[-1] == "overall: PASS"
 
 
+def test_json_rejects_a_nan_value():
+    nan = float("nan")
+    report = ReproductionReport(entries=(ReproEntry("nan", nan, 1.0, nan, 0.0, 0.0, False),))
+    with pytest.raises(ValueError, match="not JSON compliant"):
+        report.to_json()
+
+
 def test_reproduce_json_matches_golden_file():
     golden = Path(__file__).parent / "golden" / "reproduce.json"
     assert rydkit.reproduce().to_json() == golden.read_text()

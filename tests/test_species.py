@@ -65,6 +65,8 @@ def test_invalid_species_fields():
         Species("x", mass=1e-25, tau0=0.0)
     with pytest.raises(DomainError):
         ExcitationScheme("x", ((319e-9, 2),))
+    with pytest.raises(DomainError, match="needs at least one wavelength"):
+        ExcitationScheme("uv", ())
 
 
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), "abc"])
