@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, NoReturn
 
 import numpy as np
 
@@ -16,13 +16,19 @@ from .units import Frequency
 _FMT = "%.17g"  # decimal text with 17 significant digits: exact for doubles
 
 
+def _real(value) -> float:
+    if isinstance(value, np.complexfloating):  # whose float() drops the imaginary part
+        raise TypeError(f"{type(value).__name__} is not a real number")
+    return float(value)
+
+
 def _numbers(values, what: str) -> tuple[float, ...]:
     """``values`` as a tuple of floats, or DomainError naming ``what`` if they are not
-    numbers; a str or bytes is one value, not a sequence of digits."""
+    real numbers; a str or bytes is one value, not a sequence of digits."""
     if isinstance(values, (str, bytes)):
         raise DomainError(f"{what} must be numbers, not a {type(values).__name__}")
     try:
-        return tuple(map(float, values))
+        return tuple(map(_real, values))
     except OverflowError:  # an int beyond the float range, too long to print in full
         raise DomainError(f"{what} are out of float range") from None
     except (TypeError, ValueError) as exc:
@@ -75,19 +81,38 @@ def axis(
     return Axis(name, unit, values, spacing)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ScanGrid:
-    """A named quantity evaluated on an x-by-y rectangle, row-major in y."""
+    """A named quantity evaluated on an x-by-y rectangle.
+
+    ``cells`` is a read-only float64 ndarray of shape ``(len(y), len(x))``: row
+    ``iy`` holds the values at ``y_axis.values[iy]``. It is built from any 2-D
+    array or nested sequence of real numbers, as a copy, so changing the
+    caller's array later does not change the grid. Grids are equal when their
+    quantity, axes and cell values are; they are not hashable.
+    """
 
     quantity: str
     x_axis: Axis
     y_axis: Axis
-    cells: tuple[tuple[float, ...], ...]
+    cells: np.ndarray
 
     def __post_init__(self) -> None:
+        shape = (len(self.y_axis.values), len(self.x_axis.values))
+        try:  # ragged rows fail np.array; complex, str and object cells the same_kind cast
+            cells = np.array(self.cells).astype(float, casting="same_kind", copy=False)
+        except (TypeError, ValueError, OverflowError) as exc:
+            self._reject(f"must be numbers: {exc}")
+        if cells.shape != shape or not np.isfinite(cells).all():
+            self._reject(f"must have shape {shape}, got {cells.shape}")
+        cells.flags.writeable = False
+        object.__setattr__(self, "cells", cells)
+
+    def _reject(self, problem: str) -> NoReturn:
+        """Raise the DomainError naming the first bad row or cell, found row by row;
+        ``problem`` describes the cells when no row is to blame."""
         if len(self.cells) != len(self.y_axis.values):
             raise DomainError("cell row count must match the y axis")
-        cells = []
         for iy, row in enumerate(self.cells):
             row = _numbers(
                 row, f"{self.quantity} cells at {self.y_axis.name} = {self.y_axis.values[iy]!r}"
@@ -101,11 +126,19 @@ class ScanGrid:
                     f"{self.x_axis.values[ix]!r}, {self.y_axis.name} = "
                     f"{self.y_axis.values[iy]!r} is {row[ix]!r}: cells must be finite"
                 )
-            cells.append(row)
-        object.__setattr__(self, "cells", tuple(cells))
+        raise DomainError(f"{self.quantity} cells {problem}")
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, ScanGrid):
+            return NotImplemented
+        return (self.quantity, self.x_axis, self.y_axis) == (
+            other.quantity, other.x_axis, other.y_axis
+        ) and np.array_equal(self.cells, other.cells)
+
+    __hash__ = None  # equal grids would need equal hashes of their cell arrays
 
     def cell(self, ix: int, iy: int) -> float:
-        return self.cells[iy][ix]
+        return float(self.cells[iy, ix])
 
     def to_csv(self) -> str:
         values = ",".join([_FMT] * len(self.x_axis.values))
@@ -115,14 +148,14 @@ class ScanGrid:
             f"# x: {self.x_axis.name} [{self.x_axis.unit}] {self.x_axis.spacing}\n",
             f"# y: {self.y_axis.name} [{self.y_axis.unit}] {self.y_axis.spacing}\n",
             f"{self.x_axis.name},{values % self.x_axis.values}\n",
-            *(row % ((yv,) + cells) for yv, cells in zip(self.y_axis.values, self.cells)),
+            *(row % (yv, *cells) for yv, cells in zip(self.y_axis.values, self.cells.tolist())),
         ])
 
     @classmethod
     def from_csv(cls, text: str) -> "ScanGrid":
         """Parse the text of :meth:`to_csv`; a malformed line raises DomainError naming it."""
         meta: dict[str, str] = {}
-        rows: list[tuple[int, list[str]]] = []
+        rows: list[tuple[int, str]] = []
         for number, line in enumerate(text.splitlines(), 1):
             if not line.strip():
                 continue
@@ -130,7 +163,7 @@ class ScanGrid:
                 key, _, value = line[1:].partition(":")
                 meta[key.strip()] = value.strip()
             else:
-                rows.append((number, line.split(",")))
+                rows.append((number, line))
         if not rows:
             raise DomainError("no data rows in CSV")
 
@@ -150,12 +183,21 @@ class ScanGrid:
                 )
             return Axis(name.strip(), unit.strip(), values, spacing.strip())
 
-        (header_number, header), data = rows[0], [numbers(*row) for row in rows[1:]]
+        (header_number, header), data = rows[0], rows[1:]
+        table = np.empty((0, 1))  # no data line, an empty y axis: loadtxt would warn
+        try:  # the data block in one call, each field rounded as float() rounds it
+            if data:
+                lines = [line for _, line in data]
+                table = np.loadtxt(lines, delimiter=",", comments=None, ndmin=2)
+            y_values, cells = table[:, 0], table[:, 1:]
+        except ValueError:  # again line by line, so a field that is not a number names its line
+            table = [numbers(number, line.split(",")) for number, line in data]
+            y_values, cells = tuple(row[0] for row in table), tuple(row[1:] for row in table)
         return cls(
             quantity=meta.get("quantity", ""),
-            x_axis=parse_axis("x", numbers(header_number, header[1:])),
-            y_axis=parse_axis("y", tuple(row[0] for row in data)),
-            cells=tuple(row[1:] for row in data),
+            x_axis=parse_axis("x", numbers(header_number, header.split(",")[1:])),
+            y_axis=parse_axis("y", y_values),
+            cells=cells,
         )
 
 
@@ -270,5 +312,5 @@ def scan(quantity: str, x_axis: Axis, y_axis: Axis, fixed: dict | None = None) -
             merged[key] = str(value) if text else in_range(key, value, -math.inf)
     x_row = np.array(x_axis.values)[None, :]
     y_column = np.array(y_axis.values)[:, None]
-    cells = entry.fn(x_row, y_column, merged).tolist()
+    cells = entry.fn(x_row, y_column, merged)
     return ScanGrid(quantity=quantity, x_axis=x_axis, y_axis=y_axis, cells=cells)

@@ -1,8 +1,12 @@
 import math
+import re
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from rydkit import Axis, DomainError, DressingParams, Frequency, PairInteraction, ScanGrid
 from rydkit import axis, get_species, scan
@@ -11,6 +15,20 @@ from rydkit import rydberg_lifetime
 from rydkit import budget, core, dressing, gate_error
 
 GOLDEN = Path(__file__).parent / "golden"
+# hypothesis draws -0.0, subnormals and +-1.7976931348623157e308 among these
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def finite_grids(draw):
+    """A ScanGrid of up to 5x5 arbitrary finite cells on arbitrary increasing axes."""
+    nx, ny = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+
+    def values(n):
+        return sorted(draw(st.lists(FINITE, min_size=n, max_size=n, unique=True)))
+
+    cells = draw(st.lists(st.lists(FINITE, min_size=nx, max_size=nx), min_size=ny, max_size=ny))
+    return ScanGrid("demo", Axis("x", "um", values(nx)), Axis("y", "K", values(ny)), cells)
 
 
 class TestAxis:
@@ -63,7 +81,24 @@ class TestCsvRoundTrip:
         assert back.quantity == grid.quantity
         assert back.x_axis == grid.x_axis
         assert back.y_axis == grid.y_axis
-        assert back.cells == grid.cells
+        assert back.cells.tobytes() == grid.cells.tobytes()  # the sign of -0.0 too
+
+    @settings(deadline=None)
+    @given(finite_grids())
+    @example(ScanGrid(
+        "demo", Axis("x", "um", (-1.7976931348623157e308, -0.0, 5e-324)), Axis("y", "K", (0.0,)),
+        ((-0.0, 5e-324, -2.2250738585072009e-308),),
+    ))
+    @example(ScanGrid(
+        "demo", Axis("x", "um", (1.0,)), Axis("y", "K", (-5e-324, 1.7976931348623157e308)),
+        ((1.7976931348623157e308,), (-1.7976931348623157e308,)),
+    ))
+    def test_every_finite_grid_round_trips_bit_for_bit(self, grid):
+        back = ScanGrid.from_csv(grid.to_csv())
+        assert back == grid
+        assert back.cells.tobytes() == grid.cells.tobytes()
+        for axis_back, axis_grid in ((back.x_axis, grid.x_axis), (back.y_axis, grid.y_axis)):
+            assert np.array(axis_back.values).tobytes() == np.array(axis_grid.values).tobytes()
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_cell_rejected(self, bad):
@@ -86,6 +121,49 @@ class TestCsvRoundTrip:
         assert lines[4].startswith("0.0001,")
 
 
+class TestCellArray:
+    """Cells are a read-only float64 copy; grids compare by value and are not hashable."""
+
+    X_AXIS, Y_AXIS = Axis("x", "um", (1.0, 2.0)), Axis("y", "K", (3.0, 4.0))
+
+    def grid(self, cells=((1.0, 2.0), (0.5, 0.25)), quantity="demo"):
+        return ScanGrid(quantity, self.X_AXIS, self.Y_AXIS, cells)
+
+    def test_cells_are_a_read_only_float64_array(self):
+        grid = self.grid([[1, 2], [True, 4]])
+        assert grid.cells.dtype == np.float64 and grid.cells.shape == (2, 2)
+        assert grid.cells.tolist() == [[1.0, 2.0], [1.0, 4.0]]
+        with pytest.raises(ValueError, match="read-only"):
+            grid.cells[0, 0] = 5.0
+
+    def test_changing_the_callers_array_does_not_change_the_grid(self):
+        source = np.array([[1.0, 2.0], [0.5, 0.25]])
+        grid = self.grid(source)
+        source[0, 0] = 9.0
+        assert grid.cell(0, 0) == 1.0
+
+    def test_cell_is_a_python_float(self):
+        value = self.grid().cell(1, 1)
+        assert type(value) is float and value == 0.25
+
+    def test_equality_compares_cell_values(self):
+        grid = self.grid()
+        assert grid == self.grid(np.array([[1.0, 2.0], [0.5, 0.25]]))
+        assert not grid != self.grid(np.array([[1.0, 2.0], [0.5, 0.25]]))
+        assert grid != self.grid(((1.0, 2.0), (0.5, 0.5)))
+        assert not grid == self.grid(((1.0, 2.0), (0.5, 0.5)))
+        assert grid != self.grid(quantity="other")
+
+    @pytest.mark.parametrize("other", [None, 0.25, "demo", [[1.0, 2.0], [0.5, 0.25]]])
+    def test_a_grid_is_not_equal_to_a_non_grid(self, other):
+        assert self.grid() != other
+        assert not self.grid() == other
+
+    def test_grids_are_not_hashable(self):
+        with pytest.raises(TypeError, match="unhashable"):
+            hash(self.grid())
+
+
 class TestMalformedInputRaisesDomainError:
     """Malformed axis values, cells and CSV text name the axis, the row or the line."""
 
@@ -105,6 +183,48 @@ class TestMalformedInputRaisesDomainError:
     def test_csv_value_that_is_not_a_number(self, old, new, line):
         with pytest.raises(DomainError, match=f"CSV line {line}: .*'abc'"):
             ScanGrid.from_csv(self.CSV.replace(old, new))
+
+    @pytest.mark.parametrize("field", ["abc", "", "0.5#1", "1+2j", "0x1p-2"])
+    def test_bad_field_names_its_line_when_every_other_line_parses(self, field):
+        text = ScanGrid(
+            "demo", Axis("x", "", (1.0, 2.0)), Axis("y", "", (3.0, 4.0, 5.0, 6.0)),
+            ((1.0, 2.0), (0.5, 0.25), (7.0, 8.0), (9.0, 10.0)),
+        ).to_csv()
+        assert text.splitlines()[5] == "4,0.5,0.25"
+        with pytest.raises(DomainError, match=f"^CSV line 6: .*'{re.escape(field)}'$"):
+            ScanGrid.from_csv(text.replace("4,0.5,0.25", f"4,0.5,{field}"))
+
+    @pytest.mark.parametrize(
+        "rows", [("3,1,2", "4,0.5"), ("3,1,2", "4,0.5,0.25,1"), ("3,1", "4,0.5")],
+        ids=["short-row", "long-row", "every-row-short"],
+    )
+    def test_ragged_csv_data_row(self, rows):
+        assert "\n3,1,2\n4,0.5,0.25\n" in self.CSV
+        text = self.CSV.replace("\n3,1,2\n4,0.5,0.25\n", "\n" + "\n".join(rows) + "\n")
+        with pytest.raises(DomainError, match="^cell column count must match the x axis$"):
+            ScanGrid.from_csv(text)
+
+    @pytest.mark.parametrize("values", [np.array([1 + 2j, 2 + 0j]), (1.0, np.complex128(2.0))],
+                             ids=["array", "scalar"])
+    def test_complex_axis_values(self, values):
+        message = r"^axis 'x' values must be numbers: \w+ is not a real number$"
+        with pytest.raises(DomainError, match=message):
+            Axis("x", "", values)
+
+    @pytest.mark.parametrize("cells", [
+        np.array([[1 + 9j, 2]]), np.array([[1.0, 2.0]], dtype=complex),
+        [[1.0, np.complex64(2.0)]], [np.array([1.0, 2.0], dtype=np.clongdouble)],
+    ], ids=["array", "zero-imaginary-array", "scalar", "clongdouble-row"])
+    def test_complex_grid_cells(self, cells):
+        message = r"^demo cells at y = 3.0 must be numbers: \w+ is not a real number$"
+        with pytest.raises(DomainError, match=message):
+            ScanGrid("demo", Axis("x", "", (1.0, 2.0)), Axis("y", "", (3.0,)), cells)
+
+    @pytest.mark.parametrize("cells", [[[Fraction(1, 2), 2.0]], [["0.5", "2"]]],
+                             ids=["object", "text"])
+    def test_cells_that_are_not_a_numeric_array(self, cells):
+        with pytest.raises(DomainError, match="^demo cells must be numbers: Cannot cast array"):
+            ScanGrid("demo", Axis("x", "", (1.0, 2.0)), Axis("y", "", (3.0,)), cells)
 
     @pytest.mark.parametrize("values", [("a",), ((1.0, 2.0),)])
     def test_axis_values_that_are_not_numbers(self, values):
@@ -145,7 +265,9 @@ class TestMalformedInputRaisesDomainError:
                           ((1.0, 2.0), (0.5,))), "cell column count must match the x axis"),
         (lambda: ScanGrid.from_csv("# quantity: demo\n# x: x [um] explicit\n"),
          "no data rows in CSV"),
-    ], ids=["empty-axis", "spacing", "rows", "columns", "header-only-csv"])
+        (lambda: ScanGrid.from_csv("# x: x [um] explicit\n# y: y [K] explicit\nx,1,2\n"),
+         "axis 'y' has no values"),
+    ], ids=["empty-axis", "spacing", "rows", "columns", "header-only-csv", "x-row-only-csv"])
     def test_shape_and_spacing_errors(self, build, message):
         with pytest.raises(DomainError, match=f"^{message}$"):
             build()
@@ -176,7 +298,7 @@ class TestScan:
         grid = scan(
             "tau-vac", Axis("n_code", "qubits", (20.0,)), Axis("epsilon", "", (1e-4,))
         )
-        assert grid.cells == ((400.0,),)
+        assert grid.cells.tolist() == [[400.0]]
 
     def test_doppler_reference_cell(self):
         grid = scan(
@@ -233,7 +355,7 @@ class TestScan:
         t, tr = Axis("temperature", "uK", (5.0,)), Axis("rydberg_time", "ns", (100.0,))
         rb = scan("doppler-infidelity", t, tr, {"species": "rb", "scheme": ""})
         assert rb == scan("doppler-infidelity", t, tr, {"species": "rb", "scheme": None})
-        assert rb.cells != scan("doppler-infidelity", t, tr).cells
+        assert not np.array_equal(rb.cells, scan("doppler-infidelity", t, tr).cells)
         with pytest.raises(DomainError, match="t_qec_ms"):
             scan("tau-vac", x, y, {"t_qec_ms": "abc"})
         with pytest.raises(DomainError, match="k_per_m"):
@@ -255,8 +377,8 @@ class TestScan:
         assert len(built) == 1
 
 
-def _cells(fn, x_axis, y_axis):
-    return tuple(tuple(fn(x, y) for x in x_axis.values) for y in y_axis.values)
+def _cells(fn, x_axis, y_axis) -> np.ndarray:
+    return np.array([[fn(x, y) for x in x_axis.values] for y in y_axis.values])
 
 
 class TestScanEqualsScalarCalls:
@@ -268,13 +390,13 @@ class TestScanEqualsScalarCalls:
         x = axis("n_code", "qubits", rng.uniform(1, 10), rng.uniform(50, 200), 23, spacing)
         y = axis("epsilon", "", rng.uniform(1e-6, 1e-5), rng.uniform(1e-3, 1e-2), 17, spacing)
         grid = scan("tau-vac", x, y)
-        assert grid.cells == _cells(
+        assert np.array_equal(grid.cells, _cells(
             lambda n, eps: required_vacuum_lifetime(n, budget.default_t_qec(n), eps), x, y
-        )
+        ))
         grid = scan("tau-vac", x, y, {"t_qec_ms": 2.5})
-        assert grid.cells == _cells(
+        assert np.array_equal(grid.cells, _cells(
             lambda n, eps: required_vacuum_lifetime(n, 2.5 * 1e-3, eps), x, y
-        )
+        ))
 
     @pytest.mark.parametrize("spacing", ["linear", "log"])
     @pytest.mark.parametrize("species", ["cs", "rb"])
@@ -285,10 +407,10 @@ class TestScanEqualsScalarCalls:
         sp = get_species(species)
         k = sp.schemes[0].effective_k
         grid = scan("doppler-infidelity", x, y, {"species": species})
-        assert grid.cells == _cells(
+        assert np.array_equal(grid.cells, _cells(
             lambda temp, t: math.log10(doppler_infidelity(k, temp * 1e-6, t * 1e-9, sp.mass)),
             x, y,
-        )
+        ))
 
     @pytest.mark.parametrize("kind", ["full", "vdw", "single_term"])
     @pytest.mark.parametrize("sign", [1.0, -1.0])
@@ -312,7 +434,7 @@ class TestScanEqualsScalarCalls:
             )
             return normalized_potential(r_um * 1e-6, params, kind)
 
-        assert scan("dressing-potential", x, y, fixed).cells == _cells(cell, x, y)
+        assert np.array_equal(scan("dressing-potential", x, y, fixed).cells, _cells(cell, x, y))
 
     @pytest.mark.parametrize("spacing", ["linear", "log"])
     def test_lifetime_with_a_zero_temperature_row(self, spacing):
@@ -322,8 +444,10 @@ class TestScanEqualsScalarCalls:
         y = Axis("temperature", "K", (0.0,) + temps.values, spacing)
         tau0_ns = rng.uniform(2.5, 3.5)
         grid = scan("lifetime", x, y, {"tau0_ns": tau0_ns})
-        assert grid.cells == _cells(lambda n, t: rydberg_lifetime(n, t, tau0_ns * 1e-9), x, y)
-        assert grid.cells[0] == tuple(tau0_ns * 1e-9 * n**3 for n in x.values)
+        assert np.array_equal(
+            grid.cells, _cells(lambda n, t: rydberg_lifetime(n, t, tau0_ns * 1e-9), x, y)
+        )
+        assert grid.cells[0].tolist() == [tau0_ns * 1e-9 * n**3 for n in x.values]
 
     def test_each_model_function_runs_once_per_grid(self, monkeypatch):
         calls = []
@@ -371,3 +495,11 @@ GOLDEN_SCANS = {
 def test_scan_matches_golden_file(name):
     quantity, x, y, fixed = GOLDEN_SCANS[name]
     assert scan(quantity, x, y, fixed).to_csv() == (GOLDEN / f"scan_{name}.csv").read_text()
+
+
+@pytest.mark.parametrize(
+    "file_name", [f"scan_{name}.csv" for name in sorted(GOLDEN_SCANS)] + ["doppler_grid.csv"]
+)
+def test_golden_file_survives_from_csv(file_name):
+    text = (GOLDEN / file_name).read_text()
+    assert ScanGrid.from_csv(text).to_csv() == text
