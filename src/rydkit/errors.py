@@ -32,9 +32,6 @@ def in_range(
     one or more dimensions, of bool, int or float dtype, is checked element by
     element and returned as a float64 array of the same shape.
     """
-    if type(value) is float:
-        if lo < value < hi:
-            return value
     array = type(value := getattr(value, "rad_per_s", value)) is np.ndarray and value.ndim
     try:  # an array of complex, str or object elements fails the same_kind cast
         if isinstance(value, np.complexfloating):  # whose float() drops the imaginary part

@@ -9,6 +9,7 @@ detuning/field budget.
 from __future__ import annotations
 
 import math
+import sys
 import warnings
 from dataclasses import dataclass
 
@@ -207,6 +208,10 @@ def detuning_budget(rabi: Frequency | float, epsilon: float) -> Frequency:
     """
     w = in_range("Rabi frequency", rabi)
     epsilon = in_range("epsilon", epsilon, 0.0, 1.0)
+    # below a normal float, Delta^2 ~ Omega^2 epsilon underflows in excitation_error,
+    # or a subnormal epsilon holds too few digits to place the root
+    if min(epsilon, w * w * epsilon) < sys.float_info.min:
+        raise DomainError("epsilon and Omega^2 epsilon must be at least the smallest normal float")
     # All epsilon-crossings satisfy d^2/(w^2+d^2) <= eps, bounding the bracket.
     lo, hi = 0.0, w * math.sqrt(epsilon / (1.0 - epsilon)) * 1.001
     for _ in range(60):

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, NoReturn
+from typing import Callable
 
 import numpy as np
 
@@ -16,22 +16,21 @@ from .units import Frequency
 _FMT = "%.17g"  # decimal text with 17 significant digits: exact for doubles
 
 
-def _real(value) -> float:
-    if isinstance(value, np.complexfloating):  # whose float() drops the imaginary part
-        raise TypeError(f"{type(value).__name__} is not a real number")
-    return float(value)
-
-
-def _numbers(values, what: str) -> tuple[float, ...]:
-    """``values`` as a tuple of floats, or DomainError naming ``what`` if they are not
-    real numbers; a str or bytes is one value, not a sequence of digits."""
+def _float_array(values, what: str) -> np.ndarray | None:
+    """``values`` as a new float64 ndarray, or None when they nest sequences of
+    unequal length. DomainError naming ``what`` if they are not real numbers;
+    a str or bytes is one value, not a sequence of digits."""
     if isinstance(values, (str, bytes)):
         raise DomainError(f"{what} must be numbers, not a {type(values).__name__}")
     try:
-        return tuple(map(_real, values))
-    except OverflowError:  # an int beyond the float range, too long to print in full
-        raise DomainError(f"{what} are out of float range") from None
-    except (TypeError, ValueError) as exc:
+        array = np.array(values)
+    except ValueError:  # ragged nesting
+        return None
+    if array.dtype.kind == "c":  # whose cast would only name the dtype pair
+        raise DomainError(f"{what} must be numbers: {array.dtype} is not a real number")
+    try:  # str, bytes and object elements (Fraction, an int too large for numpy) fail the cast
+        return array.astype(float, casting="same_kind", copy=False)
+    except TypeError as exc:
         raise DomainError(f"{what} must be numbers: {exc}") from None
 
 
@@ -43,16 +42,19 @@ class Axis:
     spacing: str = "explicit"  # linear | log | explicit
 
     def __post_init__(self) -> None:
-        vals = _numbers(self.values, f"axis {self.name!r} values")
-        if not vals:
+        what = f"axis {self.name!r} values"
+        vals = _float_array(self.values, what)
+        if vals is None or vals.ndim != 1:
+            raise DomainError(f"{what} must be numbers in a 1-D sequence")
+        if not vals.size:
             raise DomainError(f"axis {self.name!r} has no values")
-        bad = [v for v in vals if not math.isfinite(v)]
-        if bad:
-            raise DomainError(f"axis {self.name!r} values must be finite, got {bad[0]!r}")
-        diffs = [b - a for a, b in zip(vals, vals[1:])]
-        if diffs and not (all(d > 0 for d in diffs) or all(d < 0 for d in diffs)):
-            raise DomainError(f"axis {self.name!r} values must be strictly monotone")
-        object.__setattr__(self, "values", vals)
+        finite = np.isfinite(vals)
+        if not finite.all():
+            raise DomainError(f"{what} must be finite, got {float(vals[np.argmin(finite)])!r}")
+        # neighbours compared, not subtracted: the difference of two huge values overflows
+        if not ((vals[1:] > vals[:-1]).all() or (vals[1:] < vals[:-1]).all()):
+            raise DomainError(f"{what} must be strictly monotone")
+        object.__setattr__(self, "values", tuple(vals.tolist()))
 
 
 def axis(
@@ -98,35 +100,23 @@ class ScanGrid:
     cells: np.ndarray
 
     def __post_init__(self) -> None:
-        shape = (len(self.y_axis.values), len(self.x_axis.values))
-        try:  # ragged rows fail np.array; complex, str and object cells the same_kind cast
-            cells = np.array(self.cells).astype(float, casting="same_kind", copy=False)
-        except (TypeError, ValueError, OverflowError) as exc:
-            self._reject(f"must be numbers: {exc}")
-        if cells.shape != shape or not np.isfinite(cells).all():
-            self._reject(f"must have shape {shape}, got {cells.shape}")
+        rows, columns = len(self.y_axis.values), len(self.x_axis.values)
+        cells = _float_array(self.cells, f"{self.quantity} cells")
+        shape = (len(self.cells), None) if cells is None else cells.shape  # None: ragged rows
+        if shape[:1] != (rows,):
+            raise DomainError("cell row count must match the y axis")
+        if shape != (rows, columns):
+            raise DomainError("cell column count must match the x axis")
+        finite = np.isfinite(cells)
+        if not finite.all():
+            iy, ix = divmod(int(np.argmin(finite)), columns)
+            raise DomainError(
+                f"{self.quantity} cell ({ix}, {iy}) at {self.x_axis.name} = "
+                f"{self.x_axis.values[ix]!r}, {self.y_axis.name} = "
+                f"{self.y_axis.values[iy]!r} is {float(cells[iy, ix])!r}: cells must be finite"
+            )
         cells.flags.writeable = False
         object.__setattr__(self, "cells", cells)
-
-    def _reject(self, problem: str) -> NoReturn:
-        """Raise the DomainError naming the first bad row or cell, found row by row;
-        ``problem`` describes the cells when no row is to blame."""
-        if len(self.cells) != len(self.y_axis.values):
-            raise DomainError("cell row count must match the y axis")
-        for iy, row in enumerate(self.cells):
-            row = _numbers(
-                row, f"{self.quantity} cells at {self.y_axis.name} = {self.y_axis.values[iy]!r}"
-            )
-            if len(row) != len(self.x_axis.values):
-                raise DomainError("cell column count must match the x axis")
-            if not all(map(math.isfinite, row)):
-                ix = next(i for i, v in enumerate(row) if not math.isfinite(v))
-                raise DomainError(
-                    f"{self.quantity} cell ({ix}, {iy}) at {self.x_axis.name} = "
-                    f"{self.x_axis.values[ix]!r}, {self.y_axis.name} = "
-                    f"{self.y_axis.values[iy]!r} is {row[ix]!r}: cells must be finite"
-                )
-        raise DomainError(f"{self.quantity} cells {problem}")
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, ScanGrid):

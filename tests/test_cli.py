@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import shlex
 import subprocess
 import sys
@@ -13,6 +14,7 @@ from rydkit.errors import ModelValidityWarning
 from rydkit.report import ReproductionReport, ReproEntry
 
 GOLDEN = Path(__file__).parent / "golden"
+README = Path(__file__).parents[1] / "README.md"
 
 
 @pytest.fixture
@@ -391,6 +393,19 @@ class TestContract:
         result = runner.invoke(cli, example["argv"], catch_exceptions=False)
         assert result.exit_code == 0
         assert result.output == example["stdout"]
+
+
+def readme_commands() -> list[list[str]]:
+    """The argv of every ``rydkit ...`` line in README's ``sh`` blocks."""
+    blocks = re.findall(r"^```sh\n(.*?)^```", README.read_text(), re.MULTILINE | re.DOTALL)
+    lines = "".join(blocks).replace("\\\n", " ").splitlines()
+    return [shlex.split(line, comments=True) for line in lines if line.startswith("rydkit ")]
+
+
+@pytest.mark.parametrize("argv", readme_commands(), ids=" ".join)
+def test_readme_command_exits_zero(argv, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)  # --out and --json-out write here
+    assert main(argv[1:]) == 0
 
 
 # A fresh interpreter in which any import of scipy fails.

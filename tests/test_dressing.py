@@ -452,6 +452,11 @@ class TestScalingExponents:
         assert scaling_exponent("F_prime", 300, 600) == pytest.approx(6.0, abs=0.05)
         assert scaling_exponent("F_prime_defect", 300, 600) == pytest.approx(7.0, abs=0.05)
 
+    def test_figure_of_merit_beyond_the_float_range(self):
+        message = "^F_1D leaves the float range between n_lo and n_hi$"
+        with pytest.raises(DomainError, match=message):
+            scaling_exponent("F_1D", 300, 1e300)
+
     def test_validation(self):
         with pytest.raises(DomainError):
             scaling_exponent("F_4D", 300, 600)

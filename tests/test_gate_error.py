@@ -1,4 +1,5 @@
 import math
+import sys
 import warnings
 
 import numpy as np
@@ -336,6 +337,22 @@ class TestDetuningBudget:
     def test_tiny_epsilon_keeps_its_scale(self):
         # the root stays Omega sqrt(eps) however small eps: no 1 - P cancellation floor
         assert detuning_budget(1e8, 1e-30).rad_per_s == pytest.approx(1e-7, rel=1e-15, abs=0.0)
+
+    def test_underflowing_detuning_is_rejected(self):
+        # the root Omega sqrt(eps) = 1.5e-175 squares to 0.0 inside excitation_error
+        with pytest.raises(DomainError, match="the smallest normal float"):
+            detuning_budget(1.2552599957618862e-28, 1.3452546560801733e-294)
+        with pytest.raises(DomainError, match="the smallest normal float"):
+            detuning_budget(1e100, 5e-324)  # 1 - P rounds to a multiple of 5e-324
+
+    @given(st.floats(1e-150, 1e150), st.floats(5e-324, 1e-6))
+    def test_small_epsilon_root_is_leading_order(self, rabi, eps):
+        if min(eps, rabi * rabi * eps) < sys.float_info.min:
+            with pytest.raises(DomainError):
+                detuning_budget(rabi, eps)
+        else:
+            root = detuning_budget(rabi, eps).rad_per_s
+            assert root == pytest.approx(rabi * math.sqrt(eps), rel=1e-3)
 
     def test_monotone_in_rabi_and_epsilon(self):
         eps_roots = [detuning_budget(self.OMEGA, e).rad_per_s for e in (1e-6, 1e-4, 1e-2, 0.3)]
