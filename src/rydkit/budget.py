@@ -84,7 +84,8 @@ def simulate_loss(
     in_range("seed", seed, 0.0, bounds="[)")
     rng = np.random.default_rng(seed)
     hits = 0
-    block = max(1, 10**6 // n_code)  # bound memory for large trial counts
+    # 2**16 draws (512 KiB) a block: the exponential stream does not depend on the chunking
+    block = max(1, 2**16 // n_code)
     done = 0
     while done < trials:
         m = min(block, trials - done)

@@ -12,14 +12,12 @@ import json
 import sys
 
 import click
-import numpy as np
 
-from . import budget as budget_mod
-from . import core, dressing, gate_error, report
 from .errors import DomainError
-from .grid import _FMT, SCAN_QUANTITIES, _dressing_params, _resolve_doppler, axis, scan
-from .species import get_species, load_species_config
 from .units import Frequency
+
+# The names of grid.SCAN_QUANTITIES, so that --help loads no model module.
+_SCAN_QUANTITIES = ("doppler-infidelity", "dressing-potential", "lifetime", "tau-vac")
 
 
 def _emit(result: dict | str, out: str | None = None) -> None:
@@ -37,6 +35,8 @@ def _emit(result: dict | str, out: str | None = None) -> None:
 
 
 def _species_option(ctx_config: str | None, name: str):
+    from .species import get_species, load_species_config
+
     config = load_species_config(ctx_config) if ctx_config else None
     return get_species(name, config)
 
@@ -61,6 +61,8 @@ def budget() -> None:
 @click.option("--epsilon", type=float, required=True, help="Loss probability budget per cycle.")
 def budget_vacuum_lifetime(n_code: int, t_qec_ms: float | None, epsilon: float) -> None:
     """Vacuum lifetime needed to keep per-cycle atom loss below epsilon."""
+    from . import budget as budget_mod
+
     t_qec = budget_mod.default_t_qec(n_code) if t_qec_ms is None else t_qec_ms * 1e-3
     _emit({
         "n_code": n_code, "t_qec_ms": t_qec * 1e3, "epsilon": epsilon,
@@ -74,6 +76,8 @@ def budget_vacuum_lifetime(n_code: int, t_qec_ms: float | None, epsilon: float) 
 @click.option("--epsilon", type=float, required=True)
 def budget_reload_rate(n_phys: int, tau_vac_s: float, epsilon: float) -> None:
     """Atom reload rate sustaining an array against vacuum loss."""
+    from . import budget as budget_mod
+
     _emit({
         "n_phys": n_phys, "tau_vac_s": tau_vac_s, "epsilon": epsilon,
         "r_load_per_s": budget_mod.required_reload_rate(n_phys, tau_vac_s, epsilon),
@@ -86,6 +90,8 @@ def budget_reload_rate(n_phys: int, tau_vac_s: float, epsilon: float) -> None:
 @click.option("--tau-vac-s", type=float, required=True)
 def budget_loss(n_code: int, t_ms: float, tau_vac_s: float) -> None:
     """Probability of losing at least one of N_code atoms within t."""
+    from . import budget as budget_mod
+
     _emit({
         "n_code": n_code, "t_ms": t_ms, "tau_vac_s": tau_vac_s,
         "loss_probability": budget_mod.loss_probability(n_code, t_ms * 1e-3, tau_vac_s),
@@ -101,6 +107,8 @@ def budget_loss(n_code: int, t_ms: float, tau_vac_s: float) -> None:
               help="RNG seed; required so runs are reproducible.")
 def budget_simulate(n_code: int, tau_vac_s: float, t_ms: float, trials: int, seed: int) -> None:
     """Monte Carlo loss probability with exponential per-atom lifetimes."""
+    from . import budget as budget_mod
+
     result = budget_mod.simulate_loss(n_code, tau_vac_s, t_ms * 1e-3, trials, seed)
     _emit({
         "n_code": n_code, "tau_vac_s": tau_vac_s, "t_ms": t_ms, "seed": seed,
@@ -118,6 +126,8 @@ def budget_simulate(n_code: int, tau_vac_s: float, t_ms: float, trials: int, see
 def budget_crosstalk(wavelength_nm: float, spacing_um: float,
                      numerical_aperture: float, efficiency: float) -> None:
     """Readout crosstalk from resonant photon absorption at a neighbor."""
+    from . import budget as budget_mod
+
     est = budget_mod.measurement_crosstalk(
         wavelength_nm * 1e-9, spacing_um * 1e-6, numerical_aperture, efficiency
     )
@@ -144,6 +154,8 @@ def gate_error_group() -> None:
               help="Rabi frequency Omega/2pi; default: the optimum.")
 def gate_error_blockade(blockade_mhz: float, tau_us: float, rabi_mhz: float | None) -> None:
     """Blockade-gate error budget, optimum, and entanglement bound."""
+    from . import gate_error
+
     b = Frequency.from_hz(blockade_mhz * 1e6)
     tau = tau_us * 1e-6
     rabi = Frequency.from_hz(rabi_mhz * 1e6) if rabi_mhz is not None else None
@@ -164,6 +176,8 @@ def gate_error_blockade(blockade_mhz: float, tau_us: float, rabi_mhz: float | No
 @click.option("--qubit-ghz", type=float, required=True, help="Qubit frequency omega_q/2pi.")
 def gate_error_interaction(interaction_mhz: float, tau_us: float, qubit_ghz: float) -> None:
     """Weak-interaction phase-gate error at V, plus the optimum over V."""
+    from . import gate_error
+
     v = Frequency.from_hz(interaction_mhz * 1e6)
     tau = tau_us * 1e-6
     wq = Frequency.from_hz(qubit_ghz * 1e9)
@@ -180,6 +194,8 @@ def gate_error_interaction(interaction_mhz: float, tau_us: float, qubit_ghz: flo
 @click.option("--tau-us", type=float, required=True)
 def gate_error_dressing(detuning_mhz: float, tau_us: float) -> None:
     """Optimized dressing-gate error at the given detuning and lifetime."""
+    from . import gate_error
+
     _emit({
         "detuning_mhz": detuning_mhz, "tau_us": tau_us,
         "error_min": gate_error.dressing_gate_error(
@@ -193,6 +209,8 @@ def gate_error_dressing(detuning_mhz: float, tau_us: float) -> None:
               help="Low-l lifetime coefficient.")
 def gate_error_floors(tau0_ns: float) -> None:
     """Level-spacing-limited error floors of the blockade and dressing gates."""
+    from . import gate_error
+
     tau0 = tau0_ns * 1e-9
     _emit({
         "tau0_ns": tau0_ns,
@@ -206,6 +224,8 @@ def gate_error_floors(tau0_ns: float) -> None:
 @click.option("--epsilon", type=float, required=True, help="Spontaneous-emission error budget.")
 def gate_error_spontaneous(t_pi_ns: float, epsilon: float) -> None:
     """Minimum Rydberg lifetime for a spontaneous-emission error target."""
+    from . import gate_error
+
     _emit({
         "t_pi_ns": t_pi_ns, "epsilon": epsilon,
         "tau_min_us": gate_error.spontaneous_budget(t_pi_ns * 1e-9, epsilon) * 1e6,
@@ -222,6 +242,8 @@ def gate_error_spontaneous(t_pi_ns: float, epsilon: float) -> None:
 def gate_error_stark(rabi_mhz: float, epsilon: float, alpha0_ghz_cm2_v2: float,
                      convention: str) -> None:
     """Detuning and dc-field budgets for a pulse-error target."""
+    from . import gate_error
+
     detuning_limit = gate_error.detuning_budget(Frequency.from_hz(rabi_mhz * 1e6), epsilon)
     _emit({
         "rabi_mhz": rabi_mhz, "epsilon": epsilon,
@@ -258,9 +280,14 @@ def doppler(temperature_uk, time_ns, species_name, scheme, k_per_m, config, do_s
             temp_min_uk, temp_max_uk, temp_points,
             time_min_ns, time_max_ns, time_points, out) -> None:
     """Doppler-limited Bell fidelity; with --scan, a log10(1-F) contour grid."""
+    from . import gate_error
+    from .species import _resolve_doppler
+
     species = _species_option(config, species_name)
     k_per_m, mass = _resolve_doppler(species, scheme, k_per_m, None)
     if do_scan:
+        from .grid import axis, scan
+
         grid = scan(
             "doppler-infidelity",
             axis("temperature", "uK", temp_min_uk, temp_max_uk, temp_points, "log"),
@@ -291,6 +318,8 @@ def doppler(temperature_uk, time_ns, species_name, scheme, k_per_m, config, do_s
 def lifetime(n: float, temperature_k: float, species_name: str,
              tau0_ns: float | None, config: str | None) -> None:
     """Rydberg depopulation lifetime with the universal blackbody model."""
+    from . import core
+
     species = _species_option(config, species_name)
     tau0 = species.tau0 if tau0_ns is None else tau0_ns * 1e-9
     _emit({
@@ -319,7 +348,7 @@ _DRESSING_OPTIONS = (
 
 
 def _dressing_options(command):
-    """Add the options of a dressing point, whose names match _dressing_params."""
+    """Add the options of a dressing point, whose names match dressing._dressing_params."""
     for option in reversed(_DRESSING_OPTIONS):
         command = option(command)
     return command
@@ -333,7 +362,12 @@ def _dressing_options(command):
 @click.option("--out", type=click.Path(), default=None)
 def dressing_curve(r_min_um, r_max_um, points, out, **point) -> None:
     """Normalized soft-core curves (full, vdW, single-term) as CSV columns."""
-    params = _dressing_params(**point)
+    import numpy as np
+
+    from . import dressing
+    from .grid import _FMT
+
+    params = dressing._dressing_params(**point)
     r_um = np.linspace(r_min_um, r_max_um, points)
     columns = [r_um] + [
         dressing.normalized_potential(r_um * 1e-6, params, kind)
@@ -350,7 +384,9 @@ def dressing_curve(r_min_um, r_max_um, points, out, **point) -> None:
 @click.option("--spacing-um", type=float, required=True, help="Lattice period.")
 def dressing_fom(**point) -> None:
     """Figures of merit for 1D/2D/3D lattices at a dressing point."""
-    params = _dressing_params(**point)
+    from . import dressing
+
+    params = dressing._dressing_params(**point)
     records = dressing.figures_of_merit(params)
     rabi, det = params.rabi, params.detuning
     _emit({
@@ -380,7 +416,7 @@ def dressing_fom(**point) -> None:
 
 
 @cli.command("scan")
-@click.option("--quantity", type=click.Choice(sorted(SCAN_QUANTITIES)), required=True)
+@click.option("--quantity", type=click.Choice(_SCAN_QUANTITIES), required=True)
 @click.option("--x-min", type=float, required=True)
 @click.option("--x-max", type=float, required=True)
 @click.option("--x-points", type=int, required=True)
@@ -397,6 +433,8 @@ def dressing_fom(**point) -> None:
 def scan_command(quantity, x_min, x_max, x_points, x_scale,
                  y_min, y_max, y_points, y_scale, assignments, out) -> None:
     """Evaluate a registered quantity over a rectangular grid, emitted as CSV."""
+    from .grid import SCAN_QUANTITIES, axis, scan
+
     entry = SCAN_QUANTITIES[quantity]
     fixed = {}
     for item in assignments:
@@ -423,6 +461,8 @@ def scan_command(quantity, x_min, x_max, x_points, x_scale,
               help="Monte Carlo trials for the loss check.")
 def reproduce_command(json_out: str | None, trials: int) -> int:
     """Recompute every reference checkpoint and report pass/fail per entry."""
+    from . import report
+
     rep = report.reproduce(trials=trials)
     for line in rep.format_lines():
         click.echo(line)

@@ -77,6 +77,25 @@ class DressingParams:
         in_range("lattice spacing", self.spacing)
 
 
+def _dressing_params(
+    rabi_mhz: float | np.ndarray, detuning_mhz: float, defect_mhz: float,
+    rc_um: float | None = None, c3_ghz_um3: float | None = None, d_kl: float = 12.0,
+    tau_us: float = 320.0, spacing_um: float = 1.0,
+) -> DressingParams:
+    """DressingParams from lab units (per-2pi MHz, um); ``rabi_mhz`` may be an ndarray."""
+    pair = PairInteraction(
+        defect=Frequency.from_hz(defect_mhz * 1e6),
+        angular_factor=d_kl,
+        c3=c3_ghz_um3,
+        r_c=rc_um * 1e-6 if rc_um is not None else None,
+    )
+    return DressingParams(
+        rabi=Frequency.from_hz(rabi_mhz * 1e6),
+        detuning=Frequency.from_hz(detuning_mhz * 1e6),
+        pair=pair, lifetime=tau_us * 1e-6, spacing=spacing_um * 1e-6,
+    )
+
+
 @dataclass(frozen=True)
 class FigureOfMerit:
     """Per-dimension coherent-operations figure of merit of a dressing setup."""

@@ -10,8 +10,7 @@ import numpy as np
 
 from . import budget, core, dressing, gate_error
 from .errors import DomainError, _float_range, _per_element, in_range
-from .species import Species, get_species
-from .units import Frequency
+from .species import _resolve_doppler, get_species
 
 _FMT = "%.17g"  # decimal text with 17 significant digits: exact for doubles
 
@@ -32,6 +31,15 @@ def _float_array(values, what: str) -> np.ndarray | None:
         return array.astype(float, casting="same_kind", copy=False)
     except TypeError as exc:
         raise DomainError(f"{what} must be numbers: {exc}") from None
+
+
+def _is_flat_numbers(row) -> bool:
+    """Whether a row of ragged cells is a 1-D sequence of real numbers, not text or nested."""
+    try:
+        array = np.asarray(row)
+    except ValueError:  # nests sequences of unequal length
+        return False
+    return array.ndim == 1 and array.dtype.kind in "biuf"
 
 
 @dataclass(frozen=True)
@@ -105,6 +113,13 @@ class ScanGrid:
         shape = (len(self.cells), None) if cells is None else cells.shape  # None: ragged rows
         if shape[:1] != (rows,):
             raise DomainError("cell row count must match the y axis")
+        if cells is None:  # ragged: a row that is text or nests sequences is named
+            for iy, row in enumerate(self.cells):
+                if not _is_flat_numbers(row):
+                    raise DomainError(
+                        f"{self.quantity} cell row {iy} at {self.y_axis.name} = "
+                        f"{self.y_axis.values[iy]!r} is not a flat sequence of numbers"
+                    )
         if shape != (rows, columns):
             raise DomainError("cell column count must match the x axis")
         finite = np.isfinite(cells)
@@ -207,15 +222,6 @@ def _tau_vac_cells(n_code: np.ndarray, epsilon: np.ndarray, fixed: dict) -> np.n
     return budget.required_vacuum_lifetime(n_code, t_qec_s, epsilon)
 
 
-def _resolve_doppler(
-    species: Species, scheme: str | None, k_per_m: float | None, mass_kg: float | None
-) -> tuple[float, float]:
-    """Wavevector and mass of a Doppler estimate; an override given as None takes the
-    species' value (its first scheme when ``scheme`` is empty or None)."""
-    k = species.scheme(scheme or None).effective_k if k_per_m is None else k_per_m
-    return k, species.mass if mass_kg is None else mass_kg
-
-
 def _log10_or_minus_inf(value: float) -> float:
     return math.log10(value) if value > 0 else -math.inf
 
@@ -228,27 +234,10 @@ def _doppler_cells(temperature_uk: np.ndarray, time_ns: np.ndarray, fixed: dict)
     return _per_element(_log10_or_minus_inf, infid)
 
 
-def _dressing_params(
-    rabi_mhz: float | np.ndarray, detuning_mhz: float, defect_mhz: float,
-    rc_um: float | None = None, c3_ghz_um3: float | None = None, d_kl: float = 12.0,
-    tau_us: float = 320.0, spacing_um: float = 1.0,
-) -> dressing.DressingParams:
-    """DressingParams from lab units (per-2pi MHz, um); ``rabi_mhz`` may be an ndarray."""
-    pair = dressing.PairInteraction(
-        defect=Frequency.from_hz(defect_mhz * 1e6),
-        angular_factor=d_kl,
-        c3=c3_ghz_um3,
-        r_c=rc_um * 1e-6 if rc_um is not None else None,
-    )
-    return dressing.DressingParams(
-        rabi=Frequency.from_hz(rabi_mhz * 1e6),
-        detuning=Frequency.from_hz(detuning_mhz * 1e6),
-        pair=pair, lifetime=tau_us * 1e-6, spacing=spacing_um * 1e-6,
-    )
-
-
 def _dressing_cells(separation_um: np.ndarray, rabi_mhz: np.ndarray, fixed: dict) -> np.ndarray:
-    params = _dressing_params(rabi_mhz, fixed["detuning_mhz"], fixed["defect_mhz"], fixed["rc_um"])
+    params = dressing._dressing_params(
+        rabi_mhz, fixed["detuning_mhz"], fixed["defect_mhz"], fixed["rc_um"]
+    )
     cells = dressing.normalized_potential(separation_um * 1e-6, params, fixed["kind"])
     # single_term does not depend on the Rabi frequency: its one row fills the grid
     return np.broadcast_to(cells, (rabi_mhz.size, separation_um.size))

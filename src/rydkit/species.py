@@ -63,6 +63,15 @@ class Species:
         raise DomainError(f"unknown scheme {label!r} for {self.name} (available: {known})")
 
 
+def _resolve_doppler(
+    species: Species, scheme: str | None, k_per_m: float | None, mass_kg: float | None
+) -> tuple[float, float]:
+    """Wavevector and mass of a Doppler estimate; an override given as None takes the
+    species' value (its first scheme when ``scheme`` is empty or None)."""
+    k = species.scheme(scheme or None).effective_k if k_per_m is None else k_per_m
+    return k, species.mass if mass_kg is None else mass_kg
+
+
 CESIUM = Species(
     name="Cs",
     mass=132.905451961 * ATOMIC_MASS_UNIT,

@@ -108,6 +108,13 @@ class TestSimulateLoss:
         b = simulate_loss(5, 100.0, 1.0, 2000, seed=7)
         assert a == b
 
+    def test_blocks_draw_the_same_stream_as_one_draw(self):
+        n, tau, t, trials = 20, 1.0, 0.01, 5000  # 2**16 // 20 rows a block: two blocks
+        lifetimes = np.random.default_rng(3).exponential(tau, (trials, n))
+        hits = int((lifetimes < t).any(axis=1).sum())
+        assert 0 < hits < trials
+        assert simulate_loss(n, tau, t, trials, seed=3).estimate == hits / trials
+
     def test_too_few_trials_rejected(self):
         with pytest.raises(DomainError):
             simulate_loss(20, 400.0, 2e-3, 100, seed=1)

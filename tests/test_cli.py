@@ -264,6 +264,17 @@ class TestScanCommand:
         assert result.exit_code == 0
         assert target.read_text().startswith("# quantity: lifetime")
 
+    def test_quantity_choices_are_the_scan_registry(self):
+        from rydkit.grid import SCAN_QUANTITIES
+
+        (quantity,) = [p for p in cli.commands["scan"].params if p.name == "quantity"]
+        assert list(quantity.type.choices) == sorted(SCAN_QUANTITIES)
+
+    def test_unknown_quantity_is_a_usage_error(self, capsys):
+        assert main(["scan", "--quantity", "nope", "--x-min", "1", "--x-max", "2",
+                     "--x-points", "2", "--y-min", "1", "--y-max", "2", "--y-points", "2"]) == 1
+        assert "'nope' is not one of" in capsys.readouterr().err
+
 
 class TestExitCodes:
     def test_unknown_command_is_usage_error(self):
@@ -283,11 +294,9 @@ class TestExitCodes:
         assert target.read_bytes() == (GOLDEN / "reproduce.json").read_bytes()
 
     def test_reproduce_json_out_with_a_nan_is_domain_error(self, monkeypatch, tmp_path, capsys):
-        import rydkit.cli as cli_mod
-
         nan = float("nan")
         failing = ReproductionReport(entries=(ReproEntry("nan", nan, 1.0, nan, 0.0, 0.0, False),))
-        monkeypatch.setattr(cli_mod.report, "reproduce", lambda trials: failing)
+        monkeypatch.setattr("rydkit.report.reproduce", lambda trials: failing)
         target = tmp_path / "report.json"
         assert main(["reproduce", "--json-out", str(target)]) == 2
         assert capsys.readouterr().err.startswith("domain error: output holds a NaN")
@@ -332,9 +341,7 @@ class TestExitCodes:
         assert named in captured.err
 
     def test_non_finite_json_value_is_domain_error(self, monkeypatch, capsys):
-        import rydkit.cli as cli_mod
-
-        monkeypatch.setattr(cli_mod.core, "rydberg_lifetime", lambda *args: float("inf"))
+        monkeypatch.setattr("rydkit.core.rydberg_lifetime", lambda *args: float("inf"))
         assert main(["lifetime", "--n", "100", "--temperature-k", "0"]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
@@ -344,9 +351,7 @@ class TestExitCodes:
         failing = ReproductionReport(entries=(
             ReproEntry("synthetic", 1.0, 2.0, -0.5, -0.1, 0.1, False),
         ))
-        import rydkit.cli as cli_mod
-
-        monkeypatch.setattr(cli_mod.report, "reproduce", lambda trials: failing)
+        monkeypatch.setattr("rydkit.report.reproduce", lambda trials: failing)
         assert main(["reproduce"]) == 3
         assert "FAIL" in capsys.readouterr().out
 

@@ -112,7 +112,9 @@ def _parameters(fn) -> dict[str, st.SearchStrategy]:
 
 
 # Exported functions, plus the public functions of the model modules.
-PUBLIC = {name: fn for name, fn in vars(rydkit).items() if inspect.isfunction(fn)}
+PUBLIC = {
+    name: fn for name in rydkit.__all__ if inspect.isfunction(fn := getattr(rydkit, name))
+}
 for module in (budget, core, dressing, gate_error):
     for name, fn in vars(module).items():
         if inspect.isfunction(fn) and fn.__module__ == module.__name__ and name[0] != "_":
@@ -393,14 +395,10 @@ GOLDEN_API = Path(__file__).parent / "golden" / "public_api.json"
 
 
 def _public_api() -> dict[str, str]:
-    """Each public name of rydkit: its call signature, or the type name where it has none.
-
-    Submodules are left out: which of them are attributes depends on what was imported.
-    """
+    """Each public name of rydkit: its call signature, or the type name where it has none."""
     api = {}
-    for name, obj in vars(rydkit).items():
-        if name.startswith("_") or inspect.ismodule(obj):
-            continue
+    for name in rydkit.__all__:
+        obj = getattr(rydkit, name)
         try:
             api[name] = str(inspect.signature(obj))
         except (TypeError, ValueError):  # not callable, or a builtin-derived class

@@ -265,8 +265,15 @@ class TestMalformedInputRaisesDomainError:
     @pytest.mark.parametrize("row", ["12", b"12"], ids=["str", "bytes"])
     def test_grid_row_that_is_text(self, row):
         x_axis, y_axis = Axis("x", "", (1.0, 2.0)), Axis("y", "", (3.0, 4.0))
-        with pytest.raises(DomainError, match="^cell column count must match the x axis$"):
+        message = r"^demo cell row 1 at y = 4\.0 is not a flat sequence of numbers$"
+        with pytest.raises(DomainError, match=message):
             ScanGrid("demo", x_axis, y_axis, ((1.0, 2.0), row))
+
+    def test_grid_row_that_nests_a_sequence(self):
+        x_axis, y_axis = Axis("x", "", (1.0, 2.0)), Axis("y", "", (3.0, 4.0))
+        message = r"^demo cell row 0 at y = 3\.0 is not a flat sequence of numbers$"
+        with pytest.raises(DomainError, match=message):
+            ScanGrid("demo", x_axis, y_axis, ((1.0, (2.0, 3.0)), (0.5, 0.25)))
 
     @pytest.mark.parametrize("exponent", [400, 5000])  # 10**5000 is too long to print
     def test_int_beyond_the_float_range(self, exponent):
