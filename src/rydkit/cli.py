@@ -13,7 +13,7 @@ import sys
 
 import click
 
-from .errors import DomainError
+from .errors import _FMT, DomainError
 from .units import Frequency
 
 # The names of grid.SCAN_QUANTITIES, so that --help loads no model module.
@@ -365,7 +365,6 @@ def dressing_curve(r_min_um, r_max_um, points, out, **point) -> None:
     import numpy as np
 
     from . import dressing
-    from .grid import _FMT
 
     params = dressing._dressing_params(**point)
     r_um = np.linspace(r_min_um, r_max_um, points)

@@ -1,10 +1,13 @@
 """Exception and warning types shared across the package, the input check, the
-float-range context, and the per-element float math of array results."""
+float-range context, the per-element float math of array results, and the
+text format of floats in CSV output."""
 
 import itertools
 import math
 
 import numpy as np
+
+_FMT = "%.17g"  # decimal text with 17 significant digits: exact for doubles
 
 
 class DomainError(ValueError):

@@ -9,10 +9,8 @@ from typing import Callable
 import numpy as np
 
 from . import budget, core, dressing, gate_error
-from .errors import DomainError, _float_range, _per_element, in_range
+from .errors import _FMT, DomainError, _float_range, _per_element, in_range
 from .species import _resolve_doppler, get_species
-
-_FMT = "%.17g"  # decimal text with 17 significant digits: exact for doubles
 
 
 def _float_array(values, what: str) -> np.ndarray | None:

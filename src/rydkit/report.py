@@ -4,13 +4,15 @@ Every quantitative checkpoint of the Cs/Rb neutral-atom error-budget model
 set is recomputed from the library and checked against its published value
 (or against an independent numeric oracle where the checkpoint is an
 identity). The run is fully deterministic: Monte Carlo and random-grid
-checks use fixed seeds.
+checks use fixed seeds. The eigensolver oracle runs on a second thread beside
+the Monte Carlo; each has its own seed and entries are added in a fixed order.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import threading
 import warnings
 from dataclasses import asdict, dataclass
 
@@ -190,7 +192,24 @@ def reproduce(tau0_s: float = 3.3e-9, trials: int = 100000) -> ReproductionRepor
     add(_band("crosstalk absorption/detection ratio", xt.ratio, 0.04, 0.040, 0.050))
 
     exact_p = -math.expm1(-20 * 2e-3 / 400.0)  # 1 - (per-atom survival)^20
-    mc = budget.simulate_loss(20, 400.0, 2e-3, trials, _SEED)
+    # The eigensolver oracle's stacked eigh releases the GIL, so it runs on a second
+    # thread while this one draws the Monte Carlo; its entry is added further down.
+    eigen: list = []  # the oracle's deviation, or the exception it raised
+
+    def eigen_oracle() -> None:
+        try:
+            eigen.append(_closed_vs_eigensolver(np.random.default_rng(_SEED + 2)))
+        except BaseException as exc:  # re-raised on the caller's thread after the join
+            eigen.append(exc)
+
+    worker = threading.Thread(target=eigen_oracle)
+    worker.start()
+    try:
+        mc = budget.simulate_loss(20, 400.0, 2e-3, trials, _SEED)
+    finally:
+        worker.join()
+    if isinstance(eigen_dev := eigen[0], BaseException):
+        raise eigen_dev
     sigma_dev = abs(mc.estimate - exact_p) / mc.standard_error if mc.standard_error else 0.0
     add(_entry("Monte Carlo loss vs exact survival model [std errors]",
                sigma_dev, 0.0, 0.0, 3.0))
@@ -268,9 +287,8 @@ def reproduce(tau0_s: float = 3.3e-9, trials: int = 100000) -> ReproductionRepor
                dressing.crossover_radius(dressing.implied_c3(r_c, defect), defect) / r_c,
                1.0, -1e-9, 1e-9))
 
-    rng2 = np.random.default_rng(_SEED + 2)
     add(_entry("dressed energy: closed form vs eigensolver, 1e4 points [rel dev]",
-               _closed_vs_eigensolver(rng2), 0.0, 0.0, 1e-9))
+               eigen_dev, 0.0, 0.0, 1e-9))
     w, d0 = TWO_PI * 20e6, TWO_PI * 100e6
     free_dev = abs(
         dressing.dressed_ground_energy_exact(w, d0, 0.0).rad_per_s

@@ -288,6 +288,14 @@ class TestExitCodes:
         out = capsys.readouterr().out
         assert "overall: PASS" in out
 
+    def test_reproduce_with_too_few_trials_is_domain_error(self, capsys):
+        assert main(["reproduce", "--trials", "10"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "domain error: trials must be finite and in [1000, inf), got 10\n"
+        )
+
     def test_reproduce_json_out_writes_the_golden_report(self, tmp_path, capsys):
         target = tmp_path / "report.json"
         assert main(["reproduce", "--json-out", str(target)]) == 0

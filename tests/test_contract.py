@@ -50,7 +50,7 @@ STRINGS = {
     "spacing": ("linear", "log"),
 }
 
-# reproduce() runs the 55-checkpoint harness (about half a second a call);
+# reproduce() runs the 55-checkpoint harness (about 0.05 s a warm call);
 # its one float argument, tau0_s, feeds the floor functions tested here.
 SKIPPED = {"reproduce"}
 

@@ -38,7 +38,10 @@ def test_import_cli_loads_only_errors_and_units():
     (["budget", "loss", "--n-code", "20", "--t-ms", "2", "--tau-vac-s", "400"],
      {"dressing", "grid", "gate_error", "report"}),
     (["gate-error", "floors"], {"budget", "dressing", "grid", "report"}),
-], ids=["budget-loss", "gate-error-floors"])
+    (["dressing", "curve", "--rabi-mhz", "20", "--detuning-mhz", "-100", "--defect-mhz",
+      "-200", "--rc-um", "8.1", "--r-min-um", "1", "--r-max-um", "20", "--points", "5"],
+     {"budget", "core", "gate_error", "grid", "species", "report"}),
+], ids=["budget-loss", "gate-error-floors", "dressing-curve"])
 def test_command_loads_only_its_models(argv, unused):
     loaded = _fresh(
         "import contextlib, io\nfrom rydkit.cli import main\n"

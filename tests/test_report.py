@@ -1,9 +1,11 @@
 import json
+import threading
 from pathlib import Path
 
 import pytest
 
 import rydkit
+from rydkit.errors import DomainError
 from rydkit.report import ReproEntry, ReproductionReport, _band, _entry
 
 
@@ -54,4 +56,24 @@ def test_json_rejects_a_nan_value():
 
 def test_reproduce_json_matches_golden_file():
     golden = Path(__file__).parent / "golden" / "reproduce.json"
+    before = threading.active_count()
     assert rydkit.reproduce().to_json() == golden.read_text()
+    assert threading.active_count() == before  # the oracle thread is joined
+
+
+def test_reproduce_rejects_too_few_trials_on_the_callers_thread():
+    before = threading.active_count()
+    with pytest.raises(DomainError, match=r"trials must be finite and in \[1000, inf\), got 10"):
+        rydkit.reproduce(trials=10)
+    assert threading.active_count() == before
+
+
+def test_reproduce_reraises_an_error_of_the_eigensolver_oracle(monkeypatch):
+    def boom(rng):
+        raise DomainError("boom")
+
+    monkeypatch.setattr("rydkit.report._closed_vs_eigensolver", boom)
+    before = threading.active_count()
+    with pytest.raises(DomainError, match="^boom$"):
+        rydkit.reproduce()
+    assert threading.active_count() == before
