@@ -10,8 +10,12 @@ from __future__ import annotations
 
 import json
 import sys
+from dataclasses import asdict
 
 import click
+import numpy as np
+
+import rydkit
 
 from .errors import _FMT, DomainError
 from .units import Frequency
@@ -35,10 +39,20 @@ def _emit(result: dict | str, out: str | None = None) -> None:
 
 
 def _species_option(ctx_config: str | None, name: str):
-    from .species import get_species, load_species_config
+    config = rydkit.species.load_species_config(ctx_config) if ctx_config else None
+    return rydkit.species.get_species(name, config)
 
-    config = load_species_config(ctx_config) if ctx_config else None
-    return get_species(name, config)
+
+def _scan_csv(quantity: str, x: tuple, y: tuple, fixed: dict) -> str:
+    """A registered quantity's CSV grid; ``x``, ``y`` are (lo, hi, points, spacing)."""
+    grid = rydkit.grid
+    entry = grid.SCAN_QUANTITIES[quantity]
+    return grid.scan(
+        quantity,
+        grid.axis(entry.x_name, entry.x_unit, *x),
+        grid.axis(entry.y_name, entry.y_unit, *y),
+        fixed,
+    ).to_csv()
 
 
 @click.group()
@@ -61,12 +75,10 @@ def budget() -> None:
 @click.option("--epsilon", type=float, required=True, help="Loss probability budget per cycle.")
 def budget_vacuum_lifetime(n_code: int, t_qec_ms: float | None, epsilon: float) -> None:
     """Vacuum lifetime needed to keep per-cycle atom loss below epsilon."""
-    from . import budget as budget_mod
-
-    t_qec = budget_mod.default_t_qec(n_code) if t_qec_ms is None else t_qec_ms * 1e-3
+    t_qec = rydkit.budget.default_t_qec(n_code) if t_qec_ms is None else t_qec_ms * 1e-3
     _emit({
         "n_code": n_code, "t_qec_ms": t_qec * 1e3, "epsilon": epsilon,
-        "tau_vac_s": budget_mod.required_vacuum_lifetime(n_code, t_qec, epsilon),
+        "tau_vac_s": rydkit.budget.required_vacuum_lifetime(n_code, t_qec, epsilon),
     })
 
 
@@ -76,11 +88,9 @@ def budget_vacuum_lifetime(n_code: int, t_qec_ms: float | None, epsilon: float) 
 @click.option("--epsilon", type=float, required=True)
 def budget_reload_rate(n_phys: int, tau_vac_s: float, epsilon: float) -> None:
     """Atom reload rate sustaining an array against vacuum loss."""
-    from . import budget as budget_mod
-
     _emit({
         "n_phys": n_phys, "tau_vac_s": tau_vac_s, "epsilon": epsilon,
-        "r_load_per_s": budget_mod.required_reload_rate(n_phys, tau_vac_s, epsilon),
+        "r_load_per_s": rydkit.budget.required_reload_rate(n_phys, tau_vac_s, epsilon),
     })
 
 
@@ -90,11 +100,9 @@ def budget_reload_rate(n_phys: int, tau_vac_s: float, epsilon: float) -> None:
 @click.option("--tau-vac-s", type=float, required=True)
 def budget_loss(n_code: int, t_ms: float, tau_vac_s: float) -> None:
     """Probability of losing at least one of N_code atoms within t."""
-    from . import budget as budget_mod
-
     _emit({
         "n_code": n_code, "t_ms": t_ms, "tau_vac_s": tau_vac_s,
-        "loss_probability": budget_mod.loss_probability(n_code, t_ms * 1e-3, tau_vac_s),
+        "loss_probability": rydkit.budget.loss_probability(n_code, t_ms * 1e-3, tau_vac_s),
     })
 
 
@@ -107,13 +115,10 @@ def budget_loss(n_code: int, t_ms: float, tau_vac_s: float) -> None:
               help="RNG seed; required so runs are reproducible.")
 def budget_simulate(n_code: int, tau_vac_s: float, t_ms: float, trials: int, seed: int) -> None:
     """Monte Carlo loss probability with exponential per-atom lifetimes."""
-    from . import budget as budget_mod
-
-    result = budget_mod.simulate_loss(n_code, tau_vac_s, t_ms * 1e-3, trials, seed)
+    result = rydkit.budget.simulate_loss(n_code, tau_vac_s, t_ms * 1e-3, trials, seed)
     _emit({
         "n_code": n_code, "tau_vac_s": tau_vac_s, "t_ms": t_ms, "seed": seed,
-        "trials": result.trials, "estimate": result.estimate,
-        "standard_error": result.standard_error,
+        **asdict(result),
     })
 
 
@@ -126,9 +131,7 @@ def budget_simulate(n_code: int, tau_vac_s: float, t_ms: float, trials: int, see
 def budget_crosstalk(wavelength_nm: float, spacing_um: float,
                      numerical_aperture: float, efficiency: float) -> None:
     """Readout crosstalk from resonant photon absorption at a neighbor."""
-    from . import budget as budget_mod
-
-    est = budget_mod.measurement_crosstalk(
+    est = rydkit.budget.measurement_crosstalk(
         wavelength_nm * 1e-9, spacing_um * 1e-6, numerical_aperture, efficiency
     )
     _emit({
@@ -154,19 +157,17 @@ def gate_error_group() -> None:
               help="Rabi frequency Omega/2pi; default: the optimum.")
 def gate_error_blockade(blockade_mhz: float, tau_us: float, rabi_mhz: float | None) -> None:
     """Blockade-gate error budget, optimum, and entanglement bound."""
-    from . import gate_error
-
     b = Frequency.from_hz(blockade_mhz * 1e6)
     tau = tau_us * 1e-6
     rabi = Frequency.from_hz(rabi_mhz * 1e6) if rabi_mhz is not None else None
-    parts = gate_error.blockade_error_budget(b, tau, rabi)
+    parts = rydkit.gate_error.blockade_error_budget(b, tau, rabi)
     _emit({
         "blockade_mhz": blockade_mhz, "tau_us": tau_us,
-        "rabi_opt_mhz": gate_error.optimal_rabi(b, tau).hz / 1e6,
-        "error_min": gate_error.blockade_gate_error(b, tau),
+        "rabi_opt_mhz": rydkit.gate_error.optimal_rabi(b, tau).hz / 1e6,
+        "error_min": rydkit.gate_error.blockade_gate_error(b, tau),
         "error_at_rabi": parts.total,
         "spontaneous": parts.spontaneous, "blockade_leakage": parts.blockade_leakage,
-        "entanglement_bound": gate_error.entanglement_error_bound(b, tau),
+        "entanglement_bound": rydkit.gate_error.entanglement_error_bound(b, tau),
     })
 
 
@@ -176,16 +177,14 @@ def gate_error_blockade(blockade_mhz: float, tau_us: float, rabi_mhz: float | No
 @click.option("--qubit-ghz", type=float, required=True, help="Qubit frequency omega_q/2pi.")
 def gate_error_interaction(interaction_mhz: float, tau_us: float, qubit_ghz: float) -> None:
     """Weak-interaction phase-gate error at V, plus the optimum over V."""
-    from . import gate_error
-
     v = Frequency.from_hz(interaction_mhz * 1e6)
     tau = tau_us * 1e-6
     wq = Frequency.from_hz(qubit_ghz * 1e9)
     _emit({
         "interaction_mhz": interaction_mhz, "tau_us": tau_us, "qubit_ghz": qubit_ghz,
-        "error": gate_error.interaction_gate_error(v, tau, wq),
-        "interaction_opt_mhz": gate_error.optimal_interaction_strength(tau, wq).hz / 1e6,
-        "error_min": gate_error.minimal_interaction_gate_error(tau, wq),
+        "error": rydkit.gate_error.interaction_gate_error(v, tau, wq),
+        "interaction_opt_mhz": rydkit.gate_error.optimal_interaction_strength(tau, wq).hz / 1e6,
+        "error_min": rydkit.gate_error.minimal_interaction_gate_error(tau, wq),
     })
 
 
@@ -194,11 +193,9 @@ def gate_error_interaction(interaction_mhz: float, tau_us: float, qubit_ghz: flo
 @click.option("--tau-us", type=float, required=True)
 def gate_error_dressing(detuning_mhz: float, tau_us: float) -> None:
     """Optimized dressing-gate error at the given detuning and lifetime."""
-    from . import gate_error
-
     _emit({
         "detuning_mhz": detuning_mhz, "tau_us": tau_us,
-        "error_min": gate_error.dressing_gate_error(
+        "error_min": rydkit.gate_error.dressing_gate_error(
             Frequency.from_hz(abs(detuning_mhz) * 1e6), tau_us * 1e-6
         ),
     })
@@ -209,13 +206,11 @@ def gate_error_dressing(detuning_mhz: float, tau_us: float) -> None:
               help="Low-l lifetime coefficient.")
 def gate_error_floors(tau0_ns: float) -> None:
     """Level-spacing-limited error floors of the blockade and dressing gates."""
-    from . import gate_error
-
     tau0 = tau0_ns * 1e-9
     _emit({
         "tau0_ns": tau0_ns,
-        "blockade_floor": gate_error.asymptotic_blockade_floor(tau0),
-        "dressing_floor": gate_error.asymptotic_dressing_floor(tau0),
+        "blockade_floor": rydkit.gate_error.asymptotic_blockade_floor(tau0),
+        "dressing_floor": rydkit.gate_error.asymptotic_dressing_floor(tau0),
     })
 
 
@@ -224,11 +219,9 @@ def gate_error_floors(tau0_ns: float) -> None:
 @click.option("--epsilon", type=float, required=True, help="Spontaneous-emission error budget.")
 def gate_error_spontaneous(t_pi_ns: float, epsilon: float) -> None:
     """Minimum Rydberg lifetime for a spontaneous-emission error target."""
-    from . import gate_error
-
     _emit({
         "t_pi_ns": t_pi_ns, "epsilon": epsilon,
-        "tau_min_us": gate_error.spontaneous_budget(t_pi_ns * 1e-9, epsilon) * 1e6,
+        "tau_min_us": rydkit.gate_error.spontaneous_budget(t_pi_ns * 1e-9, epsilon) * 1e6,
     })
 
 
@@ -242,14 +235,12 @@ def gate_error_spontaneous(t_pi_ns: float, epsilon: float) -> None:
 def gate_error_stark(rabi_mhz: float, epsilon: float, alpha0_ghz_cm2_v2: float,
                      convention: str) -> None:
     """Detuning and dc-field budgets for a pulse-error target."""
-    from . import gate_error
-
-    detuning_limit = gate_error.detuning_budget(Frequency.from_hz(rabi_mhz * 1e6), epsilon)
+    detuning_limit = rydkit.gate_error.detuning_budget(Frequency.from_hz(rabi_mhz * 1e6), epsilon)
     _emit({
         "rabi_mhz": rabi_mhz, "epsilon": epsilon,
         "alpha0_ghz_cm2_v2": alpha0_ghz_cm2_v2, "convention": convention,
         "detuning_limit_khz": detuning_limit.hz / 1e3,
-        "field_limit_v_per_cm": gate_error.field_budget(
+        "field_limit_v_per_cm": rydkit.gate_error.field_budget(
             detuning_limit, alpha0_ghz_cm2_v2, convention
         ),
     })
@@ -280,25 +271,18 @@ def doppler(temperature_uk, time_ns, species_name, scheme, k_per_m, config, do_s
             temp_min_uk, temp_max_uk, temp_points,
             time_min_ns, time_max_ns, time_points, out) -> None:
     """Doppler-limited Bell fidelity; with --scan, a log10(1-F) contour grid."""
-    from . import gate_error
-    from .species import _resolve_doppler
-
     species = _species_option(config, species_name)
-    k_per_m, mass = _resolve_doppler(species, scheme, k_per_m, None)
+    k_per_m, mass = rydkit.species._resolve_doppler(species, scheme, k_per_m, None)
     if do_scan:
-        from .grid import axis, scan
-
-        grid = scan(
-            "doppler-infidelity",
-            axis("temperature", "uK", temp_min_uk, temp_max_uk, temp_points, "log"),
-            axis("rydberg_time", "ns", time_min_ns, time_max_ns, time_points, "log"),
-            {"k_per_m": k_per_m, "mass_kg": mass},
-        )
-        _emit(grid.to_csv(), out)
+        _emit(_scan_csv("doppler-infidelity", (temp_min_uk, temp_max_uk, temp_points, "log"),
+                        (time_min_ns, time_max_ns, time_points, "log"),
+                        {"k_per_m": k_per_m, "mass_kg": mass}), out)
         return
     if temperature_uk is None or time_ns is None:
         raise click.UsageError("--temperature-uk and --time-ns are required without --scan")
-    infid = gate_error.doppler_infidelity(k_per_m, temperature_uk * 1e-6, time_ns * 1e-9, mass)
+    infid = rydkit.gate_error.doppler_infidelity(
+        k_per_m, temperature_uk * 1e-6, time_ns * 1e-9, mass
+    )
     _emit({
         "species": species.name, "k_per_m": k_per_m,
         "temperature_uk": temperature_uk, "time_ns": time_ns,
@@ -318,14 +302,12 @@ def doppler(temperature_uk, time_ns, species_name, scheme, k_per_m, config, do_s
 def lifetime(n: float, temperature_k: float, species_name: str,
              tau0_ns: float | None, config: str | None) -> None:
     """Rydberg depopulation lifetime with the universal blackbody model."""
-    from . import core
-
     species = _species_option(config, species_name)
     tau0 = species.tau0 if tau0_ns is None else tau0_ns * 1e-9
     _emit({
         "n": n, "temperature_k": temperature_k, "species": species.name,
         "tau0_ns": tau0 * 1e9,
-        "lifetime_s": core.rydberg_lifetime(n, temperature_k, tau0),
+        "lifetime_s": rydkit.core.rydberg_lifetime(n, temperature_k, tau0),
     })
 
 
@@ -362,14 +344,10 @@ def _dressing_options(command):
 @click.option("--out", type=click.Path(), default=None)
 def dressing_curve(r_min_um, r_max_um, points, out, **point) -> None:
     """Normalized soft-core curves (full, vdW, single-term) as CSV columns."""
-    import numpy as np
-
-    from . import dressing
-
-    params = dressing._dressing_params(**point)
+    params = rydkit.dressing._dressing_params(**point)
     r_um = np.linspace(r_min_um, r_max_um, points)
     columns = [r_um] + [
-        dressing.normalized_potential(r_um * 1e-6, params, kind)
+        rydkit.dressing.normalized_potential(r_um * 1e-6, params, kind)
         for kind in ("full", "vdw", "single_term")
     ]
     lines = ["separation_um,v_full,v_vdw,v_single_term"]
@@ -383,30 +361,20 @@ def dressing_curve(r_min_um, r_max_um, points, out, **point) -> None:
 @click.option("--spacing-um", type=float, required=True, help="Lattice period.")
 def dressing_fom(**point) -> None:
     """Figures of merit for 1D/2D/3D lattices at a dressing point."""
-    from . import dressing
-
-    params = dressing._dressing_params(**point)
-    records = dressing.figures_of_merit(params)
+    params = rydkit.dressing._dressing_params(**point)
+    records = rydkit.dressing.figures_of_merit(params)
     rabi, det = params.rabi, params.detuning
     _emit({
         **point, "rc_um": params.pair.r_c * 1e6, "c3_ghz_um3": params.pair.c3,
-        "blockade_radius_um": dressing.blockade_radius(
+        "blockade_radius_um": rydkit.dressing.blockade_radius(
             params.detuning.rad_per_s, params.pair.defect.rad_per_s, params.pair.r_c
         ) * 1e6,
-        "depth_khz": abs(dressing.dressing_depth_perturbative(rabi, det).hz) / 1e3,
-        "tau_dr_ms": dressing.dressed_decoherence_time(rabi, det, params.lifetime) * 1e3,
-        "operations_per_atom": dressing.operations_per_atom(params),
+        "depth_khz": abs(rydkit.dressing.dressing_depth_perturbative(rabi, det).hz) / 1e3,
+        "tau_dr_ms": rydkit.dressing.dressed_decoherence_time(rabi, det, params.lifetime) * 1e3,
+        "operations_per_atom": rydkit.dressing.operations_per_atom(params),
         "f_prime": records[0].f_prime,
         "records": [
-            {
-                "dimension": r.dimension,
-                "n_atoms": r.n_atoms,
-                "n_atoms_floored": r.n_atoms_floored,
-                "f": r.f,
-                "f_composed": r.f_composed,
-                "f_prime_per_atom": r.f_prime_per_atom,
-            }
-            for r in records
+            {k: v for k, v in asdict(r).items() if k != "f_prime"} for r in records
         ],
     })
 
@@ -432,22 +400,14 @@ def dressing_fom(**point) -> None:
 def scan_command(quantity, x_min, x_max, x_points, x_scale,
                  y_min, y_max, y_points, y_scale, assignments, out) -> None:
     """Evaluate a registered quantity over a rectangular grid, emitted as CSV."""
-    from .grid import SCAN_QUANTITIES, axis, scan
-
-    entry = SCAN_QUANTITIES[quantity]
     fixed = {}
     for item in assignments:
         key, sep, value = item.partition("=")
         if not sep:
             raise click.UsageError(f"--set expects KEY=VALUE, got {item!r}")
         fixed[key] = value
-    grid = scan(
-        quantity,
-        axis(entry.x_name, entry.x_unit, x_min, x_max, x_points, x_scale),
-        axis(entry.y_name, entry.y_unit, y_min, y_max, y_points, y_scale),
-        fixed,
-    )
-    _emit(grid.to_csv(), out)
+    _emit(_scan_csv(quantity, (x_min, x_max, x_points, x_scale),
+                    (y_min, y_max, y_points, y_scale), fixed), out)
 
 
 # ------------------------------------------------------------------------ reproduce
@@ -460,9 +420,7 @@ def scan_command(quantity, x_min, x_max, x_points, x_scale,
               help="Monte Carlo trials for the loss check.")
 def reproduce_command(json_out: str | None, trials: int) -> int:
     """Recompute every reference checkpoint and report pass/fail per entry."""
-    from . import report
-
-    rep = report.reproduce(trials=trials)
+    rep = rydkit.report.reproduce(trials=trials)
     for line in rep.format_lines():
         click.echo(line)
     if json_out:

@@ -87,7 +87,7 @@ def rydberg_level_half_spacing(n: float) -> Frequency:
     """Half the neighboring-level spacing E_H/(2 hbar n^3), the usable shift ceiling."""
     n = in_range("n", n, 1.0, bounds="[)")
     with _float_range("n^3"):
-        return Frequency(1.0 / (2.0 * ATOMIC_TIME * n**3))
+        return Frequency(1.0 / (2.0 * ATOMIC_TIME * _per_element(pow, n, 3)))
 
 
 def asymptotic_blockade_floor(tau0: float) -> float:
@@ -97,7 +97,7 @@ def asymptotic_blockade_floor(tau0: float) -> float:
     capped at half the level spacing and lifetime tau0 n^3; independent of n.
     """
     x = ATOMIC_TIME / in_range("tau0", tau0)
-    return 3.0 * (14.0 * math.pi) ** (2 / 3) / 8.0 * x ** (2 / 3)
+    return 3.0 * (14.0 * math.pi) ** (2 / 3) / 8.0 * _per_element(pow, x, 2 / 3)
 
 
 def interaction_gate_error(

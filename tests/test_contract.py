@@ -129,14 +129,15 @@ FUNCTIONS = sorted(
 )
 
 
-def _floats_in(value):
+def _leaves(value):
+    """The values of a result in field order: dataclasses (Frequency too) field by field."""
     if dataclasses.is_dataclass(value):
         for field in dataclasses.fields(value):
-            yield from _floats_in(getattr(value, field.name))
+            yield from _leaves(getattr(value, field.name))
     elif isinstance(value, (tuple, list)):
         for item in value:
-            yield from _floats_in(item)
-    elif isinstance(value, float):
+            yield from _leaves(item)
+    else:
         yield value
 
 
@@ -176,7 +177,7 @@ def test_finite_result_or_domain_error(name, data):
         result = fn(**kwargs)
     except DomainError:
         return
-    bad = [v for v in _floats_in(result) if not math.isfinite(v)]
+    bad = [v for v in _leaves(result) if isinstance(v, float) and not math.isfinite(v)]
     assert not bad, f"{name}({drawn}) returned {result!r}"
 
 
@@ -389,6 +390,107 @@ def test_a_nan_frequency_argument_is_named_in_the_error(name, arg):
     with pytest.raises(DomainError, match="must be finite") as raised:
         fn(**{**baseline, arg: NAN})
     assert not str(raised.value).startswith("frequency "), str(raised.value)
+
+
+# One valid call of each public function with a float argument: the frequency
+# baselines, and the functions that take no Frequency. An argument missing here
+# takes its default.
+ARRAY_BASELINES = {
+    **FREQUENCY_BASELINES,
+    "asymptotic_blockade_floor": {"tau0": 3.3e-9},
+    "asymptotic_dressing_floor": {"tau0": 3.3e-9},
+    "axis": {"name": "x", "unit": "", "lo": 1.0, "hi": 10.0, "points": 5},
+    "blackbody_depopulation_rate": {"n": 100.0, "temperature": 300.0},
+    "blockade_atom_count": {"dimension": 2, "r_b": 1e-5, "spacing": 2e-6},
+    "default_t_qec": {"n_code": 20.0},
+    "detection_solid_angle_fraction": {"numerical_aperture": 0.4},
+    "doppler_fidelity": {"k": K_ONE_PHOTON, "temperature": 1e-5, "time": 1e-6,
+                         "mass": CESIUM.mass},
+    "doppler_infidelity": {"k": K_ONE_PHOTON, "temperature": 1e-5, "time": 1e-6,
+                           "mass": CESIUM.mass},
+    "loss_probability": {"n_code": 20.0, "t": 2e-3, "tau_vac": 400.0},
+    "magnetic_trap_field": {"depth": 1e-3, "magnetic_moment": 9.27e-24},
+    "measurement_crosstalk": {"wavelength": 852e-9, "spacing": 4e-6,
+                              "numerical_aperture": 0.4, "efficiency": 0.4},
+    "normalized_potential": {
+        "r": 1e-6, "params": _dressing_params(1e6, 1e7, 2e7, 12.0, None, 1.5e-6, 320e-6, 1e-6),
+    },
+    "required_reload_rate": {"n_phys": 1000.0, "tau_vac": 400.0, "epsilon": 1e-3},
+    "required_vacuum_lifetime": {"n_code": 20.0, "t_qec": 2e-3, "epsilon": 1e-3},
+    "rydberg_level_half_spacing": {"n": 100.0},
+    "rydberg_lifetime": {"n": 100.0, "temperature": 300.0, "tau0": 3.3e-9},
+    "scaling_exponent": {"quantity": "F_2D", "n_lo": 110.0, "n_hi": 500.0},
+    "simulate_loss": {"n_code": 20, "tau_vac": 400.0, "t": 2e-3, "trials": 1000, "seed": 1},
+    "spontaneous_budget": {"t_pi": 1e-7, "epsilon_tau": 1e-3},
+}
+
+# Each array argument is its baseline times seven factors in [0.5, 2]. The draw of
+# seed 19 meets, on an AVX-512 build of numpy, a value where numpy's vectorized power
+# differs by 1 ulp from Python's pow in both asymptotic_blockade_floor and
+# rydberg_level_half_spacing, so it checks that they take the power per element.
+ARRAY_FACTORS = np.random.default_rng(19).uniform(0.5, 2.0, 7)
+
+# The arguments whose array still raises TypeError or ValueError (ROADMAP item 2).
+# The xfails are strict: the fix of a function must delete its entry.
+ARRAY_LEAKS = {
+    "asymptotic_dressing_floor": ("tau0",),
+    "blockade_gate_error": ("blockade", "lifetime"),
+    "blockade_radius": ("detuning", "defect"),
+    "crossover_radius": ("c3", "defect"),
+    "detection_solid_angle_fraction": ("numerical_aperture",),
+    "detuning_budget": ("rabi", "epsilon"),
+    "dressing_depth_perturbative": ("detuning",),
+    "dressing_gate_error": ("detuning", "lifetime"),
+    "excitation_error": ("rabi", "detuning"),
+    "f_prime": ("rabi", "detuning"),
+    "f_prime_defect": ("rabi", "defect"),
+    "field_budget": ("detuning_limit", "alpha0"),
+    "implied_c3": ("angular_factor",),
+    "loss_probability": ("n_code", "t", "tau_vac"),
+    "measurement_crosstalk": ("wavelength", "spacing", "numerical_aperture"),
+    "minimal_interaction_gate_error": ("lifetime", "qubit_freq"),
+    "optimal_interaction_strength": ("lifetime", "qubit_freq"),
+    "scaling_exponent": ("n_lo", "n_hi"),
+    "simulate_loss": ("tau_vac", "t"),
+    "soft_core_scale": ("detuning", "defect"),
+}
+
+
+def _float_arguments(fn) -> list[str]:
+    hints = typing.get_type_hints(fn)
+    return [arg for arg in inspect.signature(fn).parameters if _takes_float(hints.get(arg))]
+
+
+def test_every_function_with_a_float_argument_has_an_array_baseline():
+    with_float = {name for name, fn in PUBLIC.items() if _float_arguments(fn)} - SKIPPED
+    assert with_float == set(ARRAY_BASELINES)
+
+
+@pytest.mark.filterwarnings(
+    "ignore::rydkit.errors.ModelValidityWarning",
+    "ignore::rydkit.errors.BranchResidualWarning",
+)
+@pytest.mark.parametrize("name, arg", [
+    pytest.param(name, arg, marks=pytest.mark.xfail(strict=True, raises=(TypeError, ValueError)))
+    if arg in ARRAY_LEAKS.get(name, ()) else (name, arg)
+    for name in ARRAY_BASELINES
+    for arg in _float_arguments(PUBLIC[name])
+])
+def test_array_argument_gives_elementwise_result_or_domain_error(name, arg):
+    fn = PUBLIC[name]
+    baseline = ARRAY_BASELINES[name]
+    scalar = baseline.get(arg, inspect.signature(fn).parameters[arg].default)
+    values = scalar * ARRAY_FACTORS
+    expected = [list(_leaves(fn(**{**baseline, arg: v}))) for v in values.tolist()]
+    try:
+        got = list(_leaves(fn(**{**baseline, arg: values})))
+    except DomainError:
+        return
+    assert len(got) == len(expected[0])
+    for i, leaf in enumerate(got):
+        want = np.array([e[i] for e in expected], dtype=float)
+        have = np.broadcast_to(np.asarray(leaf, dtype=float), want.shape)
+        assert have.tobytes() == want.tobytes(), f"field {i}: {have.tolist()} != {want.tolist()}"
 
 
 GOLDEN_API = Path(__file__).parent / "golden" / "public_api.json"

@@ -141,6 +141,16 @@ class TestAsymptoticFloors:
             )
 
 
+@pytest.mark.parametrize("fn, baseline", [
+    (asymptotic_blockade_floor, 3.3e-9),
+    (lambda n: rydberg_level_half_spacing(n).rad_per_s, 100.0),
+], ids=["asymptotic_blockade_floor", "rydberg_level_half_spacing"])
+def test_power_of_an_array_is_the_scalar_calls(fn, baseline):
+    # numpy's vectorized power rounds some of these 1 ulp away from Python's pow
+    x = baseline * np.random.default_rng(1).uniform(0.5, 2.0, 2000)
+    assert fn(x).tolist() == [fn(v) for v in x.tolist()]
+
+
 class TestInteractionGate:
     WQ = Frequency.from_hz(9.19e9)
 
@@ -362,6 +372,14 @@ class TestDetuningBudget:
             for f in (1e6, 5e6, 2e7, 1e8)
         ]
         assert all(a < b for a, b in zip(rabi_roots, rabi_roots[1:]))
+
+    def test_short_first_bracket_is_doubled(self):
+        # epsilon within 2e-15 of 1: the first bracket end rounds to below the root
+        w, eps = 3.4406062768530205e-24, 1.0 - 2.0**-49
+        assert excitation_error(w, w * math.sqrt(eps / (1.0 - eps)) * 1.001) < eps
+        root = detuning_budget(w, eps).rad_per_s
+        assert excitation_error(w, root) >= eps
+        assert excitation_error(w, math.nextafter(root, 0.0)) < eps
 
     def test_epsilon_validation(self):
         with pytest.raises(DomainError):
