@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, ModelValidityWarning, _float_range, in_range
+from .errors import DomainError, ModelValidityWarning, _float_range, _per_element, in_range
 
 # Default error-correction cycle time: 0.1 ms per code qubit.
 T_QEC_PER_QUBIT = 1e-4  # s
@@ -22,21 +22,22 @@ def default_t_qec(n_code: float) -> float:
 def loss_probability(n_code: float, t: float, tau_vac: float) -> float:
     """Probability N_code (1 - e^(-t/tau_vac)) of >= 1 atom lost after time t.
 
-    Clamped to 1 (with a warning) where the linearized budget model leaves
-    validity.
+    Clamped to 1 where the linearized budget model leaves validity, with one
+    warning per call quoting the largest element. The arguments broadcast as
+    ndarrays.
     """
     n_code = in_range("n_code", n_code, 1.0, bounds="[)")
     t = in_range("t", t, bounds="[)")
     tau_vac = in_range("tau_vac", tau_vac)
-    p = n_code * -math.expm1(-t / tau_vac)
-    if p > 1.0:
+    p = n_code * -_per_element(math.expm1, -t / tau_vac)
+    if np.any(p > 1.0):
         warnings.warn(
-            f"per-block loss probability {p:.3g} > 1; linearized model left "
+            f"per-block loss probability {np.max(p):.3g} > 1; linearized model left "
             "its validity range, clamping to 1",
             ModelValidityWarning,
             stacklevel=2,
         )
-        return 1.0
+        return np.minimum(p, 1.0) if type(p) is np.ndarray else 1.0
     return p
 
 

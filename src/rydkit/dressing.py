@@ -152,7 +152,10 @@ def crossover_radius(
     if d_ghz == 0 or c3 == 0:
         raise DomainError("c3 and the defect must be nonzero")
     return in_range(
-        "r_c", (4.0 * angular_factor) ** (1 / 6) * (abs(c3) / d_ghz) ** (1 / 3) * 1e-6
+        "r_c",
+        _per_element(pow, 4.0 * angular_factor, 1 / 6)
+        * _per_element(pow, abs(c3) / d_ghz, 1 / 3)
+        * 1e-6,
     )
 
 
@@ -162,7 +165,8 @@ def implied_c3(r_c: float, defect: Frequency | float, angular_factor: float = 12
     angular_factor = in_range("angular factor D_kl", angular_factor)
     d_ghz = abs(in_range("defect", defect, -math.inf)) / TWO_PI / 1e9
     with _float_range("R_c^3"):
-        c3 = d_ghz * (r_c * 1e6) ** 3 / math.sqrt(4.0 * angular_factor)
+        r_c3 = _per_element(pow, r_c * 1e6, 3)
+        c3 = d_ghz * r_c3 / _per_element(math.sqrt, 4.0 * angular_factor)
     return in_range("c3", c3)
 
 
@@ -223,7 +227,7 @@ def dressing_depth_perturbative(
     if det == 0:
         raise DomainError("detuning must be nonzero")
     with _float_range("Omega^4 / Delta^3"):
-        return Frequency(-(w**4) / (8.0 * det**3))
+        return Frequency(-_per_element(pow, w, 4) / (8.0 * _per_element(pow, det, 3)))
 
 
 def _scale(rabi, detuning, pair_shift):

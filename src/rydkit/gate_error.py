@@ -49,7 +49,9 @@ def optimal_rabi(blockade: Frequency | float, lifetime: float) -> Frequency:
     """Rabi frequency (7 pi)^(1/3) B^(2/3) / tau^(1/3) minimizing the blockade gate error."""
     b = in_range("blockade shift", blockade)
     lifetime = in_range("lifetime", lifetime)
-    return Frequency(_SEVEN_PI ** (1 / 3) * b ** (2 / 3) * lifetime ** (-1 / 3))
+    return Frequency(
+        _SEVEN_PI ** (1 / 3) * _per_element(pow, b, 2 / 3) * _per_element(pow, lifetime, -1 / 3)
+    )
 
 
 def blockade_gate_error(blockade: Frequency | float, lifetime: float) -> float:
@@ -58,18 +60,20 @@ def blockade_gate_error(blockade: Frequency | float, lifetime: float) -> float:
     Balances spontaneous emission 7 pi/(4 Omega tau) against blockade leakage
     Omega^2/(8 B^2) at the optimal Rabi frequency. Valid for B tau >> 1; a
     warning is issued below B tau = 10. The value may exceed 1 outside the
-    model's regime, flagged by a warning.
+    model's regime, flagged by a warning. One warning per call quotes the
+    smallest B tau of an array.
     """
     b = in_range("blockade shift", blockade)
     lifetime = in_range("lifetime", lifetime)
     bt = in_range("B tau", b * lifetime)
-    if bt < 10.0:
+    if np.any(bt < 10.0):
         warnings.warn(
-            f"B tau = {bt:.3g} < 10: outside the strong-blockade regime of the error model",
+            f"B tau = {np.min(bt):.3g} < 10: outside the strong-blockade regime "
+            "of the error model",
             ModelValidityWarning,
             stacklevel=2,
         )
-    return 3.0 * _SEVEN_PI ** (2 / 3) / 8.0 * bt ** (-2 / 3)
+    return 3.0 * _SEVEN_PI ** (2 / 3) / 8.0 * _per_element(pow, bt, -2 / 3)
 
 
 def entanglement_error_bound(blockade: Frequency | float, lifetime: float) -> float:
@@ -118,7 +122,7 @@ def optimal_interaction_strength(lifetime: float, qubit_freq: Frequency | float)
     """Interaction strength sqrt(pi sqrt(3) omega_q / (5 tau)) minimizing the gate error."""
     lifetime = in_range("lifetime", lifetime)
     wq = in_range("qubit frequency", qubit_freq)
-    return Frequency(math.sqrt(math.pi * math.sqrt(3.0) * wq / (5.0 * lifetime)))
+    return Frequency(_per_element(math.sqrt, math.pi * math.sqrt(3.0) * wq / (5.0 * lifetime)))
 
 
 def minimal_interaction_gate_error(lifetime: float, qubit_freq: Frequency | float) -> float:
@@ -129,7 +133,7 @@ def minimal_interaction_gate_error(lifetime: float, qubit_freq: Frequency | floa
     lifetime = in_range("lifetime", lifetime)
     wq = in_range("qubit frequency", qubit_freq)
     wt = in_range("sqrt(3) omega_q tau", math.sqrt(3.0) * wq * lifetime)
-    return _gate_error("interaction gate error", 2.0 * math.sqrt(5.0 * math.pi / wt))
+    return _gate_error("interaction gate error", 2.0 * _per_element(math.sqrt, 5.0 * math.pi / wt))
 
 
 def dressing_gate_error(detuning: Frequency | float, lifetime: float) -> float:
@@ -142,12 +146,14 @@ def dressing_gate_error(detuning: Frequency | float, lifetime: float) -> float:
     d = in_range("dressing detuning", detuning)
     lifetime = in_range("lifetime", lifetime)
     dt = in_range("Delta tau", d * lifetime)
-    return _gate_error("dressing gate error", 2.0**2.5 * math.sqrt(math.pi) / math.sqrt(dt))
+    return _gate_error(
+        "dressing gate error", 2.0**2.5 * math.sqrt(math.pi) / _per_element(math.sqrt, dt)
+    )
 
 
 def asymptotic_dressing_floor(tau0: float) -> float:
     """Level-spacing-limited dressing gate error 8 sqrt(pi) (hbar/(E_H tau0))^(1/2)."""
-    return 8.0 * math.sqrt(math.pi) * math.sqrt(ATOMIC_TIME / in_range("tau0", tau0))
+    return 8.0 * math.sqrt(math.pi) * _per_element(math.sqrt, ATOMIC_TIME / in_range("tau0", tau0))
 
 
 def spontaneous_budget(t_pi: float, epsilon_tau: float) -> float:

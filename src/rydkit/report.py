@@ -20,7 +20,7 @@ import numpy as np
 
 from . import budget, core, dressing, gate_error
 from .constants import MU_B
-from .errors import ModelValidityWarning
+from .errors import ModelValidityWarning, _per_element
 from .grid import Axis, scan
 from .species import CESIUM
 from .units import TWO_PI, Frequency
@@ -90,32 +90,41 @@ def _band(label: str, computed: float, reference: float, lo: float, hi: float) -
     return _entry(label, computed, reference, lo / reference - 1.0, hi / reference - 1.0)
 
 
-def _minimize_log(cost, center: float) -> float:
-    """Numeric 1-D minimum of cost(x): golden-section search (Kiefer 1953) on u = ln x,
-    narrowing the bracket ln(center) +- 8 to a width of 1e-12 in u."""
-    a, b = math.log(center) - 8.0, math.log(center) + 8.0
+def _minimize_log(cost, centers: np.ndarray) -> np.ndarray:
+    """Numeric 1-D minima of cost(x): golden-section searches (Kiefer 1953) on u = ln x.
+
+    One search per element of ``centers``, run in lockstep: each narrows its
+    own bracket ln(center) +- 8 to a width of 1e-12 in u, and an element whose
+    bracket is narrow enough keeps its values while the others go on. ``cost``
+    maps an array of x to the array of costs, element by element. ln and exp
+    are taken per element, so each result is that of the scalar search.
+    """
+    u = _per_element(math.log, centers)
+    a, b = u - 8.0, u + 8.0
     c, d = b - _INV_GOLDEN * (b - a), a + _INV_GOLDEN * (b - a)
-    fc, fd = cost(math.exp(c)), cost(math.exp(d))
-    while b - a > 1e-12:
-        if fc < fd:  # the minimum lies in [a, d]
-            b, c, d, fd = d, d - _INV_GOLDEN * (d - a), c, fc
-            fc = cost(math.exp(c))
-        else:  # in [c, b]
-            a, c, d, fc = c, d, c + _INV_GOLDEN * (b - c), fd
-            fd = cost(math.exp(d))
-    return math.exp(0.5 * (a + b))
+    fc, fd = cost(_per_element(math.exp, c)), cost(_per_element(math.exp, d))
+    while (active := b - a > 1e-12).any():
+        left = fc < fd  # the minimum lies in [a, d], else in [c, b]
+        point = np.where(left, d - _INV_GOLDEN * (d - a), c + _INV_GOLDEN * (b - c))
+        value = cost(_per_element(math.exp, point))
+        shrink_b, shrink_a = active & left, active & ~left
+        b[shrink_b], d[shrink_b], fd[shrink_b] = d[shrink_b], c[shrink_b], fc[shrink_b]
+        c[shrink_b], fc[shrink_b] = point[shrink_b], value[shrink_b]
+        a[shrink_a], c[shrink_a], fc[shrink_a] = c[shrink_a], d[shrink_a], fd[shrink_a]
+        d[shrink_a], fd[shrink_a] = point[shrink_a], value[shrink_a]
+    return _per_element(math.exp, 0.5 * (a + b))
 
 
 def _minimizer_checks(rng: np.random.Generator, points: int = 100) -> list[float]:
     """Worst relative deviations of the blockade and dressing optima from a numeric minimizer."""
     cases = (  # cost(w, x, tau), search center, optimal Rabi frequency, minimal error
         (lambda w, b, tau: 7 * math.pi / (4 * w * tau) + w * w / (8 * b * b),
-         lambda b, tau: (b * b / tau) ** (1 / 3),
+         lambda b, tau: _per_element(pow, b * b / tau, 1 / 3),
          lambda b, tau: gate_error.optimal_rabi(b, tau).rad_per_s,
          gate_error.blockade_gate_error),
         (lambda w, det, tau: 8 * math.pi * det / (w * w * tau) + w * w / (det * det),
-         lambda det, tau: (det**3 / tau) ** 0.25,
-         lambda det, tau: (8 * math.pi * det**3 / tau) ** 0.25,
+         lambda det, tau: _per_element(pow, _per_element(pow, det, 3) / tau, 0.25),
+         lambda det, tau: _per_element(pow, 8 * math.pi * _per_element(pow, det, 3) / tau, 0.25),
          gate_error.dressing_gate_error),
     )
     worst = []
@@ -124,14 +133,13 @@ def _minimizer_checks(rng: np.random.Generator, points: int = 100) -> list[float
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", ModelValidityWarning)
         for cost, center, w_opt, error_min in cases:
-            dev = 0.0
-            for _ in range(points):
-                x = TWO_PI * 10 ** rng.uniform(6, 9)
-                tau = 10 ** rng.uniform(-6, -3)
-                w_num = _minimize_log(lambda w: cost(w, x, tau), center(x, tau))
-                dev = max(dev, abs(w_num / w_opt(x, tau) - 1),
-                          abs(cost(w_num, x, tau) / error_min(x, tau) - 1))
-            worst.append(dev)
+            exponents = rng.uniform((6, -6), (9, -3), (points, 2))  # log10 of x/2pi and tau
+            x_hz, tau = _per_element(lambda e: 10**e, exponents).T
+            x = TWO_PI * x_hz
+            w_num = _minimize_log(lambda w: cost(w, x, tau), center(x, tau))
+            dev = np.maximum(abs(w_num / w_opt(x, tau) - 1),
+                             abs(cost(w_num, x, tau) / error_min(x, tau) - 1))
+            worst.append(float(np.max(dev)))
     return worst
 
 
@@ -213,11 +221,9 @@ def reproduce(tau0_s: float = 3.3e-9, trials: int = 100000) -> ReproductionRepor
     sigma_dev = abs(mc.estimate - exact_p) / mc.standard_error if mc.standard_error else 0.0
     add(_entry("Monte Carlo loss vs exact survival model [std errors]",
                sigma_dev, 0.0, 0.0, 3.0))
-    margin = max(
-        budget.loss_probability(n, f * 400.0, 400.0) - n * f
-        for n in (1, 5, 20, 100)
-        for f in np.geomspace(1e-7, 1e-3, 25)
-    )
+    n = np.array([[1.0], [5.0], [20.0], [100.0]])  # code sizes down, t/tau_vac across
+    f = np.geomspace(1e-7, 1e-3, 25)
+    margin = np.max(budget.loss_probability(n, f * 400.0, 400.0) - n * f)
     add(_entry("linearized loss bound: max(P - N t/tau) over grid",
                margin, 0.0, -1.0, 1e-15))
 

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -75,8 +76,22 @@ class TestLossProbability:
         assert loss_probability(n, t_over_tau, 1.0) <= n * t_over_tau
 
     def test_clamped_with_warning_outside_validity(self):
-        with pytest.warns(ModelValidityWarning):
-            assert loss_probability(100, 1.0, 1.0) == 1.0
+        message = (r"^per-block loss probability 63.2 > 1; linearized model left "
+                   r"its validity range, clamping to 1$")
+        with pytest.warns(ModelValidityWarning, match=message):
+            assert type(p := loss_probability(100, 1.0, 1.0)) is float and p == 1.0
+
+    def test_arrays_broadcast_and_clamp_with_one_warning(self):
+        n, t = np.array([[1.0], [20.0], [100.0]]), np.array([1e-3, 0.1, 1.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", ModelValidityWarning)
+            expected = [[loss_probability(k, s, 1.0) for s in t.tolist()] for k in (1, 20, 100)]
+        with warnings.catch_warnings(record=True) as record:
+            warnings.simplefilter("always")
+            got = loss_probability(n, t, 1.0)
+        assert got.tolist() == expected
+        assert len(record) == 1 and record[0].category is ModelValidityWarning
+        assert str(record[0].message).startswith("per-block loss probability 63.2 > 1;")
 
 
 class TestSimulateLoss:

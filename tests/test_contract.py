@@ -305,19 +305,35 @@ def test_in_range_converts_int_bool_and_float_arrays():
     assert in_range("n", floats) is floats
 
 
-# Each case mixes gate errors above and below 1, except the last.
+# Each function's cases mix inputs inside and outside the model's regime, except
+# its last; the one warning quotes the element furthest outside.
 @pytest.mark.parametrize(
-    "fn, args",
+    "fn, args, warning",
     [
-        (gate_error.entanglement_error_bound, (np.array([1e3, 1e9, 2e10]), 1e-6)),
-        (gate_error.entanglement_error_bound, (1e9, np.array([1e-9, 1e-6, 1e-3]))),
-        (gate_error.interaction_gate_error, (np.array([1e3, 1e6, 1e8]), 1e-4, 1e10)),
-        (gate_error.interaction_gate_error, (1e6, np.array([1e-9, 1e-4]), 1e10)),
-        (gate_error.interaction_gate_error, (1e6, 1e-4, np.array([1e3, 1e10]))),
-        (gate_error.entanglement_error_bound, (np.array([1e9, 1e10]), 1e-6)),
+        (gate_error.entanglement_error_bound, (np.array([1e3, 1e9, 2e10]), 1e-6),
+         "entanglement error bound = 2000 > 1"),
+        (gate_error.entanglement_error_bound, (1e9, np.array([1e-9, 1e-6, 1e-3])),
+         "entanglement error bound = 2 > 1"),
+        (gate_error.interaction_gate_error, (np.array([1e3, 1e6, 1e8]), 1e-4, 1e10),
+         "interaction gate error = 31.4159 > 1"),
+        (gate_error.interaction_gate_error, (1e6, np.array([1e-9, 1e-4]), 1e10),
+         "interaction gate error = 3141.59 > 1"),
+        (gate_error.interaction_gate_error, (1e6, 1e-4, np.array([1e3, 1e10])),
+         "interaction gate error = 2886.78 > 1"),
+        (gate_error.entanglement_error_bound, (np.array([1e9, 1e10]), 1e-6), None),
+        # errors above 1 too, but blockade_gate_error flags only B tau < 10
+        (gate_error.blockade_gate_error, (np.array([2.0, 5e6, 1e9]), 1e-6),
+         "B tau = 2e-06 < 10"),
+        (gate_error.blockade_gate_error, (1e7, np.array([3e-7, 1e-4])), "B tau = 3 < 10"),
+        (gate_error.blockade_gate_error, (np.array([1e8, 1e9]), 1e-6), None),
+        (gate_error.dressing_gate_error, (np.array([1e4, 1e9, 1e10]), 1e-4),
+         "dressing gate error = 10.0265 > 1"),
+        (gate_error.dressing_gate_error, (1e9, np.array([1e-8, 1e-4])),
+         "dressing gate error = 3.17066 > 1"),
+        (gate_error.dressing_gate_error, (np.array([1e9, 1e10]), 1e-4), None),
     ],
 )
-def test_gate_error_of_an_array_is_the_scalar_calls_with_one_warning(fn, args):
+def test_gate_error_of_an_array_is_the_scalar_calls_with_one_warning(fn, args, warning):
     size = max(np.size(a) for a in args)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", ModelValidityWarning)
@@ -329,11 +345,11 @@ def test_gate_error_of_an_array_is_the_scalar_calls_with_one_warning(fn, args):
         got = fn(*args)
     assert got.tolist() == expected
     messages = [str(w.message) for w in record]
-    if max(expected) > 1.0:
-        assert len(messages) == 1 and record[0].category is ModelValidityWarning
-        assert f"= {max(expected):.6g} > 1" in messages[0]
-    else:
+    if warning is None:
         assert messages == []
+    else:
+        assert len(messages) == 1 and record[0].category is ModelValidityWarning
+        assert messages[0].startswith(f"{warning}: outside the "), messages[0]
 
 
 # One valid call of each public function that takes a Frequency | float argument.
@@ -433,23 +449,16 @@ ARRAY_FACTORS = np.random.default_rng(19).uniform(0.5, 2.0, 7)
 # The arguments whose array still raises TypeError or ValueError (ROADMAP item 2).
 # The xfails are strict: the fix of a function must delete its entry.
 ARRAY_LEAKS = {
-    "asymptotic_dressing_floor": ("tau0",),
-    "blockade_gate_error": ("blockade", "lifetime"),
     "blockade_radius": ("detuning", "defect"),
     "crossover_radius": ("c3", "defect"),
     "detection_solid_angle_fraction": ("numerical_aperture",),
     "detuning_budget": ("rabi", "epsilon"),
     "dressing_depth_perturbative": ("detuning",),
-    "dressing_gate_error": ("detuning", "lifetime"),
     "excitation_error": ("rabi", "detuning"),
     "f_prime": ("rabi", "detuning"),
     "f_prime_defect": ("rabi", "defect"),
     "field_budget": ("detuning_limit", "alpha0"),
-    "implied_c3": ("angular_factor",),
-    "loss_probability": ("n_code", "t", "tau_vac"),
     "measurement_crosstalk": ("wavelength", "spacing", "numerical_aperture"),
-    "minimal_interaction_gate_error": ("lifetime", "qubit_freq"),
-    "optimal_interaction_strength": ("lifetime", "qubit_freq"),
     "scaling_exponent": ("n_lo", "n_hi"),
     "simulate_loss": ("tau_vac", "t"),
     "soft_core_scale": ("detuning", "defect"),

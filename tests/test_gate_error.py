@@ -28,6 +28,7 @@ from rydkit import (
     optimal_rabi,
     spontaneous_budget,
 )
+from rydkit.dressing import crossover_radius, dressing_depth_perturbative, implied_c3
 from rydkit.gate_error import (
     blockade_error_budget,
     excitation_error,
@@ -87,7 +88,8 @@ class TestBlockadeGate:
         assert gap(0.30) < 0 < gap(0.32)
 
     def test_warns_outside_strong_blockade(self):
-        with pytest.warns(ModelValidityWarning):
+        message = r"^B tau = 5 < 10: outside the strong-blockade regime of the error model$"
+        with pytest.warns(ModelValidityWarning, match=message):
             blockade_gate_error(5.0, 1.0)
 
     def test_budget_decomposition_matches_closed_form(self):
@@ -144,7 +146,16 @@ class TestAsymptoticFloors:
 @pytest.mark.parametrize("fn, baseline", [
     (asymptotic_blockade_floor, 3.3e-9),
     (lambda n: rydberg_level_half_spacing(n).rad_per_s, 100.0),
-], ids=["asymptotic_blockade_floor", "rydberg_level_half_spacing"])
+    (lambda b: optimal_rabi(b, 1e-4).rad_per_s, 1e8),
+    (lambda tau: optimal_rabi(1e8, tau).rad_per_s, 1e-4),
+    (lambda d_kl: crossover_radius(5.0, 1e9, d_kl), 12.0),
+    (lambda r_c: implied_c3(r_c, 1e8), 1.5e-6),
+    (lambda w: dressing_depth_perturbative(w, 1e7).rad_per_s, 1e6),
+], ids=[
+    "asymptotic_blockade_floor", "rydberg_level_half_spacing", "optimal_rabi-blockade",
+    "optimal_rabi-lifetime", "crossover_radius-angular_factor", "implied_c3-r_c",
+    "dressing_depth_perturbative-rabi",
+])
 def test_power_of_an_array_is_the_scalar_calls(fn, baseline):
     # numpy's vectorized power rounds some of these 1 ulp away from Python's pow
     x = baseline * np.random.default_rng(1).uniform(0.5, 2.0, 2000)

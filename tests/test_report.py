@@ -1,12 +1,25 @@
+import collections
+import inspect
 import json
+import math
 import threading
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import rydkit
+from rydkit import gate_error, report
 from rydkit.errors import DomainError
-from rydkit.report import ReproEntry, ReproductionReport, _band, _entry
+from rydkit.report import (
+    ReproEntry,
+    ReproductionReport,
+    _band,
+    _entry,
+    _minimize_log,
+    _minimizer_checks,
+)
+from rydkit.units import TWO_PI
 
 
 def test_entry_relative_deviation_convention():
@@ -77,3 +90,74 @@ def test_reproduce_reraises_an_error_of_the_eigensolver_oracle(monkeypatch):
     with pytest.raises(DomainError, match="^boom$"):
         rydkit.reproduce()
     assert threading.active_count() == before
+
+
+def _scalar_minimize_log(cost, center):
+    """Reference for _minimize_log: one scalar golden-section search, and its step count."""
+    step = report._INV_GOLDEN
+    a, b = math.log(center) - 8.0, math.log(center) + 8.0
+    c, d = b - step * (b - a), a + step * (b - a)
+    fc, fd = cost(math.exp(c)), cost(math.exp(d))
+    steps = 0
+    while b - a > 1e-12:
+        steps += 1
+        if fc < fd:  # the minimum lies in [a, d]
+            b, c, d, fd = d, d - step * (d - a), c, fc
+            fc = cost(math.exp(c))
+        else:  # in [c, b]
+            a, c, d, fc = c, d, c + step * (b - c), fd
+            fd = cost(math.exp(d))
+    return math.exp(0.5 * (a + b)), steps
+
+
+# The blockade and dressing costs of reproduce(), with their search centres.
+COSTS = {
+    "blockade": (lambda w, b, tau: 7 * math.pi / (4 * w * tau) + w * w / (8 * b * b),
+                 lambda b, tau: (b * b / tau) ** (1 / 3)),
+    "dressing": (lambda w, det, tau: 8 * math.pi * det / (w * w * tau) + w * w / (det * det),
+                 lambda det, tau: (det**3 / tau) ** 0.25),
+}
+
+
+# With the golden step every search of a +-8 bracket stops after 64 steps, wherever
+# its minimum lies. With a step of 0.62 the count depends on the search's path, so
+# searches whose minimum sits elsewhere in their bracket stop on other steps than
+# their neighbours, and each must keep its values from its own last step.
+@pytest.mark.parametrize("case", COSTS)
+@pytest.mark.parametrize("step", [report._INV_GOLDEN, 0.62], ids=["golden", "0.62"])
+def test_lockstep_search_returns_the_scalar_search_bits(case, step, monkeypatch):
+    monkeypatch.setattr(report, "_INV_GOLDEN", step)
+    cost, center = COSTS[case]
+    rng = np.random.default_rng(18)
+    x, tau = TWO_PI * 10 ** rng.uniform(6, 9, 300), 10 ** rng.uniform(-6, -3, 300)
+    shifts = np.exp(rng.uniform(-6.0, 6.0, 300))  # the minimum off the bracket's centre
+    centers = [center(v, t) * s for v, t, s in zip(x.tolist(), tau.tolist(), shifts.tolist())]
+    expected, steps = zip(*(
+        _scalar_minimize_log(lambda w: cost(w, v, t), c)
+        for v, t, c in zip(x.tolist(), tau.tolist(), centers)
+    ))
+    got = _minimize_log(lambda w: cost(w, x, tau), np.array(centers))
+    assert got.tolist() == list(expected)
+    if step == 0.62:
+        assert any(abs(s - t) == 1 for s, t in zip(steps, steps[1:]))
+    else:
+        assert set(steps) == {64}
+
+
+def test_minimizer_checks_call_each_gate_error_function_a_fixed_number_of_times(monkeypatch):
+    calls = collections.Counter()
+    for name, fn in vars(gate_error).items():
+        if inspect.isfunction(fn) and fn.__module__ == gate_error.__name__ and name[0] != "_":
+            def counted(*args, _name=name, _fn=fn, **kwargs):
+                calls[_name] += 1
+                return _fn(*args, **kwargs)
+
+            monkeypatch.setattr(gate_error, name, counted)
+    counts = []
+    for points in (10, 100):
+        calls.clear()
+        _minimizer_checks(np.random.default_rng(1), points)
+        counts.append(dict(calls))
+    assert counts[0] == counts[1]  # not once per point
+    assert {"optimal_rabi", "blockade_gate_error", "dressing_gate_error"} <= set(counts[0])
+    assert max(counts[0].values()) <= 2
