@@ -8,7 +8,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, ModelValidityWarning, _float_range, _per_element, in_range
+from .errors import DomainError, ModelValidityWarning, _float_range, _per_element, _scalar
+from .errors import in_range
 
 # Default error-correction cycle time: 0.1 ms per code qubit.
 T_QEC_PER_QUBIT = 1e-4  # s
@@ -78,11 +79,11 @@ def simulate_loss(
     with at least one lifetime below ``t``. Deterministic for a fixed seed.
     Returns the loss fraction with its binomial standard error.
     """
-    in_range("n_code", n_code, 1.0, bounds="[)")  # counts stay ints: they size arrays
-    tau_vac = in_range("tau_vac", tau_vac)
-    t = in_range("t", t, bounds="[)")
-    in_range("trials", trials, 1000.0, bounds="[)")
-    in_range("seed", seed, 0.0, bounds="[)")
+    _scalar("n_code", n_code, 1.0, bounds="[)")  # counts stay ints: they size arrays
+    tau_vac = _scalar("tau_vac", tau_vac)
+    t = _scalar("t", t, bounds="[)")
+    _scalar("trials", trials, 1000.0, bounds="[)")
+    _scalar("seed", seed, 0.0, bounds="[)")
     rng = np.random.default_rng(seed)
     hits = 0
     # 2**16 draws (512 KiB) a block: the exponential stream does not depend on the chunking
@@ -119,11 +120,11 @@ def measurement_crosstalk(
     spacing = in_range("spacing", spacing)
     numerical_aperture = in_range("numerical_aperture", numerical_aperture, 0.0, 1.0)
     efficiency = in_range("efficiency", efficiency, 0.0, 1.0, "(]")
-    if spacing <= wavelength / 2:
+    if np.any(spacing <= wavelength / 2):
         raise DomainError("qubit spacing must exceed lambda/2 for the far-field estimate")
     with _float_range("lambda^2 or d^2"):
-        sigma = (3.0 / (2.0 * math.pi)) * wavelength**2
-        eta_abs = sigma / (4.0 * math.pi * spacing**2)
+        sigma = (3.0 / (2.0 * math.pi)) * _per_element(pow, wavelength, 2)
+        eta_abs = sigma / (4.0 * math.pi * _per_element(pow, spacing, 2))
     eta_det = in_range("eta_det", efficiency * detection_solid_angle_fraction(numerical_aperture))
     return CrosstalkEstimate(
         cross_section=sigma,
@@ -136,5 +137,5 @@ def measurement_crosstalk(
 def detection_solid_angle_fraction(numerical_aperture: float) -> float:
     """Collected solid-angle fraction (1 - cos(theta))/2 with sin(theta) = NA."""
     numerical_aperture = in_range("numerical_aperture", numerical_aperture, 0.0, 1.0, "(]")
-    return (1.0 - math.sqrt(1.0 - numerical_aperture**2)) / 2.0
+    return (1.0 - _per_element(math.sqrt, 1.0 - _per_element(pow, numerical_aperture, 2))) / 2.0
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BranchResidualWarning, DomainError, ModelValidityWarning, _float_range
-from .errors import _per_element, in_range
+from .errors import _nonzero, _per_element, _scalar, in_range
 from .units import TWO_PI, Frequency
 
 _CBRT2 = 2.0 ** (1 / 3)
@@ -41,8 +41,7 @@ class PairInteraction:
     r_c: float | None = None       # m
 
     def __post_init__(self) -> None:
-        if self.defect.rad_per_s == 0:
-            raise DomainError("Foerster defect must be nonzero")
+        _nonzero("Foerster defect", self.defect)
         in_range("angular factor D_kl", self.angular_factor)
         if self.c3 is None and self.r_c is None:
             raise DomainError("supply c3 or r_c")
@@ -71,8 +70,7 @@ class DressingParams:
 
     def __post_init__(self) -> None:
         in_range("Rabi frequency", self.rabi.rad_per_s)
-        if self.detuning.rad_per_s == 0:
-            raise DomainError("dressing detuning must be nonzero")
+        _nonzero("dressing detuning", self.detuning)
         in_range("lifetime", self.lifetime)
         in_range("lattice spacing", self.spacing)
 
@@ -146,17 +144,12 @@ def crossover_radius(
     ``c3`` in GHz um^3 and the defect share the ordinary-frequency convention,
     so the 2pi factors cancel.
     """
-    c3 = in_range("c3", c3, -math.inf)
+    c3 = _nonzero("c3", c3)
     angular_factor = in_range("angular factor D_kl", angular_factor)
-    d_ghz = abs(in_range("defect", defect, -math.inf)) / TWO_PI / 1e9
-    if d_ghz == 0 or c3 == 0:
-        raise DomainError("c3 and the defect must be nonzero")
-    return in_range(
-        "r_c",
-        _per_element(pow, 4.0 * angular_factor, 1 / 6)
-        * _per_element(pow, abs(c3) / d_ghz, 1 / 3)
-        * 1e-6,
-    )
+    d_ghz = abs(_nonzero("defect", defect)) / TWO_PI / 1e9
+    with _float_range("|c3| / defect"):  # a subnormal defect can reach 0 GHz
+        c3_over_d = _per_element(pow, abs(c3) / d_ghz, 1 / 3)
+    return in_range("r_c", _per_element(pow, 4.0 * angular_factor, 1 / 6) * c3_over_d * 1e-6)
 
 
 def implied_c3(r_c: float, defect: Frequency | float, angular_factor: float = 12.0) -> float:
@@ -178,12 +171,11 @@ def blockade_radius(
     R_b = R_c |delta|^(1/3) / (2^(1/3) (|Delta| |Delta + delta|)^(1/6)), defined
     only for matched signs of detuning and defect.
     """
-    det = in_range("detuning", detuning, -math.inf)
-    d = in_range("defect", defect, -math.inf)
-    _check_signs(det, d)
+    det, d = _check_signs(detuning, defect)
     r_c = in_range("r_c", r_c)
     product = in_range("|Delta (Delta + delta)|", abs(det) * abs(det + d))
-    return in_range("blockade radius", r_c * abs(d) ** (1 / 3) / (_CBRT2 * product ** (1 / 6)))
+    cbrt_d, root6 = _per_element(pow, abs(d), 1 / 3), _per_element(pow, product, 1 / 6)
+    return in_range("blockade radius", r_c * cbrt_d / (_CBRT2 * root6))
 
 
 def pair_light_shift_free(rabi: Frequency | float, detuning: Frequency | float) -> Frequency:
@@ -223,9 +215,7 @@ def dressing_depth_perturbative(
 ) -> Frequency:
     """Leading-order soft-core depth -Omega^4/(8 Delta^3) (signed)."""
     w = in_range("Rabi frequency", rabi, -math.inf)
-    det = in_range("detuning", detuning, -math.inf)
-    if det == 0:
-        raise DomainError("detuning must be nonzero")
+    det = _nonzero("detuning", detuning)
     with _float_range("Omega^4 / Delta^3"):
         return Frequency(-_per_element(pow, w, 4) / (8.0 * _per_element(pow, det, 3)))
 
@@ -350,13 +340,11 @@ def soft_core_scale(
 ) -> float:
     """Core radius xi = R_c (delta/(8 Delta))^(1/6) of the single-term approximation, in m.
 
-    ``r_c`` may be an ndarray; the detuning and the defect are scalars.
+    The arguments broadcast as ndarrays.
     """
-    det = in_range("detuning", detuning, -math.inf)
-    d = in_range("defect", defect, -math.inf)
-    _check_signs(det, d)
+    det, d = _check_signs(detuning, defect)
     r_c = in_range("r_c", r_c)
-    return in_range("core radius", r_c * (d / (8.0 * det)) ** (1 / 6))
+    return in_range("core radius", r_c * _per_element(pow, d / (8.0 * det), 1 / 6))
 
 
 def normalized_potential(r: float, params: DressingParams, kind: str = "full") -> float:
@@ -370,9 +358,7 @@ def normalized_potential(r: float, params: DressingParams, kind: str = "full") -
     then solved by one stacked eigensolve.
     """
     r = in_range("separation R", r)
-    det = params.detuning.rad_per_s
-    defect = params.pair.defect.rad_per_s
-    _check_signs(det, defect)
+    det, defect = _check_signs(params.detuning, params.pair.defect)
     r_c = params.pair.r_c
     if kind == "single_term":
         with _float_range("R^6 or xi^6"):
@@ -438,10 +424,8 @@ def f_prime_defect(
 
 def _avalanche_fom(result: str, rabi, name: str, frequency, lifetime) -> float:
     """Omega^2 tau/(4 pi |x|) for the frequency x passed as argument ``name``."""
-    w = in_range("Rabi frequency", rabi, -math.inf)
-    x = in_range(name, frequency, -math.inf)
-    if w == 0 or x == 0:
-        raise DomainError(f"rabi and {name} must be nonzero")
+    w = _nonzero("Rabi frequency", rabi)
+    x = _nonzero(name, frequency)
     lifetime = in_range("lifetime", lifetime)
     return in_range(result, w * w * lifetime / (4.0 * math.pi * abs(x)))
 
@@ -500,9 +484,7 @@ def figures_of_merit(params: DressingParams) -> tuple[FigureOfMerit, ...]:
     warned).
     """
     w = params.rabi.rad_per_s
-    det = params.detuning.rad_per_s
-    defect = params.pair.defect.rad_per_s
-    _check_signs(det, defect)
+    det, defect = _check_signs(params.detuning, params.pair.defect)
     if abs(w) >= abs(det):
         warnings.warn(
             f"|Omega| = {abs(w):.3g} >= |Delta| = {abs(det):.3g}: outside the "
@@ -551,8 +533,8 @@ def scaling_exponent(quantity: str, n_lo: float, n_hi: float) -> float:
         raise DomainError(
             f"unknown quantity {quantity!r} (choose from {', '.join(_SCALING_QUANTITIES)})"
         )
-    n_lo = in_range("n_lo", n_lo, 50.0, bounds="[)")
-    n_hi = in_range("n_hi", n_hi, n_lo)
+    n_lo = _scalar("n_lo", n_lo, 50.0, bounds="[)")
+    n_hi = _scalar("n_hi", n_hi, n_lo)
 
     def value(n: float) -> float:
         defect, tau, det = n**-4.0, n**3.0, n**-3.0
@@ -571,11 +553,12 @@ def scaling_exponent(quantity: str, n_lo: float, n_hi: float) -> float:
     return in_range("scaling exponent", slope, -math.inf)
 
 
-def _check_signs(detuning: float, defect: float) -> None:
-    if detuning == 0 or defect == 0:
-        raise DomainError("detuning and defect must be nonzero")
-    if math.copysign(1.0, detuning) != math.copysign(1.0, defect):
+def _check_signs(detuning, defect):
+    """The detuning and the defect in rad/s, checked to be nonzero and of matching signs."""
+    det, d = _nonzero("detuning", detuning), _nonzero("defect", defect)
+    if np.any((det > 0) != (d > 0)):
         raise DomainError(
             "detuning and Foerster defect have opposite signs: this combination "
             "has an excitation resonance at finite separation and is excluded"
         )
+    return det, d

@@ -1,4 +1,4 @@
-"""Exception and warning types shared across the package, the input check, the
+"""Exception and warning types shared across the package, the input checks, the
 float-range context, the per-element float math of array results, and the
 text format of floats in CSV output."""
 
@@ -53,6 +53,21 @@ def in_range(
     ):
         return v
     raise DomainError(_outside(name, lo, hi, bounds, repr(value)))
+
+
+def _nonzero(name: str, value: float) -> float:
+    """``in_range(name, value, -math.inf)``, which must also hold no zero element."""
+    v = in_range(name, value, -math.inf)
+    if np.any(v == 0):
+        raise DomainError(f"{name} must be nonzero")
+    return v
+
+
+def _scalar(name: str, value: float, *args, **kwargs) -> float:
+    """``in_range(name, value, *args, **kwargs)`` for an argument that takes no ndarray."""
+    if type(v := in_range(name, value, *args, **kwargs)) is np.ndarray:
+        raise DomainError(f"{name} must be a scalar, not an array")
+    return v
 
 
 def _in_range_array(name: str, a: np.ndarray, lo: float, hi: float, bounds: str):

@@ -16,7 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constants import ATOMIC_TIME, K_B
-from .errors import DomainError, ModelValidityWarning, _float_range, _per_element, in_range
+from .errors import DomainError, ModelValidityWarning, _float_range, _nonzero, _per_element
+from .errors import _scalar, in_range
 from .units import TWO_PI, Frequency
 
 _SEVEN_PI = 7.0 * math.pi
@@ -200,8 +201,9 @@ def excitation_error(rabi: Frequency | float, detuning: Frequency | float) -> fl
     w = in_range("Rabi frequency", rabi)
     d = in_range("detuning", detuning, -math.inf)
     g2 = in_range("Omega^2 + Delta^2", w * w + d * d)
-    phi = in_range("pulse area", math.pi / 2.0 * (d / (math.sqrt(g2) + w)) * (d / w), -math.inf)
-    return (d * d + w * w * math.sin(phi) ** 2) / g2
+    g = _per_element(math.sqrt, g2)
+    phi = in_range("pulse area", math.pi / 2.0 * (d / (g + w)) * (d / w), -math.inf)
+    return (d * d + w * w * _per_element(pow, _per_element(math.sin, phi), 2)) / g2
 
 
 def detuning_budget(rabi: Frequency | float, epsilon: float) -> Frequency:
@@ -212,8 +214,8 @@ def detuning_budget(rabi: Frequency | float, epsilon: float) -> Frequency:
     where the error has reached epsilon, is returned. To leading order the
     result is Omega sqrt(epsilon).
     """
-    w = in_range("Rabi frequency", rabi)
-    epsilon = in_range("epsilon", epsilon, 0.0, 1.0)
+    w = _scalar("Rabi frequency", rabi)
+    epsilon = _scalar("epsilon", epsilon, 0.0, 1.0)
     # below a normal float, Delta^2 ~ Omega^2 epsilon underflows in excitation_error,
     # or a subnormal epsilon holds too few digits to place the root
     if min(epsilon, w * w * epsilon) < sys.float_info.min:
@@ -241,14 +243,12 @@ def field_budget(
     uses alpha0 E^2 / 2 (a factor sqrt(2) larger field).
     """
     d = in_range("detuning limit", detuning_limit)
-    alpha0 = in_range("alpha0", alpha0, -math.inf)
-    if alpha0 == 0:
-        raise DomainError("alpha0 must be nonzero")
+    alpha0 = _nonzero("alpha0", alpha0)
     if convention not in ("direct", "half"):
         raise DomainError(f"unknown Stark-shift convention {convention!r}")
     shift_ghz = d / TWO_PI / 1e9
     factor = 1.0 if convention == "direct" else 2.0
-    return in_range("field limit", math.sqrt(factor * shift_ghz / abs(alpha0)))
+    return in_range("field limit", _per_element(math.sqrt, factor * shift_ghz / abs(alpha0)))
 
 
 def blockade_error_budget(

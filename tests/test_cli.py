@@ -265,8 +265,10 @@ class TestScanCommand:
         assert target.read_text().startswith("# quantity: lifetime")
 
     def test_quantity_choices_are_the_scan_registry(self):
+        from rydkit.cli import _SCAN_QUANTITIES
         from rydkit.grid import SCAN_QUANTITIES
 
+        assert _SCAN_QUANTITIES == tuple(sorted(SCAN_QUANTITIES))
         (quantity,) = [p for p in cli.commands["scan"].params if p.name == "quantity"]
         assert list(quantity.type.choices) == sorted(SCAN_QUANTITIES)
 

@@ -223,6 +223,17 @@ K_ONE_PHOTON = CESIUM.scheme("one-photon").effective_k
             _dressing_params(1e6, 1e7, 1e-3, 12.0, None, 1e149, 1e-3, 1e-6)
         ),
         lambda: gate_error.doppler_infidelity(1e200, 1e-6, 1e-7, CESIUM.mass),
+        # one zero element, or one element of the wrong sign, in an array argument
+        lambda: dressing.blockade_radius(np.array([1e9, 0.0]), 2e9, 1e-6),
+        lambda: dressing.blockade_radius(np.array([1e9, -1e9]), 2e9, 1e-6),
+        lambda: dressing.soft_core_scale(1e9, np.array([2e9, -2e9]), 1e-6),
+        lambda: dressing.crossover_radius(np.array([5.0, 0.0]), 2e9),
+        lambda: dressing.f_prime(1e6, np.array([1e7, 0.0]), 1e-4),
+        lambda: gate_error.field_budget(1e5, np.array([205.0, 0.0])),
+        lambda: dressing.dressing_depth_perturbative(1e6, np.array([1e7, 0.0])),
+        # an array in a scalar-only argument
+        lambda: budget.simulate_loss(20, np.array([400.0, 500.0]), 2e-3, 1000, 1),
+        lambda: gate_error.detuning_budget(np.array([1e6, 2e6]), 1e-3),
     ],
 )
 def test_inputs_that_leaked_now_raise(call):
@@ -446,25 +457,6 @@ ARRAY_BASELINES = {
 # rydberg_level_half_spacing, so it checks that they take the power per element.
 ARRAY_FACTORS = np.random.default_rng(19).uniform(0.5, 2.0, 7)
 
-# The arguments whose array still raises TypeError or ValueError (ROADMAP item 2).
-# The xfails are strict: the fix of a function must delete its entry.
-ARRAY_LEAKS = {
-    "blockade_radius": ("detuning", "defect"),
-    "crossover_radius": ("c3", "defect"),
-    "detection_solid_angle_fraction": ("numerical_aperture",),
-    "detuning_budget": ("rabi", "epsilon"),
-    "dressing_depth_perturbative": ("detuning",),
-    "excitation_error": ("rabi", "detuning"),
-    "f_prime": ("rabi", "detuning"),
-    "f_prime_defect": ("rabi", "defect"),
-    "field_budget": ("detuning_limit", "alpha0"),
-    "measurement_crosstalk": ("wavelength", "spacing", "numerical_aperture"),
-    "scaling_exponent": ("n_lo", "n_hi"),
-    "simulate_loss": ("tau_vac", "t"),
-    "soft_core_scale": ("detuning", "defect"),
-}
-
-
 def _float_arguments(fn) -> list[str]:
     hints = typing.get_type_hints(fn)
     return [arg for arg in inspect.signature(fn).parameters if _takes_float(hints.get(arg))]
@@ -480,10 +472,7 @@ def test_every_function_with_a_float_argument_has_an_array_baseline():
     "ignore::rydkit.errors.BranchResidualWarning",
 )
 @pytest.mark.parametrize("name, arg", [
-    pytest.param(name, arg, marks=pytest.mark.xfail(strict=True, raises=(TypeError, ValueError)))
-    if arg in ARRAY_LEAKS.get(name, ()) else (name, arg)
-    for name in ARRAY_BASELINES
-    for arg in _float_arguments(PUBLIC[name])
+    (name, arg) for name in ARRAY_BASELINES for arg in _float_arguments(PUBLIC[name])
 ])
 def test_array_argument_gives_elementwise_result_or_domain_error(name, arg):
     fn = PUBLIC[name]

@@ -28,7 +28,9 @@ from rydkit import (
     optimal_rabi,
     spontaneous_budget,
 )
-from rydkit.dressing import crossover_radius, dressing_depth_perturbative, implied_c3
+from rydkit.budget import measurement_crosstalk
+from rydkit.dressing import blockade_radius, crossover_radius, dressing_depth_perturbative
+from rydkit.dressing import implied_c3, soft_core_scale
 from rydkit.gate_error import (
     blockade_error_budget,
     excitation_error,
@@ -151,10 +153,16 @@ class TestAsymptoticFloors:
     (lambda d_kl: crossover_radius(5.0, 1e9, d_kl), 12.0),
     (lambda r_c: implied_c3(r_c, 1e8), 1.5e-6),
     (lambda w: dressing_depth_perturbative(w, 1e7).rad_per_s, 1e6),
+    (lambda det: blockade_radius(det, 2e7, 1.5e-6), 1e7),
+    (lambda d: blockade_radius(1e7, d, 1.5e-6), 2e7),
+    (lambda d: soft_core_scale(1e7, d, 1.5e-6), 2e7),
+    (lambda det: excitation_error(1e6, det), 1e6),
+    (lambda lam: measurement_crosstalk(lam, 4e-6, 0.4, 0.4).cross_section, 852e-9),
 ], ids=[
     "asymptotic_blockade_floor", "rydberg_level_half_spacing", "optimal_rabi-blockade",
     "optimal_rabi-lifetime", "crossover_radius-angular_factor", "implied_c3-r_c",
-    "dressing_depth_perturbative-rabi",
+    "dressing_depth_perturbative-rabi", "blockade_radius-detuning", "blockade_radius-defect",
+    "soft_core_scale-defect", "excitation_error-detuning", "measurement_crosstalk-wavelength",
 ])
 def test_power_of_an_array_is_the_scalar_calls(fn, baseline):
     # numpy's vectorized power rounds some of these 1 ulp away from Python's pow
