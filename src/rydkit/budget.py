@@ -6,10 +6,8 @@ import math
 import warnings
 from dataclasses import dataclass
 
-import numpy as np
-
-from .errors import DomainError, ModelValidityWarning, _float_range, _per_element, _scalar
-from .errors import in_range
+from .errors import DomainError, ModelValidityWarning, _any, _count, _float_range, _is_array
+from .errors import _per_element, _scalar, in_range
 
 # Default error-correction cycle time: 0.1 ms per code qubit.
 T_QEC_PER_QUBIT = 1e-4  # s
@@ -31,14 +29,14 @@ def loss_probability(n_code: float, t: float, tau_vac: float) -> float:
     t = in_range("t", t, bounds="[)")
     tau_vac = in_range("tau_vac", tau_vac)
     p = n_code * -_per_element(math.expm1, -t / tau_vac)
-    if np.any(p > 1.0):
+    if _any(p > 1.0):
         warnings.warn(
-            f"per-block loss probability {np.max(p):.3g} > 1; linearized model left "
-            "its validity range, clamping to 1",
+            f"per-block loss probability {p.max() if _is_array(p) else p:.3g} > 1; "
+            "linearized model left its validity range, clamping to 1",
             ModelValidityWarning,
             stacklevel=2,
         )
-        return np.minimum(p, 1.0) if type(p) is np.ndarray else 1.0
+        return _per_element(min, p, 1.0)
     return p
 
 
@@ -79,12 +77,13 @@ def simulate_loss(
     with at least one lifetime below ``t``. Deterministic for a fixed seed.
     Returns the loss fraction with its binomial standard error.
     """
-    _scalar("n_code", n_code, 1.0, bounds="[)")  # counts stay ints: they size arrays
+    import numpy as np
+
+    n_code = _count("n_code", n_code, 1)
     tau_vac = _scalar("tau_vac", tau_vac)
     t = _scalar("t", t, bounds="[)")
-    _scalar("trials", trials, 1000.0, bounds="[)")
-    _scalar("seed", seed, 0.0, bounds="[)")
-    rng = np.random.default_rng(seed)
+    trials = _count("trials", trials, 1000)
+    rng = np.random.default_rng(_count("seed", seed, 0))
     hits = 0
     # 2**16 draws (512 KiB) a block: the exponential stream does not depend on the chunking
     block = max(1, 2**16 // n_code)
@@ -120,7 +119,7 @@ def measurement_crosstalk(
     spacing = in_range("spacing", spacing)
     numerical_aperture = in_range("numerical_aperture", numerical_aperture, 0.0, 1.0)
     efficiency = in_range("efficiency", efficiency, 0.0, 1.0, "(]")
-    if np.any(spacing <= wavelength / 2):
+    if _any(spacing <= wavelength / 2):
         raise DomainError("qubit spacing must exceed lambda/2 for the far-field estimate")
     with _float_range("lambda^2 or d^2"):
         sigma = (3.0 / (2.0 * math.pi)) * _per_element(pow, wavelength, 2)

@@ -13,7 +13,6 @@ import sys
 from dataclasses import asdict
 
 import click
-import numpy as np
 
 import rydkit
 
@@ -344,14 +343,17 @@ def _dressing_options(command):
 @click.option("--out", type=click.Path(), default=None)
 def dressing_curve(r_min_um, r_max_um, points, out, **point) -> None:
     """Normalized soft-core curves (full, vdW, single-term) as CSV columns."""
+    import numpy as np
+
     params = rydkit.dressing._dressing_params(**point)
-    r_um = np.linspace(r_min_um, r_max_um, points)
+    r_um = rydkit.grid.axis("separation", "um", r_min_um, r_max_um, points).values
+    r_m = np.array(r_um) * 1e-6
     columns = [r_um] + [
-        rydkit.dressing.normalized_potential(r_um * 1e-6, params, kind)
+        rydkit.dressing.normalized_potential(r_m, params, kind).tolist()
         for kind in ("full", "vdw", "single_term")
     ]
     lines = ["separation_um,v_full,v_vdw,v_single_term"]
-    lines += [",".join([_FMT] * 4) % row for row in zip(*(c.tolist() for c in columns))]
+    lines += [",".join([_FMT] * 4) % row for row in zip(*columns)]
     _emit("\n".join(lines) + "\n", out)
 
 

@@ -4,10 +4,8 @@ from __future__ import annotations
 
 import math
 
-import numpy as np
-
 from .constants import ALPHA_FS, E, HBAR, K_B, M_E, POLARIZABILITY_AU
-from .errors import _float_range, _per_element, in_range
+from .errors import _float_range, _is_array, _per_element, in_range
 from .units import Frequency
 
 
@@ -38,7 +36,13 @@ def rydberg_lifetime(n: float, temperature: float, tau0: float) -> float:
     with _float_range("lifetime"):
         radiative = tau0 * _per_element(pow, n, 3)
         lifetime = 1.0 / (1.0 / radiative + blackbody_depopulation_rate(n, temperature))
-    return in_range("lifetime", np.where(temperature == 0, radiative, lifetime))
+    if _is_array(temperature):  # radiative where T = 0, broadcast against the lifetimes
+        import numpy as np
+
+        lifetime = np.where(temperature == 0, radiative, lifetime)
+    elif temperature == 0:
+        lifetime = radiative
+    return in_range("lifetime", lifetime)
 
 
 def free_electron_polarizability(omega: Frequency | float) -> float:

@@ -13,17 +13,13 @@ import math
 import warnings
 from dataclasses import dataclass
 
-import numpy as np
-
-from .errors import BranchResidualWarning, DomainError, ModelValidityWarning, _float_range
-from .errors import _nonzero, _per_element, _scalar, in_range
+from .errors import BranchResidualWarning, DomainError, ModelValidityWarning, _any, _count
+from .errors import _float_range, _nonzero, _per_element, _scalar, in_range
 from .units import TWO_PI, Frequency
 
 _CBRT2 = 2.0 ** (1 / 3)
 _CBRT4 = 2.0 ** (2 / 3)
 _SQRT2 = math.sqrt(2.0)
-_CUBE_ROOTS_OF_UNITY = np.exp(2j * np.pi * np.arange(3) / 3.0)
-_BRANCHES = np.arange(3)  # eigenvalue index of each branch, for the one-hot selection
 
 
 @dataclass(frozen=True)
@@ -76,7 +72,7 @@ class DressingParams:
 
 
 def _dressing_params(
-    rabi_mhz: float | np.ndarray, detuning_mhz: float, defect_mhz: float,
+    rabi_mhz: float, detuning_mhz: float, defect_mhz: float,
     rc_um: float | None = None, c3_ghz_um3: float | None = None, d_kl: float = 12.0,
     tau_us: float = 320.0, spacing_um: float = 1.0,
 ) -> DressingParams:
@@ -116,6 +112,8 @@ def dipole_dipole_shift(r: float, defect: Frequency | float, r_c: float) -> Freq
 
     The arguments broadcast as ndarrays.
     """
+    import numpy as np
+
     return _pair_shift(r, defect, r_c, lambda d, x6: 0.5 * d * (1.0 - np.sqrt(1.0 + x6)))
 
 
@@ -183,6 +181,8 @@ def pair_light_shift_free(rabi: Frequency | float, detuning: Frequency | float) 
 
     The arguments broadcast as ndarrays.
     """
+    import numpy as np
+
     w = in_range("Rabi frequency", rabi, -math.inf)
     det = in_range("detuning", detuning, -math.inf)
     with _float_range("Delta^2 + Omega^2"):
@@ -196,6 +196,8 @@ def pair_light_shift_blockaded(
 
     The arguments broadcast as ndarrays.
     """
+    import numpy as np
+
     w = in_range("Rabi frequency", rabi, -math.inf)
     det = in_range("detuning", detuning, -math.inf)
     with _float_range("Delta^2 + 2 Omega^2"):
@@ -222,6 +224,8 @@ def dressing_depth_perturbative(
 
 def _scale(rabi, detuning, pair_shift):
     """max(|Omega|, |Delta|, |D|, 1): the common scale that keeps the matrix O(1)."""
+    import numpy as np
+
     return np.maximum(np.maximum(abs(rabi), abs(detuning)), np.maximum(abs(pair_shift), 1.0))
 
 
@@ -267,6 +271,8 @@ def _ground_branch(rabi, detuning, pair_shift):
     eigenvalue 0 and its unit eigenvector exactly. Overflows are left to the
     callers' range checks.
     """
+    import numpy as np
+
     scale = _scale(rabi, detuning, pair_shift)
     shape = scale.shape
     h = np.zeros(shape + (9,))
@@ -276,7 +282,7 @@ def _ground_branch(rabi, detuning, pair_shift):
         h[..., 8] = (-2.0 * detuning + pair_shift) / scale
         vals, vecs = np.linalg.eigh(h.reshape(shape + (3, 3)))
         first = abs(vecs[..., 0, :])
-        ground = first.argmax(-1, keepdims=True) == _BRANCHES
+        ground = first.argmax(-1, keepdims=True) == np.arange(3)  # one-hot over the branches
         return vals[ground].reshape(shape) * scale, first[ground].reshape(shape)
 
 
@@ -295,6 +301,8 @@ def dressed_ground_energy_closed_form(
     :class:`BranchResidualWarning` is issued if a returned root retains an
     imaginary residue above 1e-9 relative.
     """
+    import numpy as np
+
     w_raw, det, dd_raw = _dressed_arguments(rabi, detuning, pair_shift)
     scale = _scale(w_raw, det, dd_raw)
     with _float_range("dressed energy"):
@@ -313,6 +321,8 @@ def dressed_ground_energy_closed_form(
 
 def _cardano_ground_branch(omega, delta, dd):
     """Scaled ground-branch eigenvalue and the imaginary residue it kept."""
+    import numpy as np
+
     omega2 = omega * omega
     a = dd * (18.0 * delta * delta - 18.0 * delta * dd + 4.0 * dd * dd - 9.0 * omega2)
     b = 3.0 * delta * delta - 3.0 * delta * dd + dd * dd + 3.0 * omega2
@@ -323,14 +333,14 @@ def _cardano_ground_branch(omega, delta, dd):
     # |a + disc| >= |a - disc| exactly when a Re(disc) >= 0
     f_cubed = np.where(a * disc.real >= 0.0, a + disc, a - disc)
     # the three cube-root branches along a trailing axis
-    f = (f_cubed ** (1 / 3))[..., None] * _CUBE_ROOTS_OF_UNITY
+    f = (f_cubed ** (1 / 3))[..., None] * np.exp(2j * np.pi * np.arange(3) / 3.0)
     w, delta, dd, c = (x[..., None] for x in (omega / _SQRT2, delta, dd, c))
     lam = -delta + dd / 3.0 + _CBRT4 * c / f + _CBRT2 * f / 6.0
     ratio2 = lam.real / w
     den = lam.real + 2.0 * delta - dd
     ratio3 = ratio2 * w / den
     overlap = np.where(den == 0.0, 0.0, 1.0 / np.sqrt(1.0 + ratio2 * ratio2 + ratio3 * ratio3))
-    ground = lam[overlap.argmax(-1, keepdims=True) == _BRANCHES].reshape(f_cubed.shape)
+    ground = lam[overlap.argmax(-1, keepdims=True) == np.arange(3)].reshape(f_cubed.shape)
     ground = np.where((omega == 0.0) | (f_cubed == 0.0), 0j, ground)
     return ground.real, abs(ground.imag)
 
@@ -456,7 +466,7 @@ def _closed_form_fom(
 
 def blockade_atom_count(dimension: int, r_b: float, spacing: float) -> float:
     """Atoms of a period-d lattice inside a blockade length/disk/sphere of diameter R_b."""
-    if dimension not in (1, 2, 3):
+    if _count("dimension", dimension, 1) not in (1, 2, 3):
         raise DomainError(f"dimension must be 1, 2, or 3, got {dimension}")
     r_b = in_range("blockade radius", r_b)
     spacing = in_range("lattice spacing", spacing)
@@ -556,7 +566,7 @@ def scaling_exponent(quantity: str, n_lo: float, n_hi: float) -> float:
 def _check_signs(detuning, defect):
     """The detuning and the defect in rad/s, checked to be nonzero and of matching signs."""
     det, d = _nonzero("detuning", detuning), _nonzero("defect", defect)
-    if np.any((det > 0) != (d > 0)):
+    if _any((det > 0) != (d > 0)):
         raise DomainError(
             "detuning and Foerster defect have opposite signs: this combination "
             "has an excitation resonance at finite separation and is excluded"

@@ -1,11 +1,16 @@
 """Exception and warning types shared across the package, the input checks, the
 float-range context, the per-element float math of array results, and the
-text format of floats in CSV output."""
+text format of floats in CSV output.
+
+The module does not import numpy. An ndarray can exist only once numpy is
+loaded, so each helper looks numpy up in ``sys.modules`` when it is called and
+takes the plain float path while it is absent: a scalar call never loads it.
+"""
 
 import itertools
 import math
-
-import numpy as np
+import operator
+import sys
 
 _FMT = "%.17g"  # decimal text with 17 significant digits: exact for doubles
 
@@ -35,9 +40,10 @@ def in_range(
     one or more dimensions, of bool, int or float dtype, is checked element by
     element and returned as a float64 array of the same shape.
     """
-    array = type(value := getattr(value, "rad_per_s", value)) is np.ndarray and value.ndim
+    array = _is_array(value := getattr(value, "rad_per_s", value))
+    np = sys.modules.get("numpy")
     try:  # an array of complex, str or object elements fails the same_kind cast
-        if isinstance(value, np.complexfloating):  # whose float() drops the imaginary part
+        if np and isinstance(value, np.complexfloating):  # whose float() drops the imaginary part
             raise TypeError(f"{type(value).__name__} is not a real number")
         v = value.astype(float, casting="same_kind", copy=False) if array else float(value)
     except (TypeError, ValueError) as exc:  # a message that cannot fail to format
@@ -58,19 +64,46 @@ def in_range(
 def _nonzero(name: str, value: float) -> float:
     """``in_range(name, value, -math.inf)``, which must also hold no zero element."""
     v = in_range(name, value, -math.inf)
-    if np.any(v == 0):
+    if _any(v == 0):
         raise DomainError(f"{name} must be nonzero")
     return v
 
 
 def _scalar(name: str, value: float, *args, **kwargs) -> float:
     """``in_range(name, value, *args, **kwargs)`` for an argument that takes no ndarray."""
-    if type(v := in_range(name, value, *args, **kwargs)) is np.ndarray:
+    if _is_array(v := in_range(name, value, *args, **kwargs)):
         raise DomainError(f"{name} must be a scalar, not an array")
     return v
 
 
-def _in_range_array(name: str, a: np.ndarray, lo: float, hi: float, bounds: str):
+def _count(name: str, value: int, lo: int) -> int:
+    """``value`` as an int, if it is an integer (a numpy integer too) of at least ``lo``.
+
+    A bool, a float (an integral one too) or any other type raises DomainError.
+    """
+    try:
+        if isinstance(value, bool):
+            raise TypeError("a bool is not a count")
+        count = operator.index(value)
+    except TypeError as exc:
+        raise DomainError(f"{name} must be an integer: {exc}") from None
+    _scalar(name, count, lo, bounds="[)")
+    return count
+
+
+def _is_array(x) -> bool:
+    """Whether ``x`` is an ndarray of one or more dimensions."""
+    np = sys.modules.get("numpy")
+    return np is not None and type(x) is np.ndarray and x.ndim > 0
+
+
+def _any(mask) -> bool:
+    """Whether ``mask``, a bool or an ndarray of bools, holds anywhere."""
+    return bool(mask.any()) if _is_array(mask) else bool(mask)
+
+
+def _in_range_array(name: str, a, lo: float, hi: float, bounds: str):
+    np = sys.modules["numpy"]
     ok = (
         np.isfinite(a)
         & (a >= lo if bounds[0] == "[" else a > lo)
@@ -87,22 +120,30 @@ def _outside(name: str, lo: float, hi: float, bounds: str, got: str) -> str:
     return f"{name} must be finite and in {bounds[0]}{lo:g}, {hi:g}{bounds[1]}, got {got}"
 
 
-class _float_range(np.errstate):
+class _float_range:
     """``with _float_range(expression):`` runs a formula that may leave the float range.
 
-    numpy's float warnings are off in the body, so a value that overflows to
-    inf fails the range check on the result; an ArithmeticError of Python's
-    float math becomes ``DomainError("<expression> is out of float range")``.
+    An ArithmeticError of Python's float math becomes
+    ``DomainError("<expression> is out of float range")``. If numpy is loaded
+    on entry, its float warnings are off in the body, so an array value that
+    overflows to inf fails the range check on the result. A body that imports
+    numpy itself must do so before it enters.
     """
 
-    __slots__ = ("expression",)
+    __slots__ = ("expression", "_errstate")
 
     def __init__(self, expression: str) -> None:
-        super().__init__(all="ignore")
         self.expression = expression
 
+    def __enter__(self) -> None:
+        np = sys.modules.get("numpy")
+        self._errstate = None if np is None else np.errstate(all="ignore")
+        if self._errstate is not None:
+            self._errstate.__enter__()
+
     def __exit__(self, kind, exc, tb) -> None:
-        super().__exit__(kind, exc, tb)
+        if self._errstate is not None:
+            self._errstate.__exit__(kind, exc, tb)
         if kind is not None and issubclass(kind, ArithmeticError):
             raise DomainError(f"{self.expression} is out of float range") from None
 
@@ -115,7 +156,7 @@ def _per_element(fn, x, *args):
     element by element and each array element equals the scalar call bit for
     bit. A float (or 0-d) ``x`` takes the plain float call.
     """
-    if type(x) is np.ndarray and x.ndim:
+    if _is_array(x):
         values = map(fn, x.ravel().tolist(), *map(itertools.repeat, args))
-        return np.fromiter(values, float, x.size).reshape(x.shape)
+        return sys.modules["numpy"].fromiter(values, float, x.size).reshape(x.shape)
     return fn(x, *args)

@@ -13,11 +13,9 @@ import sys
 import warnings
 from dataclasses import dataclass
 
-import numpy as np
-
 from .constants import ATOMIC_TIME, K_B
-from .errors import DomainError, ModelValidityWarning, _float_range, _nonzero, _per_element
-from .errors import _scalar, in_range
+from .errors import DomainError, ModelValidityWarning, _any, _float_range, _is_array, _nonzero
+from .errors import _per_element, _scalar, in_range
 from .units import TWO_PI, Frequency
 
 _SEVEN_PI = 7.0 * math.pi
@@ -31,8 +29,9 @@ def _gate_error(name: str, value: float) -> float:
     element of an array, points at the line that called the public function.
     """
     error = in_range(name, value)
-    if np.any(error > 1.0):
-        warnings.warn(f"{name} = {np.max(error):.6g} > 1: outside the regime of the error model",
+    if _any(error > 1.0):
+        worst = error.max() if _is_array(error) else error
+        warnings.warn(f"{name} = {worst:.6g} > 1: outside the regime of the error model",
                       ModelValidityWarning, stacklevel=3)
     return error
 
@@ -67,10 +66,10 @@ def blockade_gate_error(blockade: Frequency | float, lifetime: float) -> float:
     b = in_range("blockade shift", blockade)
     lifetime = in_range("lifetime", lifetime)
     bt = in_range("B tau", b * lifetime)
-    if np.any(bt < 10.0):
+    if _any(bt < 10.0):
         warnings.warn(
-            f"B tau = {np.min(bt):.3g} < 10: outside the strong-blockade regime "
-            "of the error model",
+            f"B tau = {bt.min() if _is_array(bt) else bt:.3g} < 10: outside the "
+            "strong-blockade regime of the error model",
             ModelValidityWarning,
             stacklevel=2,
         )

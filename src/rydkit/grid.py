@@ -8,9 +8,9 @@ from typing import Callable
 
 import numpy as np
 
-from . import budget, core, dressing, gate_error
-from .errors import _FMT, DomainError, _float_range, _per_element, in_range
-from .species import _resolve_doppler, get_species
+import rydkit  # the models, through the lazy namespace: axis and ScanGrid load none
+
+from .errors import _FMT, DomainError, _count, _float_range, _per_element, in_range
 
 
 def _float_array(values, what: str) -> np.ndarray | None:
@@ -69,8 +69,7 @@ def axis(
     """Build an axis of `points` values from lo to hi, linear or log spaced."""
     lo = in_range("lo", lo, -math.inf)
     hi = in_range("hi", hi, -math.inf)
-    if points < 1:
-        raise DomainError("axis needs at least one point")
+    points = _count(f"points of axis {name!r}", points, 1)
     if points == 1:
         if lo != hi:
             raise DomainError("a single-point axis needs lo == hi")
@@ -216,8 +215,8 @@ class _ScanQuantity:
 
 def _tau_vac_cells(n_code: np.ndarray, epsilon: np.ndarray, fixed: dict) -> np.ndarray:
     t_qec = fixed["t_qec_ms"]
-    t_qec_s = budget.default_t_qec(n_code) if t_qec is None else t_qec * 1e-3
-    return budget.required_vacuum_lifetime(n_code, t_qec_s, epsilon)
+    t_qec_s = rydkit.budget.default_t_qec(n_code) if t_qec is None else t_qec * 1e-3
+    return rydkit.budget.required_vacuum_lifetime(n_code, t_qec_s, epsilon)
 
 
 def _log10_or_minus_inf(value: float) -> float:
@@ -225,24 +224,25 @@ def _log10_or_minus_inf(value: float) -> float:
 
 
 def _doppler_cells(temperature_uk: np.ndarray, time_ns: np.ndarray, fixed: dict) -> np.ndarray:
-    k, mass = _resolve_doppler(
-        get_species(fixed["species"]), fixed["scheme"], fixed["k_per_m"], fixed["mass_kg"]
+    k, mass = rydkit.species._resolve_doppler(
+        rydkit.species.get_species(fixed["species"]), fixed["scheme"], fixed["k_per_m"],
+        fixed["mass_kg"],
     )
-    infid = gate_error.doppler_infidelity(k, temperature_uk * 1e-6, time_ns * 1e-9, mass)
+    infid = rydkit.gate_error.doppler_infidelity(k, temperature_uk * 1e-6, time_ns * 1e-9, mass)
     return _per_element(_log10_or_minus_inf, infid)
 
 
 def _dressing_cells(separation_um: np.ndarray, rabi_mhz: np.ndarray, fixed: dict) -> np.ndarray:
-    params = dressing._dressing_params(
+    params = rydkit.dressing._dressing_params(
         rabi_mhz, fixed["detuning_mhz"], fixed["defect_mhz"], fixed["rc_um"]
     )
-    cells = dressing.normalized_potential(separation_um * 1e-6, params, fixed["kind"])
+    cells = rydkit.dressing.normalized_potential(separation_um * 1e-6, params, fixed["kind"])
     # single_term does not depend on the Rabi frequency: its one row fills the grid
     return np.broadcast_to(cells, (rabi_mhz.size, separation_um.size))
 
 
 def _lifetime_cells(n: np.ndarray, temperature_k: np.ndarray, fixed: dict) -> np.ndarray:
-    return core.rydberg_lifetime(n, temperature_k, fixed["tau0_ns"] * 1e-9)
+    return rydkit.core.rydberg_lifetime(n, temperature_k, fixed["tau0_ns"] * 1e-9)
 
 
 SCAN_QUANTITIES: dict[str, _ScanQuantity] = {

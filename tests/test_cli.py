@@ -211,6 +211,18 @@ class TestDressingCommands:
         assert result.exit_code == 0
         assert result.output == (GOLDEN / "dressing_curve.csv").read_text()
 
+    @pytest.mark.parametrize("points, r_max", [("-1", "20"), ("0", "20"), ("1", "20")])
+    def test_curve_without_a_valid_separation_axis_is_domain_error(self, points, r_max, capsys):
+        code = main([
+            "dressing", "curve", "--rabi-mhz", "1", "--detuning-mhz", "10",
+            "--defect-mhz", "20", "--rc-um", "1.5", "--r-min-um", "1",
+            "--r-max-um", r_max, "--points", points,
+        ])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("domain error:") and captured.err.count("\n") == 1
+
     def test_sign_mismatch_exit_code(self):
         code = main([
             "dressing", "fom", "--rabi-mhz", "20", "--detuning-mhz", "100",
@@ -444,3 +456,30 @@ def test_runs_without_scipy():
     proc = subprocess.run([sys.executable, "-c", _NO_SCIPY], env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
+
+
+# A fresh interpreter in which any import of numpy fails; argv holds the examples' argv.
+_NO_NUMPY = """
+import contextlib, io, json, sys
+sys.modules["numpy"] = None
+import rydkit.cli
+
+outputs = []
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        assert rydkit.cli.main(argv) == 0, argv
+    outputs.append(out.getvalue())
+print(json.dumps(outputs))
+"""
+
+
+def test_scalar_examples_run_without_numpy():
+    examples = [ex for ex in TestContract.contract["examples"]
+                if ex["argv"][:2] != ["budget", "simulate"]]  # its RNG is numpy's
+    assert len(examples) == 13
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).parents[1] / "src")}
+    argv = json.dumps([ex["argv"] for ex in examples])
+    proc = subprocess.run([sys.executable, "-c", _NO_NUMPY, argv], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == [ex["stdout"] for ex in examples]

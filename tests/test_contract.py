@@ -40,7 +40,13 @@ NAN, INF = float("nan"), float("inf")
 FLOATS = st.one_of(st.sampled_from([NAN, INF, -INF, 0.0, -0.0, -1.0]), st.floats())
 
 # Counts small enough that simulate_loss stays fast; 1000 is its minimum trials.
-INTS = st.one_of(st.integers(min_value=-2, max_value=40), st.just(1000))
+# A non-integral float and a bool are not counts.
+INTS = st.one_of(
+    st.integers(min_value=-2, max_value=40),
+    st.just(1000),
+    st.floats().filter(lambda x: not x.is_integer()),
+    st.booleans(),
+)
 
 # String arguments range over the values the function accepts.
 STRINGS = {
@@ -234,6 +240,16 @@ K_ONE_PHOTON = CESIUM.scheme("one-photon").effective_k
         # an array in a scalar-only argument
         lambda: budget.simulate_loss(20, np.array([400.0, 500.0]), 2e-3, 1000, 1),
         lambda: gate_error.detuning_budget(np.array([1e6, 2e6]), 1e-3),
+        # a count that is not an int
+        lambda: budget.simulate_loss(2.5, 400.0, 2e-3, 1000, 1),
+        lambda: budget.simulate_loss(20, 400.0, 2e-3, 1000.5, 1),
+        lambda: budget.simulate_loss(20, 400.0, 2e-3, 1000, 1.5),
+        lambda: budget.simulate_loss(True, 400.0, 2e-3, 1000, 1),
+        lambda: budget.simulate_loss(20, 400.0, 2e-3, 1000.0, 1),
+        lambda: rydkit.axis("x", "", 0.0, 1.0, 2.5),
+        lambda: rydkit.axis("x", "", 1.0, 1.0, True),
+        lambda: dressing.blockade_atom_count(True, 5e-6, 1e-6),
+        lambda: dressing.blockade_atom_count(2.0, 5e-6, 1e-6),
     ],
 )
 def test_inputs_that_leaked_now_raise(call):

@@ -1,7 +1,9 @@
-"""Which rydkit modules an import or a CLI command loads, each in a fresh interpreter.
+"""Which rydkit modules, and whether numpy, an import or a CLI command loads, each
+in a fresh interpreter.
 
 ``import rydkit`` is lazy and each command reaches its models through that
-namespace, so a one-shot call does not pay for the modules it never uses.
+namespace, so a one-shot call does not pay for the modules it never uses. The
+scalar commands also run without numpy, whose import is most of a cold start.
 """
 
 import json
@@ -12,7 +14,7 @@ from pathlib import Path
 
 import pytest
 
-_LOADED = 'sorted(m for m in sys.modules if m == "rydkit" or m.startswith("rydkit."))'
+_LOADED = 'sorted(m for m in sys.modules if m in ("numpy", "rydkit") or m.startswith("rydkit."))'
 
 
 def _fresh(code: str):
@@ -41,8 +43,9 @@ _GATE_ERROR = {"cli", "constants", "errors", "gate_error", "units"}
 _DRESSING = {"cli", "dressing", "errors", "units"}
 _POINT = ["--rabi-mhz", "20", "--detuning-mhz", "-100", "--defect-mhz", "-200", "--rc-um", "8.1"]
 
-# Every command of the perfbench CLI mix, and reproduce: the rydkit modules it loads.
+# --help, every command of the perfbench CLI mix, and reproduce: the rydkit modules it loads.
 _FOOTPRINTS = {
+    "help": (["--help"], {"cli", "errors", "units"}),
     "budget-vacuum-lifetime": (
         ["budget", "vacuum-lifetime", "--n-code", "20", "--epsilon", "1e-4"], _BUDGET),
     "budget-reload-rate": (
@@ -72,30 +75,35 @@ _FOOTPRINTS = {
     "doppler": (
         ["doppler", "--temperature-uk", "10", "--time-ns", "1000"], _GATE_ERROR | {"species"}),
     "doppler-scan": (
-        ["doppler", "--scan", "--temp-points", "2", "--time-points", "2"], _EVERY - {"report"}),
+        ["doppler", "--scan", "--temp-points", "2", "--time-points", "2"],
+        _GATE_ERROR | {"grid", "species"}),
     "lifetime": (
         ["lifetime", "--n", "100", "--temperature-k", "300"],
         {"cli", "constants", "core", "errors", "species", "units"}),
     "dressing-curve": (
         ["dressing", "curve", *_POINT, "--r-min-um", "1", "--r-max-um", "20", "--points", "5"],
-        _DRESSING),
+        _DRESSING | {"grid"}),
     "dressing-fom": (
         ["dressing", "fom", *_POINT, "--tau-us", "320", "--spacing-um", "4"], _DRESSING),
     "scan": (
         ["scan", "--quantity", "tau-vac", "--x-min", "4", "--x-max", "8", "--x-points", "2",
-         "--y-min", "1e-4", "--y-max", "1e-3", "--y-points", "2"], _EVERY - {"report"}),
+         "--y-min", "1e-4", "--y-max", "1e-3", "--y-points", "2"], _BUDGET | {"grid"}),
     "reproduce": (["reproduce", "--trials", "2000"], _EVERY),
 }
+# The commands that load numpy; every other one runs without it.
+_LOADS_NUMPY = {"budget-simulate", "doppler-scan", "dressing-curve", "scan", "reproduce"}
 
 
-@pytest.mark.parametrize("argv, modules", _FOOTPRINTS.values(), ids=_FOOTPRINTS)
-def test_command_loads_only_its_models(argv, modules):
+@pytest.mark.parametrize("command", _FOOTPRINTS)
+def test_command_loads_only_its_models(command):
+    argv, modules = _FOOTPRINTS[command]
     loaded = _fresh(
         "import contextlib, io\nfrom rydkit.cli import main\n"
         f"with contextlib.redirect_stdout(io.StringIO()):\n    assert main({argv!r}) == 0\n"
         f"print(json.dumps({_LOADED}))"
     )
-    assert loaded == ["rydkit", *sorted(f"rydkit.{name}" for name in modules)]
+    numpy = ["numpy"] if command in _LOADS_NUMPY else []
+    assert loaded == [*numpy, "rydkit", *sorted(f"rydkit.{name}" for name in modules)]
 
 
 def test_submodule_resolves_on_first_access():
@@ -121,3 +129,56 @@ def test_star_import_binds_exactly_all():
     assert len(public) == len(json.loads(
         (Path(__file__).parent / "golden" / "public_api.json").read_text()
     ))
+
+
+# The model modules imported while numpy is absent, numpy imported after them:
+# the array paths look numpy up when called, not when their module was imported.
+_NUMPY_LATE = """
+import warnings
+from rydkit import budget, core, dressing, gate_error
+from rydkit.errors import DomainError, _float_range, in_range
+assert "numpy" not in sys.modules
+import numpy as np
+warnings.simplefilter("error", RuntimeWarning)  # as in Tier-1
+
+
+def message(call):
+    try:
+        call()
+    except DomainError as exc:
+        return str(exc)
+
+
+with _float_range("x"):
+    overflowed = (np.array([1e308]) * 10.0).tolist()
+print(json.dumps({
+    "blockade": gate_error.blockade_gate_error(np.array([1e8, 1e9, 1e10]), 1e-3).tolist(),
+    "lifetime": core.rydberg_lifetime(
+        np.array([[50.0], [100.0]]), np.array([0.0, 300.0]), 3.3e-9).tolist(),
+    "loss": budget.loss_probability(np.array([5.0, 1e4]), 2e-3, 1.0).tolist(),
+    "signs": message(lambda: dressing.blockade_radius(np.array([1e9, -1e9]), 2e9, 1e-6)),
+    "index": message(lambda: in_range("rabi", np.array([1.0, np.nan, 2.0]))),
+    "overflowed": overflowed,
+    "array overflow": message(
+        lambda: budget.required_vacuum_lifetime(np.array([20.0, 1e300]), 1e10, 1e-3)),
+    "scalar overflow": message(lambda: core.rydberg_lifetime(1e200, 300.0, 3.3e-9)),
+}))
+"""
+
+
+def test_numpy_imported_after_the_models():
+    from rydkit import budget, core, gate_error
+
+    got = _fresh(_NUMPY_LATE)
+    assert got["blockade"] == [gate_error.blockade_gate_error(b, 1e-3) for b in (1e8, 1e9, 1e10)]
+    assert got["lifetime"] == [
+        [core.rydberg_lifetime(n, t, 3.3e-9) for t in (0.0, 300.0)] for n in (50.0, 100.0)
+    ]
+    assert got["loss"] == [budget.loss_probability(5.0, 2e-3, 1.0), 1.0]
+    assert got["signs"].startswith("detuning and Foerster defect have opposite signs")
+    assert got["index"] == "rabi must be finite and in (0, inf), got nan at index (1,)"
+    assert got["overflowed"] == [float("inf")]
+    assert got["array overflow"] == (
+        "tau_vac must be finite and in (0, inf), got inf at index (1,)"
+    )
+    assert got["scalar overflow"] == "lifetime is out of float range"
