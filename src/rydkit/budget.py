@@ -3,11 +3,10 @@
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
-from .errors import DomainError, ModelValidityWarning, _any, _count, _float_range, _is_array
-from .errors import _per_element, _scalar, in_range
+from .errors import DomainError, _any, _count, _flag, _float_range, _per_element, _scalar
+from .errors import in_range
 
 # Default error-correction cycle time: 0.1 ms per code qubit.
 T_QEC_PER_QUBIT = 1e-4  # s
@@ -29,15 +28,10 @@ def loss_probability(n_code: float, t: float, tau_vac: float) -> float:
     t = in_range("t", t, bounds="[)")
     tau_vac = in_range("tau_vac", tau_vac)
     p = n_code * -_per_element(math.expm1, -t / tau_vac)
-    if _any(p > 1.0):
-        warnings.warn(
-            f"per-block loss probability {p.max() if _is_array(p) else p:.3g} > 1; "
-            "linearized model left its validity range, clamping to 1",
-            ModelValidityWarning,
-            stacklevel=2,
-        )
-        return _per_element(min, p, 1.0)
-    return p
+    over = p > 1.0
+    _flag(p, over, lambda worst: f"per-block loss probability {worst:.3g} > 1; "
+          "linearized model left its validity range, clamping to 1")
+    return _per_element(min, p, 1.0) if _any(over) else p
 
 
 def required_vacuum_lifetime(n_code: float, t_qec: float, epsilon: float) -> float:

@@ -434,8 +434,6 @@ def main(argv: list[str] | None = None) -> int:
     """Entry point mapping exceptions to documented exit codes."""
     try:
         result = cli.main(args=argv, prog_name="rydkit", standalone_mode=False)
-    except click.exceptions.Exit as exc:
-        return int(exc.exit_code)
     except click.ClickException as exc:
         exc.show()
         return 1

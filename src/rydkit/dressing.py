@@ -10,11 +10,10 @@ many-body dressing dynamics.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
-from .errors import BranchResidualWarning, DomainError, ModelValidityWarning, _any, _count
-from .errors import _float_range, _nonzero, _per_element, _scalar, in_range
+from .errors import BranchResidualWarning, DomainError, _any, _count, _flag, _float_range
+from .errors import _nonzero, _per_element, _scalar, in_range
 from .units import TWO_PI, Frequency
 
 _CBRT2 = 2.0 ** (1 / 3)
@@ -181,12 +180,7 @@ def pair_light_shift_free(rabi: Frequency | float, detuning: Frequency | float) 
 
     The arguments broadcast as ndarrays.
     """
-    import numpy as np
-
-    w = in_range("Rabi frequency", rabi, -math.inf)
-    det = in_range("detuning", detuning, -math.inf)
-    with _float_range("Delta^2 + Omega^2"):
-        return Frequency(-det + np.copysign(1.0, det) * np.sqrt(det * det + w * w))
+    return _pair_light_shift(rabi, detuning, 1)
 
 
 def pair_light_shift_blockaded(
@@ -196,12 +190,17 @@ def pair_light_shift_blockaded(
 
     The arguments broadcast as ndarrays.
     """
+    return _pair_light_shift(rabi, detuning, 2)
+
+
+def _pair_light_shift(rabi, detuning, k: int) -> Frequency:
+    """(-Delta + sgn(Delta) sqrt(Delta^2 + k Omega^2))/k, for k = 1 (free) or 2 (blockaded)."""
     import numpy as np
 
     w = in_range("Rabi frequency", rabi, -math.inf)
     det = in_range("detuning", detuning, -math.inf)
-    with _float_range("Delta^2 + 2 Omega^2"):
-        return Frequency(0.5 * (-det + np.copysign(1.0, det) * np.sqrt(det * det + 2.0 * w * w)))
+    with _float_range("Delta^2 + Omega^2" if k == 1 else "Delta^2 + 2 Omega^2"):
+        return Frequency((-det + np.copysign(1.0, det) * np.sqrt(det * det + k * w * w)) / k)
 
 
 def dressing_depth_exact(rabi: Frequency | float, detuning: Frequency | float) -> Frequency:
@@ -243,19 +242,6 @@ def dressed_ground_energy_exact(
     """
     value, _ = _ground_branch(*_dressed_arguments(rabi, detuning, pair_shift))
     return Frequency(value)
-
-
-def dressed_ground_overlap(
-    rabi: Frequency | float,
-    detuning: Frequency | float,
-    pair_shift: Frequency | float,
-) -> float:
-    """Overlap |<gg|psi>| of the selected dressed branch with the bare pair ground state.
-
-    The arguments broadcast as ndarrays, as in :func:`dressed_ground_energy_exact`.
-    """
-    _, overlap = _ground_branch(*_dressed_arguments(rabi, detuning, pair_shift))
-    return in_range("overlap", overlap)
 
 
 def _dressed_arguments(rabi, detuning, pair_shift):
@@ -308,15 +294,18 @@ def dressed_ground_energy_closed_form(
     with _float_range("dressed energy"):
         value, resid = _cardano_ground_branch(w_raw / scale, det / scale, dd_raw / scale)
         bad = resid > 1e-9 * np.maximum(abs(value), 1e-300)
-        if bad.any():
-            i = np.unravel_index(np.argmax(bad), bad.shape)
-            warnings.warn(
-                f"cubic root kept imaginary residue {resid[i]:.3g} vs value {value[i]:.3g}"
-                f" at {np.count_nonzero(bad)} of {bad.size} points",
-                BranchResidualWarning,
-                stacklevel=2,
-            )
+        _flag(value, bad, lambda _: _residual_message(value, resid, bad),
+              category=BranchResidualWarning)
         return Frequency(value * scale)
+
+
+def _residual_message(value, resid, bad) -> str:
+    """The residue and the value at the first flagged point, and how many points are flagged."""
+    import numpy as np
+
+    i = np.unravel_index(np.argmax(bad), bad.shape)
+    return (f"cubic root kept imaginary residue {resid[i]:.3g} vs value {value[i]:.3g}"
+            f" at {np.count_nonzero(bad)} of {bad.size} points")
 
 
 def _cardano_ground_branch(omega, delta, dd):
@@ -495,13 +484,8 @@ def figures_of_merit(params: DressingParams) -> tuple[FigureOfMerit, ...]:
     """
     w = params.rabi.rad_per_s
     det, defect = _check_signs(params.detuning, params.pair.defect)
-    if abs(w) >= abs(det):
-        warnings.warn(
-            f"|Omega| = {abs(w):.3g} >= |Delta| = {abs(det):.3g}: outside the "
-            "weak-dressing regime of the figures of merit",
-            ModelValidityWarning,
-            stacklevel=2,
-        )
+    _flag(w, abs(w) >= abs(det), lambda w: f"|Omega| = {abs(w):.3g} >= |Delta| = "
+          f"{abs(det):.3g}: outside the weak-dressing regime of the figures of merit")
     sum_abs = abs(det + defect)
     r_b = blockade_radius(det, defect, params.pair.r_c)
     ops = operations_per_atom(params)

@@ -1,6 +1,7 @@
 """Exception and warning types shared across the package, the input checks, the
-float-range context, the per-element float math of array results, and the
-text format of floats in CSV output.
+validity flag of a call outside its model's regime, the float-range context, the
+per-element float math of array results, and the text format of floats in CSV
+output.
 
 The module does not import numpy. An ndarray can exist only once numpy is
 loaded, so each helper looks numpy up in ``sys.modules`` when it is called and
@@ -11,6 +12,7 @@ import itertools
 import math
 import operator
 import sys
+import warnings
 
 _FMT = "%.17g"  # decimal text with 17 significant digits: exact for doubles
 
@@ -100,6 +102,26 @@ def _is_array(x) -> bool:
 def _any(mask) -> bool:
     """Whether ``mask``, a bool or an ndarray of bools, holds anywhere."""
     return bool(mask.any()) if _is_array(mask) else bool(mask)
+
+
+def _flag(value, bad, message, worst=max, category=ModelValidityWarning):
+    """Return ``value``, with one warning if ``bad`` (a bool or an ndarray of bools) holds.
+
+    This is how a model says that a call left its regime. The text is
+    ``message(v)``, built only when the flag fires, for ``v`` the scalar
+    ``value`` or the ``worst`` of its elements. The warning names the first
+    line outside the module that called this helper: the caller of the public
+    function, also when a private helper of that module flags for it.
+    """
+    if not _any(bad):
+        return value
+    frame, level = sys._getframe(1), 2
+    module = frame.f_globals
+    while frame.f_back is not None and frame.f_globals is module:
+        frame, level = frame.f_back, level + 1
+    quoted = worst(value.ravel().tolist()) if _is_array(value) else value
+    warnings.warn(message(quoted), category, stacklevel=level)
+    return value
 
 
 def _in_range_array(name: str, a, lo: float, hi: float, bounds: str):

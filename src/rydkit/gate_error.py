@@ -10,12 +10,11 @@ from __future__ import annotations
 
 import math
 import sys
-import warnings
 from dataclasses import dataclass
 
 from .constants import ATOMIC_TIME, K_B
-from .errors import DomainError, ModelValidityWarning, _any, _float_range, _is_array, _nonzero
-from .errors import _per_element, _scalar, in_range
+from .errors import DomainError, _flag, _float_range, _nonzero, _per_element, _scalar
+from .errors import in_range
 from .units import TWO_PI, Frequency
 
 _SEVEN_PI = 7.0 * math.pi
@@ -29,11 +28,8 @@ def _gate_error(name: str, value: float) -> float:
     element of an array, points at the line that called the public function.
     """
     error = in_range(name, value)
-    if _any(error > 1.0):
-        worst = error.max() if _is_array(error) else error
-        warnings.warn(f"{name} = {worst:.6g} > 1: outside the regime of the error model",
-                      ModelValidityWarning, stacklevel=3)
-    return error
+    return _flag(error, error > 1.0,
+                 lambda worst: f"{name} = {worst:.6g} > 1: outside the regime of the error model")
 
 
 @dataclass(frozen=True)
@@ -66,13 +62,8 @@ def blockade_gate_error(blockade: Frequency | float, lifetime: float) -> float:
     b = in_range("blockade shift", blockade)
     lifetime = in_range("lifetime", lifetime)
     bt = in_range("B tau", b * lifetime)
-    if _any(bt < 10.0):
-        warnings.warn(
-            f"B tau = {bt.min() if _is_array(bt) else bt:.3g} < 10: outside the "
-            "strong-blockade regime of the error model",
-            ModelValidityWarning,
-            stacklevel=2,
-        )
+    _flag(bt, bt < 10.0, lambda worst: f"B tau = {worst:.3g} < 10: outside the "
+          "strong-blockade regime of the error model", min)
     return 3.0 * _SEVEN_PI ** (2 / 3) / 8.0 * _per_element(pow, bt, -2 / 3)
 
 
@@ -221,12 +212,9 @@ def detuning_budget(rabi: Frequency | float, epsilon: float) -> Frequency:
         raise DomainError("epsilon and Omega^2 epsilon must be at least the smallest normal float")
     # All epsilon-crossings satisfy d^2/(w^2+d^2) <= eps, bounding the bracket.
     lo, hi = 0.0, w * math.sqrt(epsilon / (1.0 - epsilon)) * 1.001
-    for _ in range(60):
-        if excitation_error(w, hi) >= epsilon:
-            break
+    # the error is at least d^2/(w^2+d^2), which reaches 1 as d doubles: the loop ends
+    while excitation_error(w, hi) < epsilon:
         hi *= 2.0
-    else:
-        raise DomainError("no detuning root found")
     while lo < (mid := 0.5 * (lo + hi)) < hi:
         lo, hi = (lo, mid) if excitation_error(w, mid) >= epsilon else (mid, hi)
     return Frequency(hi)

@@ -297,6 +297,19 @@ class TestExitCodes:
     def test_success(self):
         assert main(["gate-error", "floors"]) == 0
 
+    def test_help_exits_zero(self, capsys):
+        # without standalone mode, click returns the code of its own Exit
+        assert main(["--help"]) == 0
+        assert capsys.readouterr().out.startswith("Usage: rydkit")
+
+    def test_interrupted_command_exits_one_with_empty_stdout(self, monkeypatch, capsys):
+        def interrupted(tau0):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr("rydkit.gate_error.asymptotic_dressing_floor", interrupted)
+        assert main(["gate-error", "floors"]) == 1
+        assert capsys.readouterr().out == ""
+
     def test_reproduce_success_exit_code(self, capsys):
         assert main(["reproduce", "--trials", "2000"]) == 0
         out = capsys.readouterr().out

@@ -160,7 +160,6 @@ def test_module_level_model_functions_are_covered():
         "f_prime_defect",
         "blockade_atom_count",
         "operations_per_atom",
-        "dressed_ground_overlap",
         "detection_solid_angle_fraction",
     } <= set(FUNCTIONS)
 
@@ -394,7 +393,6 @@ FREQUENCY_BASELINES = {
     "dressing_depth_perturbative": {"rabi": 1e6, "detuning": 1e7},
     "dressed_ground_energy_exact": {"rabi": 1e6, "detuning": 1e7, "pair_shift": 1e8},
     "dressed_ground_energy_closed_form": {"rabi": 1e6, "detuning": 1e7, "pair_shift": 1e8},
-    "dressed_ground_overlap": {"rabi": 1e6, "detuning": 1e7, "pair_shift": 1e8},
     "dressed_decoherence_time": {"rabi": 1e6, "detuning": 1e7, "lifetime": 1e-4},
     "f_prime": {"rabi": 1e6, "detuning": 1e7, "lifetime": 1e-4},
     "f_prime_defect": {"rabi": 1e6, "defect": 1e8, "lifetime": 1e-4},

@@ -28,7 +28,6 @@ from rydkit import (
 from rydkit.dressing import (
     _closed_form_fom,
     dressed_decoherence_time,
-    dressed_ground_overlap,
     f_prime,
     f_prime_defect,
     operations_per_atom,
@@ -253,13 +252,6 @@ class TestDressedEnergy:
         max_jump = max(abs(b - a) for a, b in zip(energies, energies[1:]))
         assert max_jump < 1e-6 * det
 
-    def test_overlap_dominates_on_weak_dressing_grid(self):
-        for det in (TWO_PI * 1e8, -TWO_PI * 1e8):
-            for ratio in np.linspace(0.01, 0.5, 9):
-                for dd_frac in np.linspace(-10.0, 10.0, 21):
-                    overlap = dressed_ground_overlap(abs(det) * ratio, det, det * dd_frac)
-                    assert overlap > 1 / math.sqrt(3)
-
     def test_depth_perturbative_accuracy_bound(self):
         for ratio in (0.05, 0.1, 0.2, 0.3):
             det = TWO_PI * 100e6
@@ -482,8 +474,6 @@ class TestArrayPath:
         scalar = _pointwise(lambda *p: dressed_ground_energy_exact(*p).rad_per_s, rabi, det, shift)
         assert stacked.shape == (10000,)
         assert np.array_equal(stacked, scalar)
-        overlap = dressed_ground_overlap(rabi, det, shift)
-        assert np.array_equal(overlap, _pointwise(dressed_ground_overlap, rabi, det, shift))
 
     def test_closed_form_array_equals_scalar_calls_exactly(self):
         rabi, det, shift = _oracle_sample(12, 2000)
@@ -510,7 +500,6 @@ class TestArrayPath:
         for fn in (dressed_ground_energy_exact, dressed_ground_energy_closed_form):
             assert fn(one, TWO_PI * 1e7, 0.0).rad_per_s.shape == (1,)
             assert isinstance(fn(TWO_PI * 1e6, TWO_PI * 1e7, 0.0).rad_per_s, float)
-        assert dressed_ground_overlap(one, TWO_PI * 1e7, 0.0).shape == (1,)
 
     def test_zero_rabi_elements_are_exactly_zero(self):
         d = TWO_PI * 1e8
@@ -519,7 +508,6 @@ class TestArrayPath:
         for fn in (dressed_ground_energy_exact, dressed_ground_energy_closed_form):
             got = fn(rabi, det, shift).rad_per_s
             assert got[:2].tolist() == [0.0, 0.0] and got[2] != 0.0
-        assert dressed_ground_overlap(rabi, det, shift)[:2].tolist() == [1.0, 1.0]
 
     def test_near_degenerate_shift_stays_finite(self):
         # at D = 2 Delta the pair state is degenerate with |gg>: the cubic keeps a
@@ -562,8 +550,7 @@ class TestArrayPath:
         assert np.array_equal(np.sign(exact), np.sign(free))
 
     @pytest.mark.parametrize(
-        "fn",
-        [dressed_ground_energy_exact, dressed_ground_energy_closed_form, dressed_ground_overlap],
+        "fn", [dressed_ground_energy_exact, dressed_ground_energy_closed_form]
     )
     def test_one_bad_element_raises(self, fn):
         for bad in (math.nan, math.inf):

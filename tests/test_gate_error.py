@@ -400,6 +400,13 @@ class TestDetuningBudget:
         assert excitation_error(w, root) >= eps
         assert excitation_error(w, math.nextafter(root, 0.0)) < eps
 
+    def test_epsilon_next_below_one_needs_one_doubling(self):
+        # the error is at least Delta^2/(Omega^2 + Delta^2), so the doubling ends
+        w, eps = 1e-100, 1.0 - 2.0**-52
+        first = w * math.sqrt(eps / (1.0 - eps)) * 1.001
+        assert excitation_error(w, first) < eps <= excitation_error(w, 2.0 * first)
+        assert detuning_budget(w, eps).rad_per_s == 6.805136938727169e-93
+
     def test_epsilon_validation(self):
         with pytest.raises(DomainError):
             detuning_budget(self.OMEGA, 0.0)

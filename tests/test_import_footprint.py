@@ -120,6 +120,16 @@ def test_unknown_name_raises_attribute_error():
     ) == ["module 'rydkit' has no attribute 'no_such_name'", ["rydkit"]]
 
 
+def test_dir_lists_every_name_and_submodule_without_loading_them():
+    import rydkit
+
+    listed, loaded = _fresh(f"import rydkit\nprint(json.dumps([dir(rydkit), {_LOADED}]))")
+    exported = {name for names in rydkit._EXPORTS.values() for name in names}
+    assert exported | _EVERY <= set(listed)
+    assert listed == sorted(listed)
+    assert loaded == ["rydkit"]
+
+
 def test_star_import_binds_exactly_all():
     bound, public = _fresh(
         "import rydkit\nnames = {}\nexec('from rydkit import *', names)\n"
