@@ -1,14 +1,17 @@
 import json
 import os
+import pkgutil
 import re
 import shlex
 import subprocess
 import sys
 from pathlib import Path
 
+import click
 import pytest
 from click.testing import CliRunner
 
+import rydkit.cli
 from rydkit.cli import cli, main
 from rydkit.errors import ModelValidityWarning
 from rydkit.report import ReproductionReport, ReproEntry
@@ -277,7 +280,7 @@ class TestScanCommand:
         assert target.read_text().startswith("# quantity: lifetime")
 
     def test_quantity_choices_are_the_scan_registry(self):
-        from rydkit.cli import _SCAN_QUANTITIES
+        from rydkit.cli.scan import _SCAN_QUANTITIES
         from rydkit.grid import SCAN_QUANTITIES
 
         assert _SCAN_QUANTITIES == tuple(sorted(SCAN_QUANTITIES))
@@ -390,19 +393,47 @@ class TestExitCodes:
         assert main(["reproduce"]) == 3
         assert "FAIL" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("argv", [
+        ["doppler", "--scan", "--temp-points", "2", "--time-points", "2", "--out", "DIR"],
+        ["scan", "--quantity", "tau-vac", "--x-min", "4", "--x-max", "8", "--x-points", "2",
+         "--y-min", "1e-4", "--y-max", "1e-3", "--y-points", "2", "--out", "MISSING"],
+        ["reproduce", "--trials", "2000", "--json-out", "DIR"],
+    ], ids=lambda argv: argv[0])
+    def test_failed_output_write_is_one_error_line(self, argv, tmp_path, capsys):
+        paths = {"DIR": str(tmp_path), "MISSING": str(tmp_path / "missing" / "x.csv")}
+        assert main([paths.get(arg, arg) for arg in argv]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert re.fullmatch(r"Error: Could not open file '[^\n]+': [^\n]+\n", captured.err)
 
-def _command_flags(group, prefix=()):
+
+def _walk(group, prefix=()):
+    """(path, command) of every command under ``group``, through click's own lookup."""
+    ctx = click.Context(group)
+    for name in group.list_commands(ctx):
+        command = group.get_command(ctx, name)
+        yield prefix + (name,), command
+        if isinstance(command, click.Group):
+            yield from _walk(command, prefix + (name,))
+
+
+def _command_flags(group):
     """Each leaf command path of the CLI, mapped to its sorted flag names."""
-    flags = {}
-    for name, command in group.commands.items():
-        path = prefix + (name,)
-        if hasattr(command, "commands"):
-            flags.update(_command_flags(command, path))
-        else:
-            flags[" ".join(path)] = sorted(
-                opt for p in command.params for opt in p.opts + p.secondary_opts
-            )
-    return flags
+    return {
+        " ".join(path): sorted(opt for p in command.params for opt in p.opts + p.secondary_opts)
+        for path, command in _walk(group) if not isinstance(command, click.Group)
+    }
+
+
+def test_every_command_is_reachable_with_help(capsys):
+    """Each listed name has a command module, and each module a listed name."""
+    modules = {m.name for m in pkgutil.iter_modules(rydkit.cli.__path__)
+               if not m.name.startswith("_")}
+    listed = cli.list_commands(click.Context(cli))
+    assert {name.replace("-", "_") for name in listed} == modules
+    for path in [(), *(path for path, _ in _walk(cli))]:
+        assert main([*path, "--help"]) == 0, path
+        assert capsys.readouterr().out.startswith(" ".join(("Usage: rydkit", *path)))
 
 
 def _readme_json_examples():

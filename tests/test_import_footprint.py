@@ -1,9 +1,10 @@
 """Which rydkit modules, and whether numpy, an import or a CLI command loads, each
 in a fresh interpreter.
 
-``import rydkit`` is lazy and each command reaches its models through that
-namespace, so a one-shot call does not pay for the modules it never uses. The
-scalar commands also run without numpy, whose import is most of a cold start.
+``import rydkit`` is lazy, the CLI imports only the module of the command it runs,
+and each command reaches its models through the lazy namespace, so a one-shot call
+does not pay for the modules it never uses. The scalar commands also run without
+numpy, whose import is most of a cold start.
 """
 
 import json
@@ -30,22 +31,28 @@ def test_import_rydkit_loads_no_submodule():
     assert _fresh(f"import rydkit\nprint(json.dumps({_LOADED}))") == ["rydkit"]
 
 
-def test_import_cli_loads_only_errors_and_units():
+def test_import_cli_loads_no_command_module():
     assert _fresh(f"import rydkit.cli\nprint(json.dumps({_LOADED}))") == [
-        "rydkit", "rydkit.cli", "rydkit.errors", "rydkit.units",
+        "rydkit", "rydkit.cli", "rydkit.errors",
     ]
 
 
-_EVERY = {path.stem for path in (Path(__file__).parents[1] / "src" / "rydkit").glob("*.py")}
-_EVERY.discard("__init__")
-_BUDGET = {"budget", "cli", "errors", "units"}
-_GATE_ERROR = {"cli", "constants", "errors", "gate_error", "units"}
-_DRESSING = {"cli", "dressing", "errors", "units"}
+_SRC = Path(__file__).parents[1] / "src" / "rydkit"
+# The submodules of rydkit: its modules and the cli package.
+_EVERY = {path.stem for path in _SRC.glob("*.py")} - {"__init__"} | {"cli"}
+# The command modules of rydkit.cli, one per top-level command.
+_COMMANDS = {f"cli.{path.stem}" for path in _SRC.glob("cli/[!_]*.py")}
+_BUDGET = {"budget", "cli", "cli.budget", "errors"}
+_GATE_ERROR = {"cli", "cli.gate_error", "constants", "errors", "gate_error", "units"}
+_DOPPLER = {"cli", "cli.doppler", "constants", "errors", "gate_error", "species", "units"}
+_DRESSING = {"cli", "cli.dressing", "dressing", "errors", "units"}
 _POINT = ["--rabi-mhz", "20", "--detuning-mhz", "-100", "--defect-mhz", "-200", "--rc-um", "8.1"]
 
-# --help, every command of the perfbench CLI mix, and reproduce: the rydkit modules it loads.
+# --help, every command of the perfbench CLI mix, and reproduce: the rydkit modules it
+# loads. A command loads its own command module and no other; --help loads all of them
+# and no model module.
 _FOOTPRINTS = {
-    "help": (["--help"], {"cli", "errors", "units"}),
+    "help": (["--help"], {"cli", "errors", "units"} | _COMMANDS),
     "budget-vacuum-lifetime": (
         ["budget", "vacuum-lifetime", "--n-code", "20", "--epsilon", "1e-4"], _BUDGET),
     "budget-reload-rate": (
@@ -72,14 +79,12 @@ _FOOTPRINTS = {
     "gate-error-stark": (
         ["gate-error", "stark", "--rabi-mhz", "20", "--epsilon", "1e-5",
          "--alpha0-ghz-cm2-v2", "1"], _GATE_ERROR),
-    "doppler": (
-        ["doppler", "--temperature-uk", "10", "--time-ns", "1000"], _GATE_ERROR | {"species"}),
+    "doppler": (["doppler", "--temperature-uk", "10", "--time-ns", "1000"], _DOPPLER),
     "doppler-scan": (
-        ["doppler", "--scan", "--temp-points", "2", "--time-points", "2"],
-        _GATE_ERROR | {"grid", "species"}),
+        ["doppler", "--scan", "--temp-points", "2", "--time-points", "2"], _DOPPLER | {"grid"}),
     "lifetime": (
         ["lifetime", "--n", "100", "--temperature-k", "300"],
-        {"cli", "constants", "core", "errors", "species", "units"}),
+        {"cli", "cli.lifetime", "constants", "core", "errors", "species", "units"}),
     "dressing-curve": (
         ["dressing", "curve", *_POINT, "--r-min-um", "1", "--r-max-um", "20", "--points", "5"],
         _DRESSING | {"grid"}),
@@ -87,8 +92,9 @@ _FOOTPRINTS = {
         ["dressing", "fom", *_POINT, "--tau-us", "320", "--spacing-um", "4"], _DRESSING),
     "scan": (
         ["scan", "--quantity", "tau-vac", "--x-min", "4", "--x-max", "8", "--x-points", "2",
-         "--y-min", "1e-4", "--y-max", "1e-3", "--y-points", "2"], _BUDGET | {"grid"}),
-    "reproduce": (["reproduce", "--trials", "2000"], _EVERY),
+         "--y-min", "1e-4", "--y-max", "1e-3", "--y-points", "2"],
+        {"budget", "cli", "cli.scan", "errors", "grid"}),
+    "reproduce": (["reproduce", "--trials", "2000"], _EVERY | {"cli.reproduce"}),
 }
 # The commands that load numpy; every other one runs without it.
 _LOADS_NUMPY = {"budget-simulate", "doppler-scan", "dressing-curve", "scan", "reproduce"}
