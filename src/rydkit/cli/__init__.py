@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import importlib
 import json
-from collections.abc import Mapping
 
 import click
 
@@ -60,22 +59,26 @@ def _scan_csv(quantity: str, x: tuple, y: tuple, fixed: dict) -> str:
     ).to_csv()
 
 
-class _CommandModules(Mapping):
-    """The root group's commands by name; a command's module is imported on lookup."""
+class _LazyGroup(click.Group):
+    """The root group; a command's module is imported when its name is looked up."""
 
-    def __getitem__(self, name: str) -> click.Command:
+    def list_commands(self, ctx: click.Context) -> list[str]:
+        return list(_COMMANDS)
+
+    def get_command(self, ctx: click.Context, name: str) -> click.Command | None:
         if name not in _COMMANDS:
-            raise KeyError(name)
+            return None
         return importlib.import_module(f"{__name__}.{name.replace('-', '_')}").command
 
-    def __iter__(self):
-        return iter(_COMMANDS)
+    def resolve_command(self, ctx: click.Context, args: list[str]):
+        try:
+            return super().resolve_command(ctx, args)
+        except click.exceptions.NoSuchCommand as exc:  # suggest from the lazy names
+            raise click.exceptions.NoSuchCommand(
+                exc.command_name, possibilities=_COMMANDS, ctx=ctx) from None
 
-    def __len__(self) -> int:
-        return len(_COMMANDS)
 
-
-@click.group(commands=_CommandModules())
+@click.group(cls=_LazyGroup)
 def cli() -> None:
     """Quantitative models for Rydberg-interacting neutral-atom qubit arrays."""
 

@@ -284,7 +284,7 @@ class TestScanCommand:
         from rydkit.grid import SCAN_QUANTITIES
 
         assert _SCAN_QUANTITIES == tuple(sorted(SCAN_QUANTITIES))
-        (quantity,) = [p for p in cli.commands["scan"].params if p.name == "quantity"]
+        (quantity,) = [p for p in cli.get_command(click.Context(cli), "scan").params if p.name == "quantity"]
         assert list(quantity.type.choices) == sorted(SCAN_QUANTITIES)
 
     def test_unknown_quantity_is_a_usage_error(self, capsys):
@@ -294,8 +294,16 @@ class TestScanCommand:
 
 
 class TestExitCodes:
-    def test_unknown_command_is_usage_error(self):
-        assert main(["frobnicate"]) == 1
+    def test_unknown_command_is_usage_error(self, capsys):
+        # the root imports no command module, yet suggests from every command name
+        for name, error in [
+            ("frobnicate", "Error: No such command 'frobnicate'.\n"),
+            ("gate-eror", "Error: No such command 'gate-eror'. Did you mean 'gate-error'?\n"),
+        ]:
+            assert main([name]) == 1
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.endswith("\n\n" + error)
 
     def test_success(self):
         assert main(["gate-error", "floors"]) == 0
