@@ -10,7 +10,7 @@ The package namespace is lazy: a public name or a submodule is imported on
 first access, so ``import rydkit`` loads no model module.
 """
 
-import importlib
+import sys
 
 __version__ = "0.1.0"
 
@@ -90,12 +90,18 @@ __all__ = list(_ORIGIN)
 def __getattr__(name: str):
     """Import a submodule, or a public name from its submodule, on first access."""
     if name in _SUBMODULES:
-        return importlib.import_module(f"{__name__}.{name}")
+        return _load(name)
     if name not in _ORIGIN:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    value = getattr(importlib.import_module(f"{__name__}.{_ORIGIN[name]}"), name)
+    value = getattr(_load(_ORIGIN[name]), name)
     globals()[name] = value  # later lookups skip this function
     return value
+
+
+def _load(submodule: str):
+    """Import a submodule through the import statement's path, which ``-X importtime`` logs."""
+    __import__(f"{__name__}.{submodule}")
+    return sys.modules[f"{__name__}.{submodule}"]
 
 
 def __dir__() -> list[str]:

@@ -13,8 +13,8 @@ it looks the name up, so a call compiles and builds only its own command.
 
 from __future__ import annotations
 
-import importlib
 import json
+import sys
 
 import click
 
@@ -68,7 +68,9 @@ class _LazyGroup(click.Group):
     def get_command(self, ctx: click.Context, name: str) -> click.Command | None:
         if name not in _COMMANDS:
             return None
-        return importlib.import_module(f"{__name__}.{name.replace('-', '_')}").command
+        module = f"{__name__}.{name.replace('-', '_')}"
+        __import__(module)  # not importlib.import_module, whose loads -X importtime omits
+        return sys.modules[module].command
 
     def resolve_command(self, ctx: click.Context, args: list[str]):
         try:

@@ -17,7 +17,7 @@ from . import _emit, _scan_csv, _species_option
               help="Excitation scheme label; default: the species' first scheme.")
 @click.option("--k-per-m", type=float, default=None,
               help="Excitation wavevector override in 1/m.")
-@click.option("--config", type=click.Path(exists=True), default=None,
+@click.option("--config", type=click.Path(exists=True, dir_okay=False), metavar="PATH",
               help="JSON species config; overrides built-ins by name.")
 @click.option("--scan", "do_scan", is_flag=True, help="Emit a temperature-time CSV grid.")
 @click.option("--temp-min-uk", type=float, default=1.0, show_default=True)

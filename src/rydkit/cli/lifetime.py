@@ -14,7 +14,7 @@ from . import _emit, _species_option
 @click.option("--temperature-k", type=float, required=True)
 @click.option("--species", "species_name", type=str, default="cs", show_default=True)
 @click.option("--tau0-ns", type=float, default=None, help="Override the species coefficient.")
-@click.option("--config", type=click.Path(exists=True), default=None)
+@click.option("--config", type=click.Path(exists=True, dir_okay=False), metavar="PATH")
 def command(n: float, temperature_k: float, species_name: str,
             tau0_ns: float | None, config: str | None) -> None:
     """Rydberg depopulation lifetime with the universal blackbody model."""

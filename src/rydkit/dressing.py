@@ -12,8 +12,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import BranchResidualWarning, DomainError, _any, _count, _flag, _float_range
-from .errors import _nonzero, _per_element, _scalar, in_range
+from .errors import BranchResidualWarning, DomainError, _any, _choice, _count, _flag
+from .errors import _float_range, _nonzero, _per_element, _scalar, in_range
 from .units import TWO_PI, Frequency
 
 _CBRT2 = 2.0 ** (1 / 3)
@@ -359,17 +359,13 @@ def normalized_potential(r: float, params: DressingParams, kind: str = "full") -
     r = in_range("separation R", r)
     det, defect = _check_signs(params.detuning, params.pair.defect)
     r_c = params.pair.r_c
+    _choice("potential kind", kind, ("full", "single_term", "vdw"))
     if kind == "single_term":
         with _float_range("R^6 or xi^6"):
             xi6 = soft_core_scale(det, defect, r_c) ** 6
             value = -math.copysign(1.0, det) * xi6 / (_per_element(pow, r, 6) + xi6)
         return in_range("normalized potential", value, -math.inf)
-    if kind == "full":
-        shift = dipole_dipole_shift(r, defect, r_c)
-    elif kind == "vdw":
-        shift = vdw_shift(r, defect, r_c)
-    else:
-        raise DomainError(f"unknown potential kind {kind!r}")
+    shift = (dipole_dipole_shift if kind == "full" else vdw_shift)(r, defect, r_c)
     w = params.rabi.rad_per_s
     free = pair_light_shift_free(w, det).rad_per_s
     depth = in_range("well depth", abs(pair_light_shift_blockaded(w, det).rad_per_s - free))
@@ -523,10 +519,7 @@ def scaling_exponent(quantity: str, n_lo: float, n_hi: float) -> float:
     prefactors and fixed Omega at ``n_lo`` and ``n_hi`` and returns the
     log-log secant slope.
     """
-    if quantity not in _SCALING_QUANTITIES:
-        raise DomainError(
-            f"unknown quantity {quantity!r} (choose from {', '.join(_SCALING_QUANTITIES)})"
-        )
+    _choice("quantity", quantity, _SCALING_QUANTITIES)
     n_lo = _scalar("n_lo", n_lo, 50.0, bounds="[)")
     n_hi = _scalar("n_hi", n_hi, n_lo)
 

@@ -8,11 +8,13 @@ loaded, so each helper looks numpy up in ``sys.modules`` when it is called and
 takes the plain float path while it is absent: a scalar call never loads it.
 """
 
+import contextlib
 import itertools
 import math
 import operator
 import sys
 import warnings
+from collections.abc import Mapping
 
 _FMT = "%.17g"  # decimal text with 17 significant digits: exact for doubles
 
@@ -93,6 +95,20 @@ def _count(name: str, value: int, lo: int) -> int:
     return count
 
 
+def _choice(what: str, value, choices):
+    """``choices[value]`` for a mapping ``choices``, else ``value``, if it is one of the choices.
+
+    Any other value raises ``DomainError("unknown <what> <value!r> (choose from
+    <the choices, sorted>)")``: this is how a named option is checked.
+    """
+    try:
+        if value in choices:
+            return choices[value] if isinstance(choices, Mapping) else value
+    except (TypeError, ValueError):  # unhashable, or an array whose == is not one bool
+        pass
+    raise DomainError(f"unknown {what} {value!r} (choose from {', '.join(sorted(choices))})")
+
+
 def _is_array(x) -> bool:
     """Whether ``x`` is an ndarray of one or more dimensions."""
     np = sys.modules.get("numpy")
@@ -142,7 +158,8 @@ def _outside(name: str, lo: float, hi: float, bounds: str, got: str) -> str:
     return f"{name} must be finite and in {bounds[0]}{lo:g}, {hi:g}{bounds[1]}, got {got}"
 
 
-class _float_range:
+@contextlib.contextmanager
+def _float_range(expression: str):
     """``with _float_range(expression):`` runs a formula that may leave the float range.
 
     An ArithmeticError of Python's float math becomes
@@ -151,23 +168,12 @@ class _float_range:
     overflows to inf fails the range check on the result. A body that imports
     numpy itself must do so before it enters.
     """
-
-    __slots__ = ("expression", "_errstate")
-
-    def __init__(self, expression: str) -> None:
-        self.expression = expression
-
-    def __enter__(self) -> None:
-        np = sys.modules.get("numpy")
-        self._errstate = None if np is None else np.errstate(all="ignore")
-        if self._errstate is not None:
-            self._errstate.__enter__()
-
-    def __exit__(self, kind, exc, tb) -> None:
-        if self._errstate is not None:
-            self._errstate.__exit__(kind, exc, tb)
-        if kind is not None and issubclass(kind, ArithmeticError):
-            raise DomainError(f"{self.expression} is out of float range") from None
+    np = sys.modules.get("numpy")
+    try:
+        with np.errstate(all="ignore") if np else contextlib.nullcontext():
+            yield
+    except ArithmeticError:
+        raise DomainError(f"{expression} is out of float range") from None
 
 
 def _per_element(fn, x, *args):

@@ -13,8 +13,8 @@ import sys
 from dataclasses import dataclass
 
 from .constants import ATOMIC_TIME, K_B
-from .errors import DomainError, _flag, _float_range, _nonzero, _per_element, _scalar
-from .errors import in_range
+from .errors import DomainError, _choice, _flag, _float_range, _nonzero, _per_element
+from .errors import _scalar, in_range
 from .units import TWO_PI, Frequency
 
 _SEVEN_PI = 7.0 * math.pi
@@ -231,10 +231,8 @@ def field_budget(
     """
     d = in_range("detuning limit", detuning_limit)
     alpha0 = _nonzero("alpha0", alpha0)
-    if convention not in ("direct", "half"):
-        raise DomainError(f"unknown Stark-shift convention {convention!r}")
+    factor = _choice("Stark-shift convention", convention, {"direct": 1.0, "half": 2.0})
     shift_ghz = d / TWO_PI / 1e9
-    factor = 1.0 if convention == "direct" else 2.0
     return in_range("field limit", _per_element(math.sqrt, factor * shift_ghz / abs(alpha0)))
 
 

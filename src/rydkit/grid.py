@@ -10,7 +10,7 @@ import numpy as np
 
 import rydkit  # the models, through the lazy namespace: axis and ScanGrid load none
 
-from .errors import _FMT, DomainError, _count, _float_range, _per_element, in_range
+from .errors import _FMT, DomainError, _choice, _count, _float_range, _per_element, in_range
 
 
 def _float_array(values, what: str) -> np.ndarray | None:
@@ -70,19 +70,15 @@ def axis(
     lo = in_range("lo", lo, -math.inf)
     hi = in_range("hi", hi, -math.inf)
     points = _count(f"points of axis {name!r}", points, 1)
+    spaced = _choice("spacing", spacing, {"linear": np.linspace, "log": np.geomspace})
     if points == 1:
         if lo != hi:
             raise DomainError("a single-point axis needs lo == hi")
         return Axis(name, unit, (lo,), spacing)
     if spacing == "linear":
         in_range(f"span hi - lo of axis {name!r}", hi - lo, -math.inf)
-        spaced = np.linspace
-    elif spacing == "log":
-        if lo <= 0 or hi <= 0:
-            raise DomainError("log-spaced axes need positive bounds")
-        spaced = np.geomspace
-    else:
-        raise DomainError(f"unknown spacing {spacing!r}")
+    elif lo <= 0 or hi <= 0:
+        raise DomainError("log-spaced axes need positive bounds")
     with _float_range(f"axis {name!r}"):  # a value that overflows fails the Axis check
         values = spaced(lo, hi, points)
     return Axis(name, unit, values, spacing)
@@ -273,19 +269,12 @@ def scan(quantity: str, x_axis: Axis, y_axis: Axis, fixed: dict | None = None) -
     value must be a finite number (a numeric string is parsed). None keeps
     the default.
     """
-    try:
-        entry = SCAN_QUANTITIES[quantity]
-    except KeyError:
-        raise DomainError(
-            f"unknown scan quantity {quantity!r} "
-            f"(choose from {', '.join(sorted(SCAN_QUANTITIES))})"
-        ) from None
+    entry = _choice("scan quantity", quantity, SCAN_QUANTITIES)
     merged = dict(entry.defaults)
     for key, value in (fixed or {}).items():
-        if key not in entry.defaults:
-            raise DomainError(f"unknown fixed parameter {key!r} for quantity {quantity!r}")
+        default = _choice("fixed parameter", key, entry.defaults)
         if value is not None:
-            text = isinstance(entry.defaults[key], str)
+            text = isinstance(default, str)
             merged[key] = str(value) if text else in_range(key, value, -math.inf)
     x_row = np.array(x_axis.values)[None, :]
     y_column = np.array(y_axis.values)[:, None]

@@ -10,7 +10,7 @@ import json
 from dataclasses import dataclass
 
 from .constants import ATOMIC_MASS_UNIT
-from .errors import DomainError, in_range
+from .errors import DomainError, _choice, in_range
 from .units import TWO_PI
 
 
@@ -56,11 +56,8 @@ class Species:
             raise DomainError(f"species {self.name} has no excitation scheme")
         if label is None:
             return self.schemes[0]
-        for s in self.schemes:
-            if s.label == label:
-                return s
-        known = ", ".join(s.label for s in self.schemes)
-        raise DomainError(f"unknown scheme {label!r} for {self.name} (available: {known})")
+        # reversed, so that of two schemes with one label the first is found
+        return _choice(f"{self.name} scheme", label, {s.label: s for s in reversed(self.schemes)})
 
 
 def _resolve_doppler(
@@ -128,8 +125,8 @@ def species_from_dict(data: dict) -> Species:
 def load_species_config(path: str) -> dict[str, Species]:
     """Load a JSON species config: either a list or ``{"species": [...]}``.
 
-    Raises DomainError naming the file when it is not valid JSON or holds an
-    invalid species.
+    Raises DomainError naming the file when it cannot be read, is not valid
+    JSON or holds an invalid species.
     """
     try:
         with open(path, encoding="utf-8") as fh:
@@ -138,16 +135,11 @@ def load_species_config(path: str) -> dict[str, Species]:
         loaded = [species_from_dict(entry) for entry in entries]
     except KeyError as exc:  # species_from_dict reports its own missing keys
         raise DomainError(f"species config {path}: missing key {exc}") from None
-    except (TypeError, ValueError) as exc:
+    except (OSError, TypeError, ValueError) as exc:
         raise DomainError(f"species config {path}: {exc}") from None
     return {sp.name.lower(): sp for sp in loaded}
 
 
 def get_species(name: str, config: dict[str, Species] | None = None) -> Species:
     """Look a species up by name, config entries taking precedence over built-ins."""
-    key = name.lower()
-    if config and key in config:
-        return config[key]
-    if key in BUILTIN_SPECIES:
-        return BUILTIN_SPECIES[key]
-    raise DomainError(f"unknown species {name!r}")
+    return _choice("species", name.lower(), {**BUILTIN_SPECIES, **(config or {})})

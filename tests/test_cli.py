@@ -414,6 +414,18 @@ class TestExitCodes:
         assert captured.out == ""
         assert re.fullmatch(r"Error: Could not open file '[^\n]+': [^\n]+\n", captured.err)
 
+    @pytest.mark.parametrize("command", [
+        ["lifetime", "--n", "100", "--temperature-k", "300"],
+        ["doppler", "--temperature-uk", "10", "--time-ns", "1000"],
+    ], ids=lambda argv: argv[0])
+    def test_config_that_is_a_directory_is_a_usage_error(self, command, tmp_path, capsys):
+        assert main([*command, "--config", str(tmp_path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.endswith(
+            f"Error: Invalid value for '--config': File '{tmp_path}' is a directory.\n")
+        assert "Traceback" not in captured.err
+
 
 def _walk(group, prefix=()):
     """(path, command) of every command under ``group``, through click's own lookup."""

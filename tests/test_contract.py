@@ -8,11 +8,13 @@ float field, for dataclass results) or raise DomainError; any other exception
 fails.
 """
 
+import ast
 import dataclasses
 import functools
 import inspect
 import json
 import math
+import re
 import typing
 import warnings
 from pathlib import Path
@@ -277,6 +279,65 @@ def test_float_range_maps_arithmetic_errors_and_silences_numpy():
     with pytest.raises(KeyError):
         with _float_range("x"):
             {}["k"]
+
+
+def test_float_range_restores_numpy_error_state_after_a_body_that_raises():
+    before = np.geterr()
+    with pytest.raises(DomainError):
+        with _float_range("x"):
+            1e200**2
+    assert np.geterr() == before
+    with pytest.raises(KeyError):
+        with _float_range("x"):
+            {}["k"]
+    assert np.geterr() == before
+
+
+_AXES = rydkit.Axis("n_code", "qubits", (20.0,)), rydkit.Axis("epsilon", "", (1e-4,))
+
+
+# Each named option of the models: the call with an unknown name, and the message.
+@pytest.mark.parametrize("call, message", [
+    (lambda: dressing.normalized_potential(
+        1e-6, _dressing_params(1e6, 1e7, 2e7, 1.0, None, 1e-6, 1e-4, 2e-6), "bogus"),
+     "unknown potential kind 'bogus' (choose from full, single_term, vdw)"),
+    (lambda: dressing.scaling_exponent("F_4D", 50.0, 100.0),
+     "unknown quantity 'F_4D' (choose from F_1D, F_2D, F_3D, F_prime, F_prime_defect)"),
+    (lambda: CESIUM.scheme("bogus"),
+     "unknown Cs scheme 'bogus' (choose from one-photon, two-photon-counterprop)"),
+    (lambda: rydkit.get_species("Xe"), "unknown species 'xe' (choose from cs, rb)"),
+    (lambda: rydkit.axis("x", "", 1.0, 2.0, 3, "cubic"),
+     "unknown spacing 'cubic' (choose from linear, log)"),
+    (lambda: rydkit.scan("nope", *_AXES),
+     "unknown scan quantity 'nope' "
+     "(choose from doppler-infidelity, dressing-potential, lifetime, tau-vac)"),
+    (lambda: rydkit.scan("tau-vac", *_AXES, {"typo": 1.0}),
+     "unknown fixed parameter 'typo' (choose from t_qec_ms)"),
+    (lambda: gate_error.field_budget(1e5, 205.0, "quarter"),
+     "unknown Stark-shift convention 'quarter' (choose from direct, half)"),
+    # a value that cannot be a key, or that == compares element by element, is unknown too
+    (lambda: gate_error.field_budget(1e5, 205.0, ["direct"]),
+     "unknown Stark-shift convention ['direct'] (choose from direct, half)"),
+    (lambda: dressing.scaling_exponent(np.array(["F_1D", "F_2D"]), 50.0, 100.0),
+     "unknown quantity array(['F_1D', 'F_2D'], dtype='<U4') "
+     "(choose from F_1D, F_2D, F_3D, F_prime, F_prime_defect)"),
+    # a single-point axis takes no spacing, but a name it does not know is still an error
+    (lambda: rydkit.axis("x", "", 1.0, 1.0, 1, "cubic"),
+     "unknown spacing 'cubic' (choose from linear, log)"),
+], ids=["kind", "scaling-quantity", "scheme", "species", "spacing", "scan-quantity",
+        "fixed-key", "convention", "unhashable", "array", "single-point-spacing"])
+def test_unknown_name_lists_the_choices(call, message):
+    with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+        call()
+
+
+def test_only_the_choice_helper_raises_unknown_name():
+    """No module but errors.py builds an "unknown ..." DomainError by hand."""
+    for path in Path(rydkit.__file__).parent.rglob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call):
+                text = ast.unparse(node.exc)
+                assert path.name == "errors.py" or "unknown " not in text, (path, text)
 
 
 @pytest.mark.parametrize(

@@ -288,7 +288,8 @@ class TestMalformedInputRaisesDomainError:
 
     @pytest.mark.parametrize("build, message", [
         (lambda: Axis("x", "", ()), "axis 'x' has no values"),
-        (lambda: axis("x", "", 1.0, 2.0, 3, "cubic"), "unknown spacing 'cubic'"),
+        (lambda: axis("x", "", 1.0, 2.0, 3, "cubic"),
+         r"unknown spacing 'cubic' \(choose from linear, log\)"),
         (lambda: ScanGrid("demo", Axis("x", "", (1.0, 2.0)), Axis("y", "", (3.0, 4.0)),
                           ((1.0, 2.0),)), "cell row count must match the y axis"),
         (lambda: ScanGrid("demo", Axis("x", "", (1.0, 2.0)), Axis("y", "", (3.0, 4.0)),

@@ -112,6 +112,19 @@ def test_command_loads_only_its_models(command):
     assert loaded == [*numpy, "rydkit", *sorted(f"rydkit.{name}" for name in modules)]
 
 
+def test_importtime_logs_the_lazily_loaded_modules():
+    """``-X importtime`` sees the command module and the model module a call loads."""
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).parents[1] / "src")}
+    proc = subprocess.run(
+        [sys.executable, "-X", "importtime", "-c",
+         "from rydkit.cli import main; main(['gate-error', 'floors'])"],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    logged = {line.rsplit("|", 1)[1].strip() for line in proc.stderr.splitlines()
+              if line.startswith("import time:")}
+    assert {"rydkit.cli.gate_error", "rydkit.gate_error"} <= logged
+
+
 def test_submodule_resolves_on_first_access():
     assert _fresh(
         "import rydkit\nbefore = 'rydkit.grid' in sys.modules\n"

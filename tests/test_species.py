@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 
@@ -145,6 +146,11 @@ def test_bad_config_file_names_the_file(tmp_path, text):
     path.write_text(text)
     with pytest.raises(DomainError, match="species config .*species.json"):
         load_species_config(str(path))
+
+
+def test_config_that_cannot_be_read_names_the_file(tmp_path):
+    with pytest.raises(DomainError, match=f"^species config {re.escape(str(tmp_path))}: "):
+        load_species_config(str(tmp_path))
 
 
 def test_config_without_species_key_says_it_is_missing(tmp_path):
