@@ -64,12 +64,10 @@ def fom(**point) -> None:
     """Figures of merit for 1D/2D/3D lattices at a dressing point."""
     params = rydkit.dressing._dressing_params(**point)
     records = rydkit.dressing.figures_of_merit(params)
-    rabi, det = params.rabi, params.detuning
+    rabi, det, pair = params.rabi, params.detuning, params.pair
     _emit({
-        **point, "rc_um": params.pair.r_c * 1e6, "c3_ghz_um3": params.pair.c3,
-        "blockade_radius_um": rydkit.dressing.blockade_radius(
-            params.detuning.rad_per_s, params.pair.defect.rad_per_s, params.pair.r_c
-        ) * 1e6,
+        **point, "rc_um": pair.r_c * 1e6, "c3_ghz_um3": pair.c3,
+        "blockade_radius_um": rydkit.dressing.blockade_radius(det, pair.defect, pair.r_c) * 1e6,
         "depth_khz": abs(rydkit.dressing.dressing_depth_perturbative(rabi, det).hz) / 1e3,
         "tau_dr_ms": rydkit.dressing.dressed_decoherence_time(rabi, det, params.lifetime) * 1e3,
         "operations_per_atom": rydkit.dressing.operations_per_atom(params),

@@ -27,7 +27,8 @@ class PairInteraction:
 
     ``c3`` is quoted in GHz um^3 (ordinary-frequency convention); the
     crossover radius ``r_c`` (m) may be given instead of, or along with,
-    ``c3`` — when both are given they must be mutually consistent.
+    ``c3`` — when both are given they must be mutually consistent. Fields
+    are stored as checked: the defect as a Frequency, the numbers as floats.
     """
 
     defect: Frequency              # signed Foerster defect
@@ -36,13 +37,15 @@ class PairInteraction:
     r_c: float | None = None       # m
 
     def __post_init__(self) -> None:
-        _nonzero("Foerster defect", self.defect)
-        in_range("angular factor D_kl", self.angular_factor)
+        object.__setattr__(self, "defect", Frequency(_nonzero("Foerster defect", self.defect)))
+        angular_factor = in_range("angular factor D_kl", self.angular_factor)
+        object.__setattr__(self, "angular_factor", angular_factor)
         if self.c3 is None and self.r_c is None:
             raise DomainError("supply c3 or r_c")
         if self.r_c is not None:
-            in_range("r_c", self.r_c)
+            object.__setattr__(self, "r_c", in_range("r_c", self.r_c))
         if self.c3 is not None:
+            object.__setattr__(self, "c3", _nonzero("c3", self.c3))
             derived = crossover_radius(self.c3, self.defect, self.angular_factor)
             if self.r_c is None:
                 object.__setattr__(self, "r_c", derived)
@@ -55,19 +58,21 @@ class PairInteraction:
 
 @dataclass(frozen=True)
 class DressingParams:
-    """Full parameter set of a dressing configuration on a qubit lattice."""
+    """Full parameter set of a dressing configuration on a qubit lattice: every field and the
+    matched signs of detuning and defect are checked once, here, and stored as checked."""
 
     rabi: Frequency
-    detuning: Frequency  # signed
+    detuning: Frequency  # signed, of the defect's sign
     pair: PairInteraction
     lifetime: float      # s, Rydberg lifetime
     spacing: float       # m, lattice period
 
     def __post_init__(self) -> None:
-        in_range("Rabi frequency", self.rabi.rad_per_s)
-        _nonzero("dressing detuning", self.detuning)
-        in_range("lifetime", self.lifetime)
-        in_range("lattice spacing", self.spacing)
+        object.__setattr__(self, "rabi", Frequency(in_range("Rabi frequency", self.rabi)))
+        detuning, _ = _check_signs(self.detuning, self.pair.defect)
+        object.__setattr__(self, "detuning", Frequency(detuning))
+        object.__setattr__(self, "lifetime", in_range("lifetime", self.lifetime))
+        object.__setattr__(self, "spacing", in_range("lattice spacing", self.spacing))
 
 
 def _dressing_params(
@@ -357,8 +362,7 @@ def normalized_potential(r: float, params: DressingParams, kind: str = "full") -
     then solved by one stacked eigensolve.
     """
     r = in_range("separation R", r)
-    det, defect = _check_signs(params.detuning, params.pair.defect)
-    r_c = params.pair.r_c
+    det, defect, r_c = params.detuning.rad_per_s, params.pair.defect.rad_per_s, params.pair.r_c
     _choice("potential kind", kind, ("full", "single_term", "vdw"))
     if kind == "single_term":
         with _float_range("R^6 or xi^6"):
@@ -475,11 +479,10 @@ def figures_of_merit(params: DressingParams) -> tuple[FigureOfMerit, ...]:
     variant with its per-atom value. The dimension-independent depth and
     tau_dr are :func:`dressing_depth_perturbative` and
     :func:`dressed_decoherence_time`. Magnitudes enter the formulas; the signs
-    only gate validity (matched signs required, weak dressing |Omega| < |Delta|
-    warned).
+    only gate validity (matched signs, which DressingParams checks; weak
+    dressing |Omega| < |Delta| warned).
     """
-    w = params.rabi.rad_per_s
-    det, defect = _check_signs(params.detuning, params.pair.defect)
+    w, det, defect = params.rabi.rad_per_s, params.detuning.rad_per_s, params.pair.defect.rad_per_s
     _flag(w, abs(w) >= abs(det), lambda w: f"|Omega| = {abs(w):.3g} >= |Delta| = "
           f"{abs(det):.3g}: outside the weak-dressing regime of the figures of merit")
     sum_abs = abs(det + defect)

@@ -71,10 +71,8 @@ def axis(
     hi = in_range("hi", hi, -math.inf)
     points = _count(f"points of axis {name!r}", points, 1)
     spaced = _choice("spacing", spacing, {"linear": np.linspace, "log": np.geomspace})
-    if points == 1:
-        if lo != hi:
-            raise DomainError("a single-point axis needs lo == hi")
-        return Axis(name, unit, (lo,), spacing)
+    if points == 1 and lo != hi:
+        raise DomainError("a single-point axis needs lo == hi")
     if spacing == "linear":
         in_range(f"span hi - lo of axis {name!r}", hi - lo, -math.inf)
     elif lo <= 0 or hi <= 0:

@@ -26,7 +26,7 @@ class ExcitationScheme:
             raise DomainError("excitation scheme needs at least one wavelength")
         norm = []
         for lam, sign in self.wavelengths:
-            if sign not in (1, -1):
+            if isinstance(sign, bool) or sign not in (1, -1):  # True == 1, but is no sign
                 raise DomainError(f"propagation sign must be +1 or -1, got {sign!r}")
             norm.append((in_range("wavelength", lam), int(sign)))
         object.__setattr__(self, "wavelengths", tuple(norm))
@@ -142,4 +142,5 @@ def load_species_config(path: str) -> dict[str, Species]:
 
 def get_species(name: str, config: dict[str, Species] | None = None) -> Species:
     """Look a species up by name, config entries taking precedence over built-ins."""
-    return _choice("species", name.lower(), {**BUILTIN_SPECIES, **(config or {})})
+    key = name.lower() if isinstance(name, str) else name
+    return _choice("species", key, {**BUILTIN_SPECIES, **(config or {})})

@@ -63,12 +63,16 @@ STRINGS = {
 SKIPPED = {"reproduce"}
 
 
-def _dressing_params(rabi, detuning, defect, angular_factor, c3, r_c, lifetime, spacing):
+def _dressing_params(
+    rabi, detuning, defect, angular_factor, c3, r_c, lifetime, spacing, frequency=Frequency
+):
+    """A DressingParams whose three frequencies are passed as ``frequency(x)``:
+    a Frequency, or with ``float`` the raw value in rad/s."""
     return DressingParams(
-        rabi=Frequency(rabi),
-        detuning=Frequency(detuning),
+        rabi=frequency(rabi),
+        detuning=frequency(detuning),
         pair=PairInteraction(
-            defect=Frequency(defect), angular_factor=angular_factor, c3=c3, r_c=r_c
+            defect=frequency(defect), angular_factor=angular_factor, c3=c3, r_c=r_c
         ),
         lifetime=lifetime,
         spacing=spacing,
@@ -87,6 +91,7 @@ DRESSING_PARAMS = st.builds(
     r_c=st.none() | FLOATS,
     lifetime=FLOATS,
     spacing=FLOATS,
+    frequency=st.sampled_from([Frequency, float]),
 )
 
 
@@ -338,6 +343,22 @@ def test_only_the_choice_helper_raises_unknown_name():
             if isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call):
                 text = ast.unparse(node.exc)
                 assert path.name == "errors.py" or "unknown " not in text, (path, text)
+
+
+def test_signs_are_checked_once_per_dressing_point():
+    """Matched signs are checked where a DressingParams is built, and by the two
+    public functions that take a bare detuning and defect; no consumer re-checks."""
+    tree = ast.parse(Path(dressing.__file__).read_text())
+    classes = [node for node in tree.body if isinstance(node, ast.ClassDef)]
+    callers = [
+        fn.name if owner is tree else f"{owner.name}.{fn.name}"
+        for owner in (tree, *classes) for fn in owner.body
+        if isinstance(fn, ast.FunctionDef) and any(
+            isinstance(n, ast.Call) and ast.unparse(n.func) == "_check_signs"
+            for n in ast.walk(fn))
+    ]
+    assert sorted(callers) == [
+        "DressingParams.__post_init__", "blockade_radius", "soft_core_scale"]
 
 
 @pytest.mark.parametrize(

@@ -128,6 +128,8 @@ class TestCrossoverRadius:
         assert pair.r_c == RC
         derived = PairInteraction(defect=DEFECT, c3=c3)
         assert derived.r_c == pytest.approx(RC, rel=1e-12)
+        # stored as checked: a raw defect in rad/s, c3 given as text
+        assert PairInteraction(defect=DEFECT.rad_per_s, c3=str(c3)) == derived
         with pytest.raises(DomainError):
             PairInteraction(defect=DEFECT, c3=c3, r_c=1.01 * RC)
         with pytest.raises(DomainError):
@@ -317,15 +319,14 @@ class TestNormalizedPotential:
             normalized_potential(1e-6, weak_attractive_params(), "bogus")
 
     def test_sign_mismatch_rejected(self):
-        params = DressingParams(
-            rabi=Frequency.from_hz(1e6),
-            detuning=Frequency.from_hz(-10e6),
-            pair=PairInteraction(defect=Frequency.from_hz(20e6), r_c=1.5e-6),
-            lifetime=1.0,
-            spacing=1e-6,
-        )
         with pytest.raises(DomainError, match="resonance"):
-            normalized_potential(1e-6, params)
+            DressingParams(
+                rabi=Frequency.from_hz(1e6),
+                detuning=Frequency.from_hz(-10e6),
+                pair=PairInteraction(defect=Frequency.from_hz(20e6), r_c=1.5e-6),
+                lifetime=1.0,
+                spacing=1e-6,
+            )
 
 
 class TestFiguresOfMerit:
@@ -408,19 +409,43 @@ class TestFiguresOfMerit:
         )
 
     def test_sign_mismatch_rejected(self):
-        params = DressingParams(
-            rabi=Frequency.from_hz(20e6),
-            detuning=Frequency.from_hz(100e6),
-            pair=PairInteraction(defect=DEFECT, r_c=RC),
-            lifetime=320e-6,
-            spacing=1e-6,
-        )
         with pytest.raises(DomainError, match="resonance"):
-            figures_of_merit(params)
+            DressingParams(
+                rabi=Frequency.from_hz(20e6),
+                detuning=Frequency.from_hz(100e6),
+                pair=PairInteraction(defect=DEFECT, r_c=RC),
+                lifetime=320e-6,
+                spacing=1e-6,
+            )
 
     def test_zero_detuning_rejected(self):
-        with pytest.raises(DomainError, match="dressing detuning must be nonzero"):
+        with pytest.raises(DomainError, match="detuning must be nonzero"):
             replace(worked_params(), detuning=Frequency(0.0))
+
+    def test_operations_per_atom_needs_matched_signs(self):
+        # the same point as the worked example, with the detuning's sign flipped
+        with pytest.raises(DomainError, match="opposite signs"):
+            operations_per_atom(replace(worked_params(), detuning=Frequency.from_hz(100e6)))
+
+    def test_raw_floats_are_stored_as_the_checked_values(self):
+        # raw floats are rad/s, as everywhere; text parses as a number
+        raw = DressingParams(
+            rabi=Frequency.from_hz(20e6).rad_per_s,
+            detuning=DETUNING.rad_per_s,
+            pair=PairInteraction(defect=DEFECT.rad_per_s, angular_factor="12", r_c=str(RC)),
+            lifetime=np.float64(320e-6),
+            spacing=1e-6,
+        )
+        assert raw == worked_params()
+        assert [type(getattr(raw, f)) for f in ("rabi", "detuning", "lifetime", "spacing")] == [
+            Frequency, Frequency, float, float]
+        assert [type(getattr(raw.pair, f)) for f in ("defect", "angular_factor", "r_c")] == [
+            Frequency, float, float]
+
+    def test_lifetime_given_as_text_is_stored_as_a_float(self):
+        params = replace(worked_params(), lifetime="3.2e-4")
+        assert params.lifetime == 3.2e-4 and type(params.lifetime) is float
+        assert figures_of_merit(params) == figures_of_merit(worked_params())
 
     def test_strong_dressing_warns(self):
         params = DressingParams(

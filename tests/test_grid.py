@@ -290,6 +290,7 @@ class TestMalformedInputRaisesDomainError:
         (lambda: Axis("x", "", ()), "axis 'x' has no values"),
         (lambda: axis("x", "", 1.0, 2.0, 3, "cubic"),
          r"unknown spacing 'cubic' \(choose from linear, log\)"),
+        (lambda: axis("x", "", -1.0, -1.0, 1, "log"), "log-spaced axes need positive bounds"),
         (lambda: ScanGrid("demo", Axis("x", "", (1.0, 2.0)), Axis("y", "", (3.0, 4.0)),
                           ((1.0, 2.0),)), "cell row count must match the y axis"),
         (lambda: ScanGrid("demo", Axis("x", "", (1.0, 2.0)), Axis("y", "", (3.0, 4.0)),
@@ -300,8 +301,8 @@ class TestMalformedInputRaisesDomainError:
          "no data rows in CSV"),
         (lambda: ScanGrid.from_csv("# x: x [um] explicit\n# y: y [K] explicit\nx,1,2\n"),
          "axis 'y' has no values"),
-    ], ids=["empty-axis", "spacing", "rows", "columns", "scalar-cells", "header-only-csv",
-            "x-row-only-csv"])
+    ], ids=["empty-axis", "spacing", "single-point-log", "rows", "columns", "scalar-cells",
+            "header-only-csv", "x-row-only-csv"])
     def test_shape_and_spacing_errors(self, build, message):
         with pytest.raises(DomainError, match=f"^{message}$"):
             build()

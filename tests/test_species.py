@@ -115,6 +115,10 @@ def test_config_missing_key():
 def test_unknown_species():
     with pytest.raises(DomainError):
         get_species("unobtainium")
+    # a name that is not text is unknown too
+    for name in (5, None):
+        with pytest.raises(DomainError, match=rf"^unknown species {name} \(choose from cs, rb\)$"):
+            get_species(name)
 
 
 CONFIG_ENTRY = {
@@ -129,6 +133,7 @@ CONFIG_ENTRY = {
     ("schemes", [{"label": "uv", "wavelengths_nm": ["abc"], "signs": [1]}]),
     ("schemes", 5),
     ("schemes", [{"label": "uv", "wavelengths_nm": [894.6, 494.4], "signs": [1]}]),
+    ("schemes", [{"label": "uv", "wavelengths_nm": [319.0], "signs": [True]}]),  # True == 1
 ])
 def test_config_bad_value_names_the_species(field, value):
     with pytest.raises(DomainError, match="species 'Xe'"):
