@@ -6,23 +6,84 @@ Scalar results print as a single JSON document, grids as CSV. Exit codes:
 0 success, 1 usage error or an output file that cannot be written, 2 domain
 error, 3 reproduction failure.
 
-Each top-level command is ``command`` in the module of this package named
-after it, with "-" written "_". The root group imports that module only when
-it looks the name up, so a call compiles and builds only its own command.
+Each top-level command is added to the root parser by ``command`` in the
+module of this package named after it, with "-" written "_". The root imports
+that module only when the name is chosen, so a call compiles and builds only
+its own command; ``--help`` builds every command to list them.
 """
 
 from __future__ import annotations
 
+import argparse
 import json
+import re
 import sys
-
-import click
 
 import rydkit
 
 from ..errors import DomainError
 
 _COMMANDS = ("budget", "doppler", "dressing", "gate-error", "lifetime", "reproduce", "scan")
+_SUBCOMMANDS = {"title": "commands", "metavar": "COMMAND", "required": True}  # of root and groups
+
+
+class UsageError(Exception):
+    """A command line that cannot run: ``main`` prints one ``Error:`` line and returns 1."""
+
+
+class _HelpShown(Exception):
+    """``--help`` has printed its text: ``main`` returns 0."""
+
+
+class _Parser(argparse.ArgumentParser):
+    """A parser that raises instead of exiting, with no abbreviated flags and no ``-h``."""
+
+    def __init__(self, **kwargs) -> None:
+        super().__init__(add_help=False, allow_abbrev=False, **kwargs)
+        # a word that float() reads as a negative number (-1e3 and -inf too) is a value
+        self._negative_number_matcher = re.compile(r"-(\.?\d|inf|nan)", re.IGNORECASE)
+        self.add_argument("--help", action="help", help="Show this message and exit.")
+
+    def error(self, message: str):
+        sys.stderr.write(self.format_usage() + "\n")
+        raise UsageError(message)
+
+    def exit(self, status: int = 0, message: str | None = None):
+        raise _HelpShown  # the help action is the one caller, as error() raises
+
+
+def _group(commands, name: str, doc: str):
+    """Add the command group ``name`` to ``commands``; returns the action of its commands."""
+    return commands.add_parser(name, help=doc, description=doc).add_subparsers(**_SUBCOMMANDS)
+
+
+def _leaf(commands, name: str, run) -> _Parser:
+    """Add command ``name`` to ``commands``: it calls ``run`` with its parsed values."""
+    parser = commands.add_parser(name, help=run.__doc__, description=run.__doc__)
+    parser.set_defaults(run=run)
+    return parser
+
+
+def _parser(word: str) -> _Parser:
+    """The root parser for a command line whose first word is ``word``.
+
+    A command name builds that command only. A flag (--help) or no word builds
+    every command, so that the help can list them; any other word is unknown.
+    """
+    parser = _Parser(prog="rydkit", description=(
+        "Quantitative models for Rydberg-interacting neutral-atom qubit arrays."))
+    commands = parser.add_subparsers(**_SUBCOMMANDS)
+    if word and not word.startswith("-") and word not in _COMMANDS:
+        from difflib import get_close_matches  # only an unknown command pays for it
+
+        close = get_close_matches(word, _COMMANDS, n=1)
+        hint = f" Did you mean {close[0]!r}?" if close else ""
+        parser.error(f"No such command {word!r}.{hint}")
+    for name in [word] if word in _COMMANDS else _COMMANDS:
+        module = f"{__name__}.{name.replace('-', '_')}"
+        __import__(module)  # not importlib.import_module, whose loads -X importtime omits
+        sys.modules[module].command(commands)
+    return parser
 
 
 def _emit(result: dict | str, out: str | None = None) -> None:
@@ -37,14 +98,20 @@ def _emit(result: dict | str, out: str | None = None) -> None:
             with open(out, "w", encoding="utf-8", newline="") as fh:
                 fh.write(result)
         except OSError as exc:
-            raise click.FileError(out, exc.strerror) from None
+            raise UsageError(f"Could not open file {out!r}: {exc.strerror}") from None
     else:
-        click.echo(result, nl=False)
+        sys.stdout.write(result)
 
 
-def _species_option(ctx_config: str | None, name: str):
-    config = rydkit.species.load_species_config(ctx_config) if ctx_config else None
-    return rydkit.species.get_species(name, config)
+def _species_option(config: str | None, name: str):
+    """The species ``name``; the entries of a ``--config`` file come before the built-ins."""
+    if config is None:
+        return rydkit.species.get_species(name)
+    try:  # a file that cannot be opened is a bad flag value; a bad content, a domain error
+        open(config, "rb").close()
+    except OSError as exc:
+        raise UsageError(f"Invalid value for '--config': {config!r}: {exc.strerror}") from None
+    return rydkit.species.get_species(name, rydkit.species.load_species_config(config))
 
 
 def _scan_csv(quantity: str, x: tuple, y: tuple, fixed: dict) -> str:
@@ -59,42 +126,19 @@ def _scan_csv(quantity: str, x: tuple, y: tuple, fixed: dict) -> str:
     ).to_csv()
 
 
-class _LazyGroup(click.Group):
-    """The root group; a command's module is imported when its name is looked up."""
-
-    def list_commands(self, ctx: click.Context) -> list[str]:
-        return list(_COMMANDS)
-
-    def get_command(self, ctx: click.Context, name: str) -> click.Command | None:
-        if name not in _COMMANDS:
-            return None
-        module = f"{__name__}.{name.replace('-', '_')}"
-        __import__(module)  # not importlib.import_module, whose loads -X importtime omits
-        return sys.modules[module].command
-
-    def resolve_command(self, ctx: click.Context, args: list[str]):
-        try:
-            return super().resolve_command(ctx, args)
-        except click.exceptions.NoSuchCommand as exc:  # suggest from the lazy names
-            raise click.exceptions.NoSuchCommand(
-                exc.command_name, possibilities=_COMMANDS, ctx=ctx) from None
-
-
-@click.group(cls=_LazyGroup)
-def cli() -> None:
-    """Quantitative models for Rydberg-interacting neutral-atom qubit arrays."""
-
-
 def main(argv: list[str] | None = None) -> int:
     """Entry point mapping exceptions to documented exit codes."""
+    argv = sys.argv[1:] if argv is None else argv
     try:
-        result = cli.main(args=argv, prog_name="rydkit", standalone_mode=False)
-    except click.ClickException as exc:
-        exc.show()
+        values = vars(_parser(argv[0] if argv else "").parse_args(argv))
+        return values.pop("run")(**values) or 0
+    except _HelpShown:
+        return 0
+    except UsageError as exc:
+        print(f"Error: {exc}", file=sys.stderr)
         return 1
-    except click.Abort:
+    except KeyboardInterrupt:
         return 1
     except DomainError as exc:
-        click.echo(f"domain error: {exc}", err=True)
+        print(f"domain error: {exc}", file=sys.stderr)
         return 2
-    return int(result) if isinstance(result, int) else 0

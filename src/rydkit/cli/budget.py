@@ -4,23 +4,11 @@ from __future__ import annotations
 
 from dataclasses import asdict
 
-import click
-
 import rydkit
 
-from . import _emit
+from . import _emit, _group, _leaf
 
 
-@click.group("budget")
-def command() -> None:
-    """Atom-loss, reload, and measurement-crosstalk budgets."""
-
-
-@command.command("vacuum-lifetime")
-@click.option("--n-code", type=int, required=True, help="Qubits per code block.")
-@click.option("--t-qec-ms", type=float, default=None,
-              help="Error-correction cycle time; default 0.1 ms per code qubit.")
-@click.option("--epsilon", type=float, required=True, help="Loss probability budget per cycle.")
 def vacuum_lifetime(n_code: int, t_qec_ms: float | None, epsilon: float) -> None:
     """Vacuum lifetime needed to keep per-cycle atom loss below epsilon."""
     t_qec = rydkit.budget.default_t_qec(n_code) if t_qec_ms is None else t_qec_ms * 1e-3
@@ -30,10 +18,6 @@ def vacuum_lifetime(n_code: int, t_qec_ms: float | None, epsilon: float) -> None
     })
 
 
-@command.command("reload-rate")
-@click.option("--n-phys", type=int, required=True, help="Physical qubits in the array.")
-@click.option("--tau-vac-s", type=float, required=True)
-@click.option("--epsilon", type=float, required=True)
 def reload_rate(n_phys: int, tau_vac_s: float, epsilon: float) -> None:
     """Atom reload rate sustaining an array against vacuum loss."""
     _emit({
@@ -42,10 +26,6 @@ def reload_rate(n_phys: int, tau_vac_s: float, epsilon: float) -> None:
     })
 
 
-@command.command("loss")
-@click.option("--n-code", type=int, required=True)
-@click.option("--t-ms", type=float, required=True)
-@click.option("--tau-vac-s", type=float, required=True)
 def loss(n_code: int, t_ms: float, tau_vac_s: float) -> None:
     """Probability of losing at least one of N_code atoms within t."""
     _emit({
@@ -54,13 +34,6 @@ def loss(n_code: int, t_ms: float, tau_vac_s: float) -> None:
     })
 
 
-@command.command("simulate")
-@click.option("--n-code", type=int, required=True)
-@click.option("--tau-vac-s", type=float, required=True)
-@click.option("--t-ms", type=float, required=True)
-@click.option("--trials", type=int, default=100000, show_default=True)
-@click.option("--seed", type=int, required=True,
-              help="RNG seed; required so runs are reproducible.")
 def simulate(n_code: int, tau_vac_s: float, t_ms: float, trials: int, seed: int) -> None:
     """Monte Carlo loss probability with exponential per-atom lifetimes."""
     result = rydkit.budget.simulate_loss(n_code, tau_vac_s, t_ms * 1e-3, trials, seed)
@@ -70,12 +43,6 @@ def simulate(n_code: int, tau_vac_s: float, t_ms: float, trials: int, seed: int)
     })
 
 
-@command.command("crosstalk")
-@click.option("--wavelength-nm", type=float, required=True)
-@click.option("--spacing-um", type=float, required=True)
-@click.option("--numerical-aperture", type=float, required=True)
-@click.option("--efficiency", type=float, required=True,
-              help="Combined optical and detector efficiency.")
 def crosstalk(wavelength_nm: float, spacing_um: float,
               numerical_aperture: float, efficiency: float) -> None:
     """Readout crosstalk from resonant photon absorption at a neighbor."""
@@ -88,3 +55,40 @@ def crosstalk(wavelength_nm: float, spacing_um: float,
         "cross_section_m2": est.cross_section, "eta_abs": est.eta_abs,
         "eta_det": est.eta_det, "ratio": est.ratio,
     })
+
+
+def command(commands) -> None:
+    """Add ``rydkit budget`` and its commands to the root's ``commands``."""
+    group = _group(commands, "budget", "Atom-loss, reload, and measurement-crosstalk budgets.")
+
+    p = _leaf(group, "vacuum-lifetime", vacuum_lifetime)
+    p.add_argument("--n-code", type=int, required=True, help="Qubits per code block.")
+    p.add_argument("--t-qec-ms", type=float,
+                   help="Error-correction cycle time; default 0.1 ms per code qubit.")
+    p.add_argument("--epsilon", type=float, required=True,
+                   help="Loss probability budget per cycle.")
+
+    p = _leaf(group, "reload-rate", reload_rate)
+    p.add_argument("--n-phys", type=int, required=True, help="Physical qubits in the array.")
+    p.add_argument("--tau-vac-s", type=float, required=True)
+    p.add_argument("--epsilon", type=float, required=True)
+
+    p = _leaf(group, "loss", loss)
+    p.add_argument("--n-code", type=int, required=True)
+    p.add_argument("--t-ms", type=float, required=True)
+    p.add_argument("--tau-vac-s", type=float, required=True)
+
+    p = _leaf(group, "simulate", simulate)
+    p.add_argument("--n-code", type=int, required=True)
+    p.add_argument("--tau-vac-s", type=float, required=True)
+    p.add_argument("--t-ms", type=float, required=True)
+    p.add_argument("--trials", type=int, default=100000, help="Default: %(default)s.")
+    p.add_argument("--seed", type=int, required=True,
+                   help="RNG seed; required so runs are reproducible.")
+
+    p = _leaf(group, "crosstalk", crosstalk)
+    p.add_argument("--wavelength-nm", type=float, required=True)
+    p.add_argument("--spacing-um", type=float, required=True)
+    p.add_argument("--numerical-aperture", type=float, required=True)
+    p.add_argument("--efficiency", type=float, required=True,
+                   help="Combined optical and detector efficiency.")

@@ -4,42 +4,23 @@ from __future__ import annotations
 
 from dataclasses import asdict
 
-import click
-
 import rydkit
 
 from ..errors import _FMT
-from . import _emit
+from . import _emit, _group, _leaf
 
 
-@click.group("dressing")
-def command() -> None:
-    """Soft-core dressing potentials and figures of merit."""
-
-
-_DRESSING_OPTIONS = (
-    click.option("--rabi-mhz", type=float, required=True),
-    click.option("--detuning-mhz", type=float, required=True, help="Signed dressing detuning."),
-    click.option("--defect-mhz", type=float, required=True, help="Signed Foerster defect."),
-    click.option("--rc-um", type=float, default=None, help="Crossover radius."),
-    click.option("--c3-ghz-um3", type=float, default=None, help="C3 coefficient."),
-    click.option("--d-kl", type=float, default=12.0, show_default=True),
-)
-
-
-def _dressing_options(command):
+def _dressing_options(parser) -> None:
     """Add the options of a dressing point, whose names match dressing._dressing_params."""
-    for option in reversed(_DRESSING_OPTIONS):
-        command = option(command)
-    return command
+    parser.add_argument("--rabi-mhz", type=float, required=True)
+    parser.add_argument("--detuning-mhz", type=float, required=True,
+                        help="Signed dressing detuning.")
+    parser.add_argument("--defect-mhz", type=float, required=True, help="Signed Foerster defect.")
+    parser.add_argument("--rc-um", type=float, help="Crossover radius.")
+    parser.add_argument("--c3-ghz-um3", type=float, help="C3 coefficient.")
+    parser.add_argument("--d-kl", type=float, default=12.0, help="Default: %(default)s.")
 
 
-@command.command("curve")
-@_dressing_options
-@click.option("--r-min-um", type=float, required=True)
-@click.option("--r-max-um", type=float, required=True)
-@click.option("--points", type=int, default=101, show_default=True)
-@click.option("--out", type=click.Path(), default=None)
 def curve(r_min_um, r_max_um, points, out, **point) -> None:
     """Normalized soft-core curves (full, vdW, single-term) as CSV columns."""
     import numpy as np
@@ -56,10 +37,6 @@ def curve(r_min_um, r_max_um, points, out, **point) -> None:
     _emit("\n".join(lines) + "\n", out)
 
 
-@command.command("fom")
-@_dressing_options
-@click.option("--tau-us", type=float, required=True, help="Rydberg lifetime.")
-@click.option("--spacing-um", type=float, required=True, help="Lattice period.")
 def fom(**point) -> None:
     """Figures of merit for 1D/2D/3D lattices at a dressing point."""
     params = rydkit.dressing._dressing_params(**point)
@@ -76,3 +53,20 @@ def fom(**point) -> None:
             {k: v for k, v in asdict(r).items() if k != "f_prime"} for r in records
         ],
     })
+
+
+def command(commands) -> None:
+    """Add ``rydkit dressing`` and its commands to the root's ``commands``."""
+    group = _group(commands, "dressing", "Soft-core dressing potentials and figures of merit.")
+
+    p = _leaf(group, "curve", curve)
+    _dressing_options(p)
+    p.add_argument("--r-min-um", type=float, required=True)
+    p.add_argument("--r-max-um", type=float, required=True)
+    p.add_argument("--points", type=int, default=101, help="Default: %(default)s.")
+    p.add_argument("--out")
+
+    p = _leaf(group, "fom", fom)
+    _dressing_options(p)
+    p.add_argument("--tau-us", type=float, required=True, help="Rydberg lifetime.")
+    p.add_argument("--spacing-um", type=float, required=True, help="Lattice period.")

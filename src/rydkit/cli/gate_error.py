@@ -2,24 +2,12 @@
 
 from __future__ import annotations
 
-import click
-
 import rydkit
 
 from ..units import Frequency
-from . import _emit
+from . import _emit, _group, _leaf
 
 
-@click.group("gate-error")
-def command() -> None:
-    """Intrinsic gate-error models and budgets."""
-
-
-@command.command("blockade")
-@click.option("--blockade-mhz", type=float, required=True, help="Blockade shift B/2pi.")
-@click.option("--tau-us", type=float, required=True, help="Rydberg lifetime.")
-@click.option("--rabi-mhz", type=float, default=None,
-              help="Rabi frequency Omega/2pi; default: the optimum.")
 def blockade(blockade_mhz: float, tau_us: float, rabi_mhz: float | None) -> None:
     """Blockade-gate error budget, optimum, and entanglement bound."""
     b = Frequency.from_hz(blockade_mhz * 1e6)
@@ -36,10 +24,6 @@ def blockade(blockade_mhz: float, tau_us: float, rabi_mhz: float | None) -> None
     })
 
 
-@command.command("interaction")
-@click.option("--interaction-mhz", type=float, required=True, help="Dipolar strength V/2pi.")
-@click.option("--tau-us", type=float, required=True)
-@click.option("--qubit-ghz", type=float, required=True, help="Qubit frequency omega_q/2pi.")
 def interaction(interaction_mhz: float, tau_us: float, qubit_ghz: float) -> None:
     """Weak-interaction phase-gate error at V, plus the optimum over V."""
     v = Frequency.from_hz(interaction_mhz * 1e6)
@@ -53,9 +37,6 @@ def interaction(interaction_mhz: float, tau_us: float, qubit_ghz: float) -> None
     })
 
 
-@command.command("dressing")
-@click.option("--detuning-mhz", type=float, required=True, help="Dressing detuning Delta/2pi.")
-@click.option("--tau-us", type=float, required=True)
 def dressing(detuning_mhz: float, tau_us: float) -> None:
     """Optimized dressing-gate error at the given detuning and lifetime."""
     _emit({
@@ -66,9 +47,6 @@ def dressing(detuning_mhz: float, tau_us: float) -> None:
     })
 
 
-@command.command("floors")
-@click.option("--tau0-ns", type=float, default=3.3, show_default=True,
-              help="Low-l lifetime coefficient.")
 def floors(tau0_ns: float) -> None:
     """Level-spacing-limited error floors of the blockade and dressing gates."""
     tau0 = tau0_ns * 1e-9
@@ -79,9 +57,6 @@ def floors(tau0_ns: float) -> None:
     })
 
 
-@command.command("spontaneous")
-@click.option("--t-pi-ns", type=float, required=True, help="Pi-pulse duration.")
-@click.option("--epsilon", type=float, required=True, help="Spontaneous-emission error budget.")
 def spontaneous(t_pi_ns: float, epsilon: float) -> None:
     """Minimum Rydberg lifetime for a spontaneous-emission error target."""
     _emit({
@@ -90,13 +65,6 @@ def spontaneous(t_pi_ns: float, epsilon: float) -> None:
     })
 
 
-@command.command("stark")
-@click.option("--rabi-mhz", type=float, required=True)
-@click.option("--epsilon", type=float, required=True, help="Pi-pulse error target.")
-@click.option("--alpha0-ghz-cm2-v2", type=float, required=True,
-              help="Scalar dc polarizability in GHz/(V/cm)^2.")
-@click.option("--convention", type=click.Choice(["direct", "half"]), default="direct",
-              show_default=True, help="Stark shift alpha E^2 (direct) or alpha E^2/2 (half).")
 def stark(rabi_mhz: float, epsilon: float, alpha0_ghz_cm2_v2: float, convention: str) -> None:
     """Detuning and dc-field budgets for a pulse-error target."""
     detuning_limit = rydkit.gate_error.detuning_budget(Frequency.from_hz(rabi_mhz * 1e6), epsilon)
@@ -108,3 +76,43 @@ def stark(rabi_mhz: float, epsilon: float, alpha0_ghz_cm2_v2: float, convention:
             detuning_limit, alpha0_ghz_cm2_v2, convention
         ),
     })
+
+
+def command(commands) -> None:
+    """Add ``rydkit gate-error`` and its commands to the root's ``commands``."""
+    group = _group(commands, "gate-error", "Intrinsic gate-error models and budgets.")
+
+    p = _leaf(group, "blockade", blockade)
+    p.add_argument("--blockade-mhz", type=float, required=True, help="Blockade shift B/2pi.")
+    p.add_argument("--tau-us", type=float, required=True, help="Rydberg lifetime.")
+    p.add_argument("--rabi-mhz", type=float,
+                   help="Rabi frequency Omega/2pi; default: the optimum.")
+
+    p = _leaf(group, "interaction", interaction)
+    p.add_argument("--interaction-mhz", type=float, required=True,
+                   help="Dipolar strength V/2pi.")
+    p.add_argument("--tau-us", type=float, required=True)
+    p.add_argument("--qubit-ghz", type=float, required=True, help="Qubit frequency omega_q/2pi.")
+
+    p = _leaf(group, "dressing", dressing)
+    p.add_argument("--detuning-mhz", type=float, required=True,
+                   help="Dressing detuning Delta/2pi.")
+    p.add_argument("--tau-us", type=float, required=True)
+
+    p = _leaf(group, "floors", floors)
+    p.add_argument("--tau0-ns", type=float, default=3.3,
+                   help="Low-l lifetime coefficient; default: %(default)s.")
+
+    p = _leaf(group, "spontaneous", spontaneous)
+    p.add_argument("--t-pi-ns", type=float, required=True, help="Pi-pulse duration.")
+    p.add_argument("--epsilon", type=float, required=True,
+                   help="Spontaneous-emission error budget.")
+
+    p = _leaf(group, "stark", stark)
+    p.add_argument("--rabi-mhz", type=float, required=True)
+    p.add_argument("--epsilon", type=float, required=True, help="Pi-pulse error target.")
+    p.add_argument("--alpha0-ghz-cm2-v2", type=float, required=True,
+                   help="Scalar dc polarizability in GHz/(V/cm)^2.")
+    p.add_argument("--convention", choices=("direct", "half"), default="direct",
+                   help="Stark shift alpha E^2 (direct) or alpha E^2/2 (half); "
+                        "default: %(default)s.")

@@ -2,23 +2,24 @@
 
 from __future__ import annotations
 
-import click
-
 import rydkit
 
-from . import _emit
+from . import _emit, _leaf
 
 
-@click.command("reproduce")
-@click.option("--json-out", type=click.Path(), default=None,
-              help="Also write the full report as JSON.")
-@click.option("--trials", type=int, default=100000, show_default=True,
-              help="Monte Carlo trials for the loss check.")
-def command(json_out: str | None, trials: int) -> int:
+def reproduce(json_out: str | None, trials: int) -> int:
     """Recompute every reference checkpoint and report pass/fail per entry."""
     rep = rydkit.report.reproduce(trials=trials)
     if json_out:  # first, so that a failed write leaves stdout empty
         _emit(rep.to_dict(), json_out)
     for line in rep.format_lines():
-        click.echo(line)
+        print(line)
     return 0 if rep.passed else 3
+
+
+def command(commands) -> None:
+    """Add ``rydkit reproduce`` to the root's ``commands``."""
+    p = _leaf(commands, "reproduce", reproduce)
+    p.add_argument("--json-out", help="Also write the full report as JSON.")
+    p.add_argument("--trials", type=int, default=100000,
+                   help="Monte Carlo trials for the loss check; default: %(default)s.")

@@ -37,15 +37,18 @@ class PairInteraction:
     r_c: float | None = None       # m
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "defect", Frequency(_nonzero("Foerster defect", self.defect)))
-        angular_factor = in_range("angular factor D_kl", self.angular_factor)
+        # every field is a scalar, as every builder in the package passes: a pair channel
+        # is one point, and the consistency check of c3 and r_c below is one bool
+        defect = _nonzero("Foerster defect", _scalar("Foerster defect", self.defect, -math.inf))
+        object.__setattr__(self, "defect", Frequency(defect))
+        angular_factor = _scalar("angular factor D_kl", self.angular_factor)
         object.__setattr__(self, "angular_factor", angular_factor)
         if self.c3 is None and self.r_c is None:
             raise DomainError("supply c3 or r_c")
         if self.r_c is not None:
-            object.__setattr__(self, "r_c", in_range("r_c", self.r_c))
+            object.__setattr__(self, "r_c", _scalar("r_c", self.r_c))
         if self.c3 is not None:
-            object.__setattr__(self, "c3", _nonzero("c3", self.c3))
+            object.__setattr__(self, "c3", _nonzero("c3", _scalar("c3", self.c3, -math.inf)))
             derived = crossover_radius(self.c3, self.defect, self.angular_factor)
             if self.r_c is None:
                 object.__setattr__(self, "r_c", derived)
@@ -135,7 +138,7 @@ def _pair_shift(r, defect, r_c, shift) -> Frequency:
     d = in_range("defect", defect, -math.inf)
     r_c = in_range("r_c", r_c)
     with _float_range("(R_c/R)^6"):
-        return Frequency(shift(d, _per_element(pow, r_c / r, 6)))
+        return Frequency(in_range("pair shift", shift(d, _per_element(pow, r_c / r, 6)), -math.inf))
 
 
 def crossover_radius(
@@ -204,8 +207,10 @@ def _pair_light_shift(rabi, detuning, k: int) -> Frequency:
 
     w = in_range("Rabi frequency", rabi, -math.inf)
     det = in_range("detuning", detuning, -math.inf)
-    with _float_range("Delta^2 + Omega^2" if k == 1 else "Delta^2 + 2 Omega^2"):
-        return Frequency((-det + np.copysign(1.0, det) * np.sqrt(det * det + k * w * w)) / k)
+    expression = "Delta^2 + Omega^2" if k == 1 else "Delta^2 + 2 Omega^2"
+    with _float_range(expression):  # a sum that overflows to inf is named here
+        total = in_range(expression, det * det + k * w * w, bounds="[)")
+        return Frequency((-det + np.copysign(1.0, det) * np.sqrt(total)) / k)
 
 
 def dressing_depth_exact(rabi: Frequency | float, detuning: Frequency | float) -> Frequency:
@@ -246,7 +251,7 @@ def dressed_ground_energy_exact(
     ndarrays; all points are solved by one stacked eigensolve.
     """
     value, _ = _ground_branch(*_dressed_arguments(rabi, detuning, pair_shift))
-    return Frequency(value)
+    return Frequency(in_range("dressed energy", value, -math.inf))
 
 
 def _dressed_arguments(rabi, detuning, pair_shift):

@@ -62,7 +62,8 @@ def in_range(
         (v == lo and bounds[0] == "[") or (v == hi and bounds[1] == "]")
     ):
         return v
-    raise DomainError(_outside(name, lo, hi, bounds, repr(value)))
+    # an int as given; any other value as the float it was read as, not a numpy repr
+    raise DomainError(_outside(name, lo, hi, bounds, repr(value if type(value) is int else v)))
 
 
 def _nonzero(name: str, value: float) -> float:

@@ -45,9 +45,11 @@ def optimal_rabi(blockade: Frequency | float, lifetime: float) -> Frequency:
     """Rabi frequency (7 pi)^(1/3) B^(2/3) / tau^(1/3) minimizing the blockade gate error."""
     b = in_range("blockade shift", blockade)
     lifetime = in_range("lifetime", lifetime)
-    return Frequency(
-        _SEVEN_PI ** (1 / 3) * _per_element(pow, b, 2 / 3) * _per_element(pow, lifetime, -1 / 3)
-    )
+    return Frequency(in_range(
+        "optimal Rabi frequency",
+        _SEVEN_PI ** (1 / 3) * _per_element(pow, b, 2 / 3) * _per_element(pow, lifetime, -1 / 3),
+        -math.inf,
+    ))
 
 
 def blockade_gate_error(blockade: Frequency | float, lifetime: float) -> float:
@@ -113,7 +115,8 @@ def optimal_interaction_strength(lifetime: float, qubit_freq: Frequency | float)
     """Interaction strength sqrt(pi sqrt(3) omega_q / (5 tau)) minimizing the gate error."""
     lifetime = in_range("lifetime", lifetime)
     wq = in_range("qubit frequency", qubit_freq)
-    return Frequency(_per_element(math.sqrt, math.pi * math.sqrt(3.0) * wq / (5.0 * lifetime)))
+    return Frequency(in_range("optimal interaction strength", _per_element(
+        math.sqrt, math.pi * math.sqrt(3.0) * wq / (5.0 * lifetime)), -math.inf))
 
 
 def minimal_interaction_gate_error(lifetime: float, qubit_freq: Frequency | float) -> float:

@@ -9,12 +9,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from click.testing import CliRunner
 from scipy.optimize import minimize_scalar
 
 import rydkit
 from rydkit import CESIUM, DressingParams, Frequency, PairInteraction
-from rydkit.cli import cli
+from rydkit.cli import main
 from rydkit.constants import MU_B
 from rydkit.dressing import dressed_decoherence_time
 from rydkit.gate_error import rydberg_level_half_spacing
@@ -206,7 +205,7 @@ def test_criterion_12_monte_carlo_oracle():
     _announce(12, "Monte Carlo loss oracle and linearized bound")
 
 
-def test_criterion_13_doppler_properties():
+def test_criterion_13_doppler_properties(capsys):
     k = CESIUM.scheme("one-photon").effective_k
     m = CESIUM.mass
     assert rydkit.doppler_fidelity(0.0, 5e-6, 1e-7, m) == 1.0
@@ -220,13 +219,12 @@ def test_criterion_13_doppler_properties():
     assert rydkit.doppler_infidelity(k, 5e-6, 2e-7, m) == rydkit.doppler_infidelity(
         k, 2e-5, 1e-7, m
     )
-    result = CliRunner().invoke(cli, [
+    assert main([
         "doppler", "--scan", "--temp-min-uk", "1", "--temp-max-uk", "100",
         "--temp-points", "5", "--time-min-ns", "10", "--time-max-ns", "1000",
         "--time-points", "4",
-    ], catch_exceptions=False)
-    assert result.exit_code == 0
-    assert result.output == (GOLDEN / "doppler_grid.csv").read_text()
+    ]) == 0
+    assert capsys.readouterr().out == (GOLDEN / "doppler_grid.csv").read_text()
     _announce(13, "Doppler fidelity properties and grid emission")
 
 

@@ -263,6 +263,31 @@ def test_inputs_that_leaked_now_raise(call):
         call()
 
 
+# A value that overflows is named by its expression, not by the Frequency check of
+# the result, and a rejected value is quoted as a number, never as a numpy repr.
+@pytest.mark.parametrize("call, message", [
+    (lambda: in_range("x", np.float64(np.inf)), "x must be finite and in (0, inf), got inf"),
+    (lambda: in_range("x", np.int64(-3)), "x must be finite and in (0, inf), got -3.0"),
+    (lambda: in_range("x", -3), "x must be finite and in (0, inf), got -3"),
+    (lambda: dressing.pair_light_shift_free(2e306, 1e6),
+     "Delta^2 + Omega^2 must be finite and in [0, inf), got inf"),
+    (lambda: dressing.pair_light_shift_blockaded(np.array([1.0, 2e306]), 1e6),
+     "Delta^2 + 2 Omega^2 must be finite and in [0, inf), got inf at index (1,)"),
+    (lambda: dressing.dipole_dipole_shift(1e-6, 1e300, 1e-3),
+     "pair shift must be finite and in (-inf, inf), got -inf"),
+    (lambda: dressing.dressed_ground_energy_exact(1e308, 1e308, 1e308),
+     "dressed energy must be finite and in (-inf, inf), got nan"),
+    (lambda: gate_error.optimal_rabi(1e308, 5e-324),
+     "optimal Rabi frequency must be finite and in (-inf, inf), got inf"),
+    (lambda: gate_error.optimal_interaction_strength(5e-324, 1e308),
+     "optimal interaction strength must be finite and in (-inf, inf), got inf"),
+])
+def test_overflow_is_named_and_quoted_as_a_number(call, message):
+    with pytest.raises(DomainError) as caught:
+        call()
+    assert str(caught.value) == message
+
+
 def test_in_range_checks_arrays_element_by_element():
     got = in_range("rabi", np.array([[1, 2], [3, 4]]))
     assert got.dtype == np.float64 and got.shape == (2, 2)

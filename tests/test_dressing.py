@@ -135,6 +135,17 @@ class TestCrossoverRadius:
         with pytest.raises(DomainError):
             PairInteraction(defect=DEFECT)
 
+    @pytest.mark.parametrize("fields", [
+        {"c3": np.array([5.0, 6.0]), "r_c": np.array([1e-6, 1e-6])},
+        {"c3": np.array([5.0, 6.0])},
+        {"r_c": np.array([1e-6, 2e-6])},
+        {"defect": Frequency(np.array([1e9, 2e9])), "r_c": 1e-6},
+        {"angular_factor": np.array([12.0]), "r_c": 1e-6},
+    ], ids=["c3-and-r_c", "c3", "r_c", "defect", "angular-factor"])
+    def test_pair_interaction_fields_are_scalars(self, fields):
+        with pytest.raises(DomainError, match="must be a scalar, not an array"):
+            PairInteraction(**{"defect": 1e9, **fields})
+
 
 class TestBlockadeRadius:
     def test_matched_detuning_identity(self):

@@ -1,10 +1,11 @@
-"""Which rydkit modules, and whether numpy, an import or a CLI command loads, each
-in a fresh interpreter.
+"""Which rydkit modules, and whether numpy or click, an import or a CLI command loads,
+each in a fresh interpreter.
 
 ``import rydkit`` is lazy, the CLI imports only the module of the command it runs,
 and each command reaches its models through the lazy namespace, so a one-shot call
 does not pay for the modules it never uses. The scalar commands also run without
-numpy, whose import is most of a cold start.
+numpy, whose import is most of a cold start, and no call loads click: the CLI parses
+with the standard library's argparse.
 """
 
 import json
@@ -15,7 +16,9 @@ from pathlib import Path
 
 import pytest
 
-_LOADED = 'sorted(m for m in sys.modules if m in ("numpy", "rydkit") or m.startswith("rydkit."))'
+_LOADED = (
+    'sorted(m for m in sys.modules if m in ("click", "numpy", "rydkit") or m.startswith("rydkit."))'
+)
 
 
 def _fresh(code: str):
