@@ -28,7 +28,6 @@ _EXPORTS = {
     ),
     "core": (
         "blackbody_depopulation_rate",
-        "free_electron_polarizability",
         "magnetic_trap_field",
         "rydberg_lifetime",
     ),

@@ -3,10 +3,9 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
-from .errors import DomainError, _any, _count, _flag, _float_range, _per_element, _scalar
-from .errors import in_range
+from .errors import DomainError, _any, _count, _flag, _float_range, _per_element, _Record
+from .errors import _scalar, in_range
 
 # Default error-correction cycle time: 0.1 ms per code qubit.
 T_QEC_PER_QUBIT = 1e-4  # s
@@ -55,11 +54,11 @@ def required_reload_rate(n_phys: float, tau_vac: float, epsilon: float) -> float
     return in_range("reload rate", n_phys / exposure)
 
 
-@dataclass(frozen=True)
-class MonteCarloResult:
-    trials: int
-    estimate: float
-    standard_error: float
+class MonteCarloResult(_Record):
+    __slots__ = ("trials", "estimate", "standard_error")
+
+    def __init__(self, trials: int, estimate: float, standard_error: float) -> None:
+        self._store(trials, estimate, standard_error)
 
 
 def simulate_loss(
@@ -91,14 +90,15 @@ def simulate_loss(
     return MonteCarloResult(trials, p, math.sqrt(p * (1.0 - p) / trials))
 
 
-@dataclass(frozen=True)
-class CrosstalkEstimate:
-    """Resonant-scattering crosstalk between neighboring qubits during readout."""
+class CrosstalkEstimate(_Record):
+    """Resonant-scattering crosstalk between neighboring qubits during readout: the
+    resonant absorption cross section (m^2), the absorption probability at a neighbor
+    per photon, the detection probability per scattered photon, and their ratio."""
 
-    cross_section: float        # m^2, resonant absorption cross section
-    eta_abs: float              # absorption probability at a neighbor per photon
-    eta_det: float              # detection probability per scattered photon
-    ratio: float                # eta_abs / eta_det
+    __slots__ = ("cross_section", "eta_abs", "eta_det", "ratio")
+
+    def __init__(self, cross_section: float, eta_abs: float, eta_det: float, ratio: float) -> None:
+        self._store(cross_section, eta_abs, eta_det, ratio)
 
 
 def measurement_crosstalk(

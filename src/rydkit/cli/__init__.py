@@ -44,6 +44,14 @@ class _Parser(argparse.ArgumentParser):
         self._negative_number_matcher = re.compile(r"-(\.?\d|inf|nan)", re.IGNORECASE)
         self.add_argument("--help", action="help", help="Show this message and exit.")
 
+    def parse_known_args(self, args=None, namespace=None):
+        # a word the command does not know is its error, with its usage: argparse would
+        # hand it up to the root
+        namespace, extras = super().parse_known_args(args, namespace)
+        if extras:
+            self.error(f"unrecognized arguments: {' '.join(extras)}")
+        return namespace, extras
+
     def error(self, message: str):
         sys.stderr.write(self.format_usage() + "\n")
         raise UsageError(message)

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-from dataclasses import asdict
-
 import rydkit
 
 from . import _emit, _group, _leaf
@@ -39,7 +37,7 @@ def simulate(n_code: int, tau_vac_s: float, t_ms: float, trials: int, seed: int)
     result = rydkit.budget.simulate_loss(n_code, tau_vac_s, t_ms * 1e-3, trials, seed)
     _emit({
         "n_code": n_code, "tau_vac_s": tau_vac_s, "t_ms": t_ms, "seed": seed,
-        **asdict(result),
+        **result._asdict(),
     })
 
 

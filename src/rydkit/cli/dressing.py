@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-from dataclasses import asdict
-
 import rydkit
 
 from ..errors import _FMT
@@ -50,7 +48,7 @@ def fom(**point) -> None:
         "operations_per_atom": rydkit.dressing.operations_per_atom(params),
         "f_prime": records[0].f_prime,
         "records": [
-            {k: v for k, v in asdict(r).items() if k != "f_prime"} for r in records
+            {k: v for k, v in r._asdict().items() if k != "f_prime"} for r in records
         ],
     })
 

@@ -2,11 +2,8 @@
 
 from __future__ import annotations
 
-import math
-
-from .constants import ALPHA_FS, E, HBAR, K_B, M_E, POLARIZABILITY_AU
+from .constants import ALPHA_FS, HBAR, K_B
 from .errors import _float_range, _is_array, _per_element, in_range
-from .units import Frequency
 
 
 def blackbody_depopulation_rate(n: float, temperature: float) -> float:
@@ -43,13 +40,6 @@ def rydberg_lifetime(n: float, temperature: float, tau0: float) -> float:
     elif temperature == 0:
         lifetime = radiative
     return in_range("lifetime", lifetime)
-
-
-def free_electron_polarizability(omega: Frequency | float) -> float:
-    """Ponderomotive polarizability -e^2/(m_e omega^2), in atomic units (< 0)."""
-    w = in_range("optical frequency", omega)
-    m_w2 = in_range("m_e omega^2", M_E * w * w)
-    return in_range("polarizability", -E**2 / m_w2 / POLARIZABILITY_AU, -math.inf, 0.0, "(]")
 
 
 def magnetic_trap_field(depth: float, magnetic_moment: float) -> float:

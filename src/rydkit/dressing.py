@@ -10,10 +10,9 @@ many-body dressing dynamics.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .errors import BranchResidualWarning, DomainError, _any, _choice, _count, _flag
-from .errors import _float_range, _nonzero, _per_element, _scalar, in_range
+from .errors import _float_range, _nonzero, _per_element, _Record, _scalar, in_range
 from .units import TWO_PI, Frequency
 
 _CBRT2 = 2.0 ** (1 / 3)
@@ -21,61 +20,54 @@ _CBRT4 = 2.0 ** (2 / 3)
 _SQRT2 = math.sqrt(2.0)
 
 
-@dataclass(frozen=True)
-class PairInteraction:
+class PairInteraction(_Record):
     """A single dipole-coupled Rydberg pair channel.
 
-    ``c3`` is quoted in GHz um^3 (ordinary-frequency convention); the
+    ``defect`` is the signed Foerster defect and ``angular_factor`` the D_kl of
+    the channel. ``c3`` is quoted in GHz um^3 (ordinary-frequency convention); the
     crossover radius ``r_c`` (m) may be given instead of, or along with,
     ``c3`` — when both are given they must be mutually consistent. Fields
     are stored as checked: the defect as a Frequency, the numbers as floats.
     """
 
-    defect: Frequency              # signed Foerster defect
-    angular_factor: float = 12.0   # D_kl of the interaction channel
-    c3: float | None = None        # GHz um^3
-    r_c: float | None = None       # m
+    __slots__ = ("defect", "angular_factor", "c3", "r_c")
 
-    def __post_init__(self) -> None:
+    def __init__(self, defect: Frequency, angular_factor: float = 12.0,
+                 c3: float | None = None, r_c: float | None = None) -> None:
         # every field is a scalar, as every builder in the package passes: a pair channel
         # is one point, and the consistency check of c3 and r_c below is one bool
-        defect = _nonzero("Foerster defect", _scalar("Foerster defect", self.defect, -math.inf))
-        object.__setattr__(self, "defect", Frequency(defect))
-        angular_factor = _scalar("angular factor D_kl", self.angular_factor)
-        object.__setattr__(self, "angular_factor", angular_factor)
-        if self.c3 is None and self.r_c is None:
+        defect = _nonzero("Foerster defect", _scalar("Foerster defect", defect, -math.inf))
+        angular_factor = _scalar("angular factor D_kl", angular_factor)
+        if c3 is None and r_c is None:
             raise DomainError("supply c3 or r_c")
-        if self.r_c is not None:
-            object.__setattr__(self, "r_c", _scalar("r_c", self.r_c))
-        if self.c3 is not None:
-            object.__setattr__(self, "c3", _nonzero("c3", _scalar("c3", self.c3, -math.inf)))
-            derived = crossover_radius(self.c3, self.defect, self.angular_factor)
-            if self.r_c is None:
-                object.__setattr__(self, "r_c", derived)
-            elif abs(self.r_c / derived - 1.0) > 1e-6:
+        if r_c is not None:
+            r_c = _scalar("r_c", r_c)
+        if c3 is not None:
+            c3 = _nonzero("c3", _scalar("c3", c3, -math.inf))
+            derived = crossover_radius(c3, defect, angular_factor)
+            if r_c is None:
+                r_c = derived
+            elif abs(r_c / derived - 1.0) > 1e-6:
                 raise DomainError(
-                    f"inconsistent pair data: r_c = {self.r_c:.6g} m but c3 implies "
-                    f"{derived:.6g} m"
+                    f"inconsistent pair data: r_c = {r_c:.6g} m but c3 implies {derived:.6g} m"
                 )
+        self._store(Frequency(defect), angular_factor, c3, r_c)
 
 
-@dataclass(frozen=True)
-class DressingParams:
-    """Full parameter set of a dressing configuration on a qubit lattice: every field and the
-    matched signs of detuning and defect are checked once, here, and stored as checked."""
+class DressingParams(_Record):
+    """Full parameter set of a dressing configuration on a qubit lattice: the detuning
+    (signed, of the defect's sign), the Rydberg lifetime (s) and the lattice period (m).
+    Every field and the matched signs of detuning and defect are checked once, here, and
+    stored as checked."""
 
-    rabi: Frequency
-    detuning: Frequency  # signed, of the defect's sign
-    pair: PairInteraction
-    lifetime: float      # s, Rydberg lifetime
-    spacing: float       # m, lattice period
+    __slots__ = ("rabi", "detuning", "pair", "lifetime", "spacing")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "rabi", Frequency(in_range("Rabi frequency", self.rabi)))
-        detuning, _ = _check_signs(self.detuning, self.pair.defect)
-        object.__setattr__(self, "detuning", Frequency(detuning))
-        object.__setattr__(self, "lifetime", in_range("lifetime", self.lifetime))
-        object.__setattr__(self, "spacing", in_range("lattice spacing", self.spacing))
+    def __init__(self, rabi: Frequency, detuning: Frequency, pair: PairInteraction,
+                 lifetime: float, spacing: float) -> None:
+        rabi = Frequency(in_range("Rabi frequency", rabi))
+        detuning, _ = _check_signs(detuning, pair.defect)
+        self._store(rabi, Frequency(detuning), pair, in_range("lifetime", lifetime),
+                    in_range("lattice spacing", spacing))
 
 
 def _dressing_params(
@@ -97,19 +89,20 @@ def _dressing_params(
     )
 
 
-@dataclass(frozen=True)
-class FigureOfMerit:
-    """Per-dimension coherent-operations figure of merit of a dressing setup."""
+class FigureOfMerit(_Record):
+    """Per-dimension coherent-operations figure of merit of a dressing setup.
 
-    dimension: int
-    n_atoms: float          # atoms inside a blockade volume (real-valued)
-    n_atoms_floored: int
-    f: float                # closed-form figure of merit
-    f_composed: float       # same, composed as depth x tau_dr x N / 2pi
-    f_prime: float          # avalanche-limited figure of merit (N-independent)
-    f_prime_per_atom: float
+    ``n_atoms`` counts the atoms inside a blockade volume (real-valued), ``f`` is the
+    closed-form figure of merit, ``f_composed`` the same composed as depth x tau_dr x
+    N / 2pi, and ``f_prime`` the avalanche-limited one (N-independent).
+    """
 
-    def __post_init__(self) -> None:
+    __slots__ = ("dimension", "n_atoms", "n_atoms_floored", "f", "f_composed", "f_prime",
+                 "f_prime_per_atom")
+
+    def __init__(self, dimension: int, n_atoms: float, n_atoms_floored: int, f: float,
+                 f_composed: float, f_prime: float, f_prime_per_atom: float) -> None:
+        self._store(dimension, n_atoms, n_atoms_floored, f, f_composed, f_prime, f_prime_per_atom)
         for name in ("n_atoms", "f", "f_composed", "f_prime", "f_prime_per_atom"):
             in_range(name, getattr(self, name))
 

@@ -1,7 +1,7 @@
-"""Exception and warning types shared across the package, the input checks, the
-validity flag of a call outside its model's regime, the float-range context, the
-per-element float math of array results, and the text format of floats in CSV
-output.
+"""Exception and warning types shared across the package, the frozen record base
+of its value types, the input checks, the validity flag of a call outside its
+model's regime, the float-range context, the per-element float math of array
+results, and the text format of floats in CSV output.
 
 The module does not import numpy. An ndarray can exist only once numpy is
 loaded, so each helper looks numpy up in ``sys.modules`` when it is called and
@@ -29,6 +29,45 @@ class ModelValidityWarning(UserWarning):
 
 class BranchResidualWarning(RuntimeWarning):
     """A closed-form cubic root kept a non-negligible imaginary residue."""
+
+
+class _Record:
+    """A frozen value type. Its fields are its ``__slots__``, in order, and its
+    ``__init__`` checks them and sets them once, with ``_store``. Records of one
+    class are equal when their fields are, hash as their field tuple and print as
+    ``Name(field=value, ...)``; copy and pickle rebuild one through ``__init__``."""
+
+    __slots__ = ()
+
+    def _store(self, *values) -> None:
+        for name, value in zip(self.__slots__, values, strict=True):
+            object.__setattr__(self, name, value)
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def _asdict(self) -> dict:
+        return dict(zip(self.__slots__, self._values()))
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"cannot assign to or delete field {name!r} of a frozen record")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={value!r}" for name, value in self._asdict().items())
+        return f"{type(self).__qualname__}({fields})"
+
+    def __reduce__(self):
+        return type(self), self._values()
 
 
 def in_range(

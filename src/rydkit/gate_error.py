@@ -10,11 +10,10 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
 
 from .constants import ATOMIC_TIME, K_B
 from .errors import DomainError, _choice, _flag, _float_range, _nonzero, _per_element
-from .errors import _scalar, in_range
+from .errors import _Record, _scalar, in_range
 from .units import TWO_PI, Frequency
 
 _SEVEN_PI = 7.0 * math.pi
@@ -32,13 +31,13 @@ def _gate_error(name: str, value: float) -> float:
                  lambda worst: f"{name} = {worst:.6g} > 1: outside the regime of the error model")
 
 
-@dataclass(frozen=True)
-class GateErrorBudget:
+class GateErrorBudget(_Record):
     """A gate error split into its dominant contributions."""
 
-    total: float
-    spontaneous: float
-    blockade_leakage: float
+    __slots__ = ("total", "spontaneous", "blockade_leakage")
+
+    def __init__(self, total: float, spontaneous: float, blockade_leakage: float) -> None:
+        self._store(total, spontaneous, blockade_leakage)
 
 
 def optimal_rabi(blockade: Frequency | float, lifetime: float) -> Frequency:

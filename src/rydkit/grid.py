@@ -3,14 +3,14 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
 
 import rydkit  # the models, through the lazy namespace: axis and ScanGrid load none
 
-from .errors import _FMT, DomainError, _choice, _count, _float_range, _per_element, in_range
+from .errors import _FMT, DomainError, _choice, _count, _float_range, _per_element, _Record
+from .errors import in_range
 
 
 def _float_array(values, what: str) -> np.ndarray | None:
@@ -40,27 +40,24 @@ def _is_flat_numbers(row) -> bool:
     return array.ndim == 1 and array.dtype.kind in "biuf"
 
 
-@dataclass(frozen=True)
-class Axis:
-    name: str
-    unit: str
-    values: tuple[float, ...]
-    spacing: str = "explicit"  # linear | log | explicit
+class Axis(_Record):
+    __slots__ = ("name", "unit", "values", "spacing")
 
-    def __post_init__(self) -> None:
-        what = f"axis {self.name!r} values"
-        vals = _float_array(self.values, what)
+    def __init__(self, name: str, unit: str, values: tuple[float, ...],
+                 spacing: str = "explicit") -> None:  # spacing: linear | log | explicit
+        what = f"axis {name!r} values"
+        vals = _float_array(values, what)
         if vals is None or vals.ndim != 1:
             raise DomainError(f"{what} must be numbers in a 1-D sequence")
         if not vals.size:
-            raise DomainError(f"axis {self.name!r} has no values")
+            raise DomainError(f"axis {name!r} has no values")
         finite = np.isfinite(vals)
         if not finite.all():
             raise DomainError(f"{what} must be finite, got {float(vals[np.argmin(finite)])!r}")
         # neighbours compared, not subtracted: the difference of two huge values overflows
         if not ((vals[1:] > vals[:-1]).all() or (vals[1:] < vals[:-1]).all()):
             raise DomainError(f"{what} must be strictly monotone")
-        object.__setattr__(self, "values", tuple(vals.tolist()))
+        self._store(name, unit, tuple(vals.tolist()), spacing)
 
 
 def axis(
@@ -82,8 +79,7 @@ def axis(
     return Axis(name, unit, values, spacing)
 
 
-@dataclass(frozen=True, eq=False)
-class ScanGrid:
+class ScanGrid(_Record):
     """A named quantity evaluated on an x-by-y rectangle.
 
     ``cells`` is a read-only float64 ndarray of shape ``(len(y), len(x))``: row
@@ -93,36 +89,33 @@ class ScanGrid:
     quantity, axes and cell values are; they are not hashable.
     """
 
-    quantity: str
-    x_axis: Axis
-    y_axis: Axis
-    cells: np.ndarray
+    __slots__ = ("quantity", "x_axis", "y_axis", "cells")
 
-    def __post_init__(self) -> None:
-        rows, columns = len(self.y_axis.values), len(self.x_axis.values)
-        cells = _float_array(self.cells, f"{self.quantity} cells")
-        shape = (len(self.cells), None) if cells is None else cells.shape  # None: ragged rows
+    def __init__(self, quantity: str, x_axis: Axis, y_axis: Axis, cells: np.ndarray) -> None:
+        rows, columns = len(y_axis.values), len(x_axis.values)
+        array = _float_array(cells, f"{quantity} cells")
+        shape = (len(cells), None) if array is None else array.shape  # None: ragged rows
         if shape[:1] != (rows,):
             raise DomainError("cell row count must match the y axis")
-        if cells is None:  # ragged: a row that is text or nests sequences is named
-            for iy, row in enumerate(self.cells):
+        if array is None:  # ragged: a row that is text or nests sequences is named
+            for iy, row in enumerate(cells):
                 if not _is_flat_numbers(row):
                     raise DomainError(
-                        f"{self.quantity} cell row {iy} at {self.y_axis.name} = "
-                        f"{self.y_axis.values[iy]!r} is not a flat sequence of numbers"
+                        f"{quantity} cell row {iy} at {y_axis.name} = "
+                        f"{y_axis.values[iy]!r} is not a flat sequence of numbers"
                     )
         if shape != (rows, columns):
             raise DomainError("cell column count must match the x axis")
-        finite = np.isfinite(cells)
+        finite = np.isfinite(array)
         if not finite.all():
             iy, ix = divmod(int(np.argmin(finite)), columns)
             raise DomainError(
-                f"{self.quantity} cell ({ix}, {iy}) at {self.x_axis.name} = "
-                f"{self.x_axis.values[ix]!r}, {self.y_axis.name} = "
-                f"{self.y_axis.values[iy]!r} is {float(cells[iy, ix])!r}: cells must be finite"
+                f"{quantity} cell ({ix}, {iy}) at {x_axis.name} = {x_axis.values[ix]!r}, "
+                f"{y_axis.name} = {y_axis.values[iy]!r} is {float(array[iy, ix])!r}: "
+                "cells must be finite"
             )
-        cells.flags.writeable = False
-        object.__setattr__(self, "cells", cells)
+        array.flags.writeable = False
+        self._store(quantity, x_axis, y_axis, array)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, ScanGrid):
@@ -197,14 +190,13 @@ class ScanGrid:
         )
 
 
-@dataclass(frozen=True)
-class _ScanQuantity:
-    x_name: str
-    x_unit: str
-    y_name: str
-    y_unit: str
-    fn: Callable[[np.ndarray, np.ndarray, dict], np.ndarray]  # x row, y column -> cells
-    defaults: dict = field(default_factory=dict)
+class _ScanQuantity(_Record):
+    __slots__ = ("x_name", "x_unit", "y_name", "y_unit", "fn", "defaults")
+
+    def __init__(self, x_name: str, x_unit: str, y_name: str, y_unit: str,
+                 fn: Callable[[np.ndarray, np.ndarray, dict], np.ndarray], defaults: dict) -> None:
+        # fn maps the x row and the y column to the cells
+        self._store(x_name, x_unit, y_name, y_unit, fn, defaults)
 
 
 def _tau_vac_cells(n_code: np.ndarray, epsilon: np.ndarray, fixed: dict) -> np.ndarray:

@@ -14,13 +14,12 @@ import json
 import math
 import threading
 import warnings
-from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from . import budget, core, dressing, gate_error
 from .constants import MU_B
-from .errors import ModelValidityWarning, _per_element
+from .errors import ModelValidityWarning, _per_element, _Record
 from .grid import Axis, scan
 from .species import CESIUM
 from .units import TWO_PI, Frequency
@@ -32,27 +31,27 @@ _SEED = 20250810
 _INV_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0  # 1/phi, the golden-section step
 
 
-@dataclass(frozen=True)
-class ReproEntry:
-    label: str
-    computed: float
-    reference: float
-    deviation: float  # relative to the reference, absolute when reference == 0
-    tol_lo: float
-    tol_hi: float
-    passed: bool
+class ReproEntry(_Record):
+    __slots__ = ("label", "computed", "reference", "deviation", "tol_lo", "tol_hi", "passed")
+
+    def __init__(self, label: str, computed: float, reference: float, deviation: float,
+                 tol_lo: float, tol_hi: float, passed: bool) -> None:
+        # the deviation is relative to the reference, absolute when reference == 0
+        self._store(label, computed, reference, deviation, tol_lo, tol_hi, passed)
 
 
-@dataclass(frozen=True)
-class ReproductionReport:
-    entries: tuple[ReproEntry, ...]
+class ReproductionReport(_Record):
+    __slots__ = ("entries",)
+
+    def __init__(self, entries: tuple[ReproEntry, ...]) -> None:
+        self._store(entries)
 
     @property
     def passed(self) -> bool:
         return all(e.passed for e in self.entries)
 
     def to_dict(self) -> dict:
-        return {"passed": self.passed, "entries": [asdict(e) for e in self.entries]}
+        return {"passed": self.passed, "entries": [e._asdict() for e in self.entries]}
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), indent=2, sort_keys=True, allow_nan=False) + "\n"

@@ -7,29 +7,26 @@ species load from a JSON config file, see :func:`load_species_config`.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 
 from .constants import ATOMIC_MASS_UNIT
-from .errors import DomainError, _choice, in_range
+from .errors import DomainError, _choice, _Record, in_range
 from .units import TWO_PI
 
 
-@dataclass(frozen=True)
-class ExcitationScheme:
+class ExcitationScheme(_Record):
     """A Rydberg excitation method, as a list of (wavelength m, propagation sign)."""
 
-    label: str
-    wavelengths: tuple[tuple[float, int], ...]
+    __slots__ = ("label", "wavelengths")
 
-    def __post_init__(self) -> None:
-        if not self.wavelengths:
+    def __init__(self, label: str, wavelengths: tuple[tuple[float, int], ...]) -> None:
+        if not wavelengths:
             raise DomainError("excitation scheme needs at least one wavelength")
         norm = []
-        for lam, sign in self.wavelengths:
+        for lam, sign in wavelengths:
             if isinstance(sign, bool) or sign not in (1, -1):  # True == 1, but is no sign
                 raise DomainError(f"propagation sign must be +1 or -1, got {sign!r}")
             norm.append((in_range("wavelength", lam), int(sign)))
-        object.__setattr__(self, "wavelengths", tuple(norm))
+        self._store(label, tuple(norm))
 
     @property
     def effective_k(self) -> float:
@@ -37,18 +34,16 @@ class ExcitationScheme:
         return abs(sum(sign * TWO_PI / lam for lam, sign in self.wavelengths))
 
 
-@dataclass(frozen=True)
-class Species:
-    """Per-species constants used by the lifetime and Doppler models."""
+class Species(_Record):
+    """Per-species constants used by the lifetime and Doppler models: the mass (kg) and
+    the low-l Rydberg lifetime coefficient ``tau0`` (s; tau ~ tau0 n^3)."""
 
-    name: str
-    mass: float          # kg
-    tau0: float          # s, low-l Rydberg lifetime coefficient (tau ~ tau0 n^3)
-    schemes: tuple[ExcitationScheme, ...] = ()
+    __slots__ = ("name", "mass", "tau0", "schemes")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "mass", in_range(f"mass of {self.name}", self.mass))
-        object.__setattr__(self, "tau0", in_range(f"tau0 of {self.name}", self.tau0))
+    def __init__(self, name: str, mass: float, tau0: float,
+                 schemes: tuple[ExcitationScheme, ...] = ()) -> None:
+        mass, tau0 = in_range(f"mass of {name}", mass), in_range(f"tau0 of {name}", tau0)
+        self._store(name, mass, tau0, schemes)
 
     def scheme(self, label: str | None = None) -> ExcitationScheme:
         """The scheme with this label; without a label, the species' first scheme."""

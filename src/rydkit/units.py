@@ -9,21 +9,19 @@ interpreted as angular rad/s.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
-from .errors import in_range
+from .errors import _Record, in_range
 
 TWO_PI = 2.0 * math.pi
 
 
-@dataclass(frozen=True)
-class Frequency:
+class Frequency(_Record):
     """An angular frequency in rad/s."""
 
-    rad_per_s: float
+    __slots__ = ("rad_per_s",)
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "rad_per_s", in_range("frequency", self.rad_per_s, -math.inf))
+    def __init__(self, rad_per_s: float) -> None:
+        self._store(in_range("frequency", rad_per_s, -math.inf))
 
     @classmethod
     def from_hz(cls, hz: float) -> "Frequency":

@@ -434,14 +434,22 @@ class TestExitCodes:
     @pytest.mark.parametrize("argv", [
         ["gate-error", "blockade", "--blockade", "10", "--tau-us", "100"],
         ["gate-error", "blockade", "--blockade-mhz=10", "--tau-us", "100", "--rabi", "1"],
-        ["gate-error", "blockade", "-h"],
+        ["gate-error", "blockade", "--blockade-mhz", "10", "--tau-us", "100", "-h"],
     ], ids=["abbreviated", "abbreviated-optional", "short-help"])
     def test_abbreviated_or_short_flag_is_a_usage_error(self, argv, capsys):
         assert main(argv) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err.startswith("usage: rydkit ")  # an unknown flag is the root's error
+        # an unknown flag is the error of the command that does not know it, with its usage
+        assert captured.err.startswith("usage: rydkit gate-error blockade [--help] ")
         assert captured.err.count("\nError: ") == 1
+
+    def test_unrecognized_word_is_reported_with_its_command_usage(self, capsys):
+        assert main(["gate-error", "floors", "--tau0-ns", "3", "extra"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage: rydkit gate-error floors [--help] ")
+        assert err.endswith("\nError: unrecognized arguments: extra\n")
+        assert err.count("usage: ") == 1
 
     @pytest.mark.parametrize("value, code", [("-1e3", 0), ("-2.5E+2", 0), ("-inf", 2),
                                              ("-nan", 2), ("-Infinity", 2)])

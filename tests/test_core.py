@@ -3,15 +3,11 @@ import math
 import numpy as np
 import pytest
 import scipy.constants as sc
-from hypothesis import given
-from hypothesis import strategies as st
 
 from rydkit import (
     DomainError,
-    Frequency,
     blackbody_depopulation_rate,
     core,
-    free_electron_polarizability,
     magnetic_trap_field,
     rydberg_lifetime,
 )
@@ -27,7 +23,6 @@ from rydkit.constants import (
     MU_B,
     POLARIZABILITY_AU,
 )
-from rydkit.units import TWO_PI
 
 
 class TestConstants:
@@ -114,36 +109,6 @@ class TestRydbergLifetime:
 
     def test_blackbody_rate_value(self):
         assert blackbody_depopulation_rate(100, 300.0) == pytest.approx(2035.0, rel=1e-3)
-
-
-class TestFreeElectronPolarizability:
-    def test_1064_nm_against_independent_arithmetic(self):
-        omega = TWO_PI * sc.c / 1064e-9
-        pol_au = sc.physical_constants["atomic unit of electric polarizability"][0]
-        expected = -sc.e**2 / (sc.m_e * omega**2) / pol_au
-        got = free_electron_polarizability(Frequency.from_hz(sc.c / 1064e-9))
-        assert got == pytest.approx(expected, rel=1e-6)
-        assert got == pytest.approx(-545.3, rel=1e-3)
-
-    def test_inverse_square_law(self):
-        w = TWO_PI * 2.8e14
-        assert free_electron_polarizability(2 * w) == pytest.approx(
-            free_electron_polarizability(w) / 4, rel=1e-15
-        )
-
-    @given(st.floats(min_value=1e9, max_value=1e18))
-    def test_always_negative(self, w):
-        assert free_electron_polarizability(w) < 0
-
-    def test_product_with_omega_squared_constant(self):
-        ws = np.geomspace(1e13, 1e17, 33)
-        products = [free_electron_polarizability(w) * w * w for w in ws]
-        spread = (max(products) - min(products)) / abs(products[0])
-        assert spread < 1e-12
-
-    def test_zero_frequency_singular(self):
-        with pytest.raises(DomainError):
-            free_electron_polarizability(0.0)
 
 
 class TestMagneticTrapField:

@@ -1,6 +1,5 @@
 import math
 import warnings
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -50,6 +49,11 @@ def worked_params() -> DressingParams:
         lifetime=320e-6,
         spacing=1e-6,
     )
+
+
+def _with(params: DressingParams, **changes) -> DressingParams:
+    """``params`` with some fields changed, built (and checked) as a new point."""
+    return DressingParams(**{**params._asdict(), **changes})
 
 
 def weak_attractive_params() -> DressingParams:
@@ -431,12 +435,12 @@ class TestFiguresOfMerit:
 
     def test_zero_detuning_rejected(self):
         with pytest.raises(DomainError, match="detuning must be nonzero"):
-            replace(worked_params(), detuning=Frequency(0.0))
+            _with(worked_params(), detuning=Frequency(0.0))
 
     def test_operations_per_atom_needs_matched_signs(self):
         # the same point as the worked example, with the detuning's sign flipped
         with pytest.raises(DomainError, match="opposite signs"):
-            operations_per_atom(replace(worked_params(), detuning=Frequency.from_hz(100e6)))
+            operations_per_atom(_with(worked_params(), detuning=Frequency.from_hz(100e6)))
 
     def test_raw_floats_are_stored_as_the_checked_values(self):
         # raw floats are rad/s, as everywhere; text parses as a number
@@ -454,7 +458,7 @@ class TestFiguresOfMerit:
             Frequency, float, float]
 
     def test_lifetime_given_as_text_is_stored_as_a_float(self):
-        params = replace(worked_params(), lifetime="3.2e-4")
+        params = _with(worked_params(), lifetime="3.2e-4")
         assert params.lifetime == 3.2e-4 and type(params.lifetime) is float
         assert figures_of_merit(params) == figures_of_merit(worked_params())
 
@@ -633,10 +637,10 @@ class TestArrayPairShifts:
         rng = np.random.default_rng(54)
         r = p.pair.r_c * _log_uniform(rng, 1e-2, 1e2, 40)[None, :]
         rabi_hz = p.rabi.hz * rng.uniform(0.2, 5.0, (9, 1))
-        got = normalized_potential(r, replace(p, rabi=Frequency.from_hz(rabi_hz)), kind)
+        got = normalized_potential(r, _with(p, rabi=Frequency.from_hz(rabi_hz)), kind)
         assert got.shape == (9, 40)
         rows = [
-            normalized_potential(r, replace(p, rabi=Frequency.from_hz(hz)), kind)
+            normalized_potential(r, _with(p, rabi=Frequency.from_hz(hz)), kind)
             for hz in rabi_hz.ravel().tolist()
         ]
         assert np.array_equal(got, np.concatenate(rows))

@@ -1,13 +1,16 @@
-"""Which rydkit modules, and whether numpy or click, an import or a CLI command loads,
-each in a fresh interpreter.
+"""Which rydkit modules, and whether numpy, click, ``dataclasses`` or ``inspect``, an
+import or a CLI command loads, each in a fresh interpreter.
 
 ``import rydkit`` is lazy, the CLI imports only the module of the command it runs,
 and each command reaches its models through the lazy namespace, so a one-shot call
 does not pay for the modules it never uses. The scalar commands also run without
-numpy, whose import is most of a cold start, and no call loads click: the CLI parses
-with the standard library's argparse.
+numpy, whose import is most of a cold start, and without ``inspect`` (with ``ast``,
+``dis`` and ``tokenize``) and ``dataclasses``, which imports it: rydkit's value types
+are plain classes on ``errors._Record``. No call loads click: the CLI parses with the
+standard library's argparse.
 """
 
+import ast
 import json
 import os
 import subprocess
@@ -16,9 +19,11 @@ from pathlib import Path
 
 import pytest
 
-_LOADED = (
-    'sorted(m for m in sys.modules if m in ("click", "numpy", "rydkit") or m.startswith("rydkit."))'
-)
+_WATCHED = ("click", "dataclasses", "inspect", "numpy", "rydkit")
+_LOADED = f'sorted(m for m in sys.modules if m in {_WATCHED} or m.startswith("rydkit."))'
+# numpy imports inspect itself (and a numpy version may import dataclasses): a command
+# that loads numpy is not held to these
+_NUMPY_MAY_LOAD = {"dataclasses", "inspect"}
 
 
 def _fresh(code: str):
@@ -112,7 +117,21 @@ def test_command_loads_only_its_models(command):
         f"print(json.dumps({_LOADED}))"
     )
     numpy = ["numpy"] if command in _LOADS_NUMPY else []
+    if numpy:
+        loaded = [name for name in loaded if name not in _NUMPY_MAY_LOAD]
     assert loaded == [*numpy, "rydkit", *sorted(f"rydkit.{name}" for name in modules)]
+
+
+def test_no_module_imports_dataclasses():
+    """No module of rydkit imports ``dataclasses``: its records are ``errors._Record``s."""
+    for path in _SRC.rglob("*.py"):
+        imported = set()
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                imported |= {alias.name for alias in node.names}
+            elif isinstance(node, ast.ImportFrom):
+                imported.add(node.module)
+        assert "dataclasses" not in imported, path
 
 
 def test_importtime_logs_the_lazily_loaded_modules():
