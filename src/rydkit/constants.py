@@ -5,9 +5,5 @@ HBAR = 1.054571817e-34                 # J s
 HARTREE = 4.3597447222071e-18          # J
 ATOMIC_TIME = HBAR / HARTREE           # s, = hbar/E_H by construction
 MU_B = 9.2740100783e-24                # J/T
-C = 299792458.0                        # m/s, exact
-E = 1.602176634e-19                    # C, exact
-M_E = 9.1093837015e-31                 # kg
 ALPHA_FS = 7.2973525693e-3             # fine-structure constant
-POLARIZABILITY_AU = 1.64877727436e-41  # C m^2/V per atomic unit
 ATOMIC_MASS_UNIT = 1.66053906660e-27   # kg

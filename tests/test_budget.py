@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from rydkit import (
     DomainError,
     ModelValidityWarning,
+    MonteCarloResult,
     loss_probability,
     measurement_crosstalk,
     required_reload_rate,
@@ -123,12 +124,30 @@ class TestSimulateLoss:
         b = simulate_loss(5, 100.0, 1.0, 2000, seed=7)
         assert a == b
 
-    def test_blocks_draw_the_same_stream_as_one_draw(self):
-        n, tau, t, trials = 20, 1.0, 0.01, 5000  # 2**16 // 20 rows a block: two blocks
+    @pytest.mark.parametrize(
+        "n, tau, t, trials",
+        [
+            (20, 1.0, 0.01, 5000),  # 3276-row blocks: the last is shorter
+            (3, 1.0, 0.5, 50000),  # dense: ~78% of rows hit, most with several atoms
+            (1, 1.0, 1.0, 70000),  # one atom a row: 65536-row blocks
+            (2000, 1e4, 1.0, 1000),  # 32-row blocks, the last of 8 rows
+        ],
+    )
+    def test_blocks_draw_the_same_stream_as_one_draw(self, n, tau, t, trials):
         lifetimes = np.random.default_rng(3).exponential(tau, (trials, n))
         hits = int((lifetimes < t).any(axis=1).sum())
         assert 0 < hits < trials
-        assert simulate_loss(n, tau, t, trials, seed=3).estimate == hits / trials
+        p = hits / trials
+        expected = MonteCarloResult(trials, p, math.sqrt(p * (1.0 - p) / trials))
+        assert simulate_loss(n, tau, t, trials, seed=3) == expected
+
+    def test_lifetime_overflow_is_an_atom_never_lost_and_stays_silent(self):
+        # tau_vac times a standard exponential draw above ~1 overflows to inf
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            result = simulate_loss(20, 1e308, 1.0, 1000, seed=1)
+        assert result.estimate == 0.0
+        assert result.standard_error == 0.0
 
     def test_too_few_trials_rejected(self):
         with pytest.raises(DomainError):

@@ -14,14 +14,10 @@ from rydkit import (
 from rydkit.constants import (
     ALPHA_FS,
     ATOMIC_TIME,
-    C,
-    E,
     HARTREE,
     HBAR,
     K_B,
-    M_E,
     MU_B,
-    POLARIZABILITY_AU,
 )
 
 
@@ -37,14 +33,7 @@ class TestConstants:
             (HARTREE, sc.physical_constants["Hartree energy"][0]),
             (ATOMIC_TIME, sc.physical_constants["atomic unit of time"][0]),
             (MU_B, sc.physical_constants["Bohr magneton"][0]),
-            (C, sc.c),
-            (E, sc.e),
-            (M_E, sc.m_e),
             (ALPHA_FS, sc.alpha),
-            (
-                POLARIZABILITY_AU,
-                sc.physical_constants["atomic unit of electric polarizability"][0],
-            ),
         ],
     )
     def test_codata_agreement(self, ours, standard):

@@ -3,6 +3,7 @@ import inspect
 import json
 import math
 import threading
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -90,6 +91,31 @@ def test_reproduce_reraises_an_error_of_the_eigensolver_oracle(monkeypatch):
     with pytest.raises(DomainError, match="^boom$"):
         rydkit.reproduce()
     assert threading.active_count() == before
+
+
+def test_reproduce_reraises_an_error_of_the_monte_carlo(monkeypatch):
+    def boom(*args):
+        raise DomainError("boom")
+
+    monkeypatch.setattr("rydkit.report.budget.simulate_loss", boom)
+    before = threading.active_count()
+    with pytest.raises(DomainError, match="^boom$"):
+        rydkit.reproduce()
+    assert threading.active_count() == before
+
+
+def test_reproduce_working_set_is_bounded():
+    # The oracle solves its 10,000 points in blocks of 2,500 and the Monte Carlo reuses
+    # one buffer, so a call peaks at ~1.7 MiB of traced memory; solving every point at
+    # once peaks at ~3.6 MiB. Warm first, so imports and caches do not count.
+    rydkit.reproduce()
+    tracemalloc.start()
+    try:
+        rydkit.reproduce()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.5 * 2**20
 
 
 def _scalar_minimize_log(cost, center):
