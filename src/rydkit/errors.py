@@ -6,6 +6,8 @@ results, and the text format of floats in CSV output.
 The module does not import numpy. An ndarray can exist only once numpy is
 loaded, so each helper looks numpy up in ``sys.modules`` when it is called and
 takes the plain float path while it is absent: a scalar call never loads it.
+The per-element math streams a native float64 array through a ``memoryview``,
+one Python float at a time: it holds its result array, not a list of the inputs.
 """
 
 import contextlib
@@ -223,8 +225,13 @@ def _per_element(fn, x, *args):
     from ``math`` and Python floats, so array code calls the float function
     element by element and each array element equals the scalar call bit for
     bit. A float (or 0-d) ``x`` takes the plain float call.
+
+    An ndarray ``x`` must be native float64, as ``in_range`` returns and
+    arithmetic on its results keeps: the elements are read one at a time
+    through a ``memoryview``, which refuses float16, complex and non-native
+    byte order. Only the result array is allocated, not a list of the inputs.
     """
     if _is_array(x):
-        values = map(fn, x.ravel().tolist(), *map(itertools.repeat, args))
+        values = map(fn, memoryview(x.ravel()), *map(itertools.repeat, args))
         return sys.modules["numpy"].fromiter(values, float, x.size).reshape(x.shape)
     return fn(x, *args)

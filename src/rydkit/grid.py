@@ -31,6 +31,25 @@ def _float_array(values, what: str) -> np.ndarray | None:
         raise DomainError(f"{what} must be numbers: {exc}") from None
 
 
+# the delimiters of the CSV fields and lines: each character str.splitlines breaks a line at
+_CSV_DELIMITERS = ",[]#\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029"
+
+
+def _csv_text(what: str, value: str) -> str:
+    """``value``, if it is a str that ``ScanGrid.from_csv`` reads back as written:
+    no CSV delimiter or line break in it, and no whitespace around it. Otherwise
+    DomainError naming ``what`` and the character."""
+    if not isinstance(value, str):
+        raise DomainError(f"{what} must be a str, not {type(value).__name__}")
+    for char in value:
+        if char in _CSV_DELIMITERS:
+            raise DomainError(f"{what} {value!r} must not hold {char!r}")
+    if value != value.strip():
+        end = value[0] if value[0].isspace() else value[-1]
+        raise DomainError(f"{what} {value!r} must not start or end with {end!r}")
+    return value
+
+
 def _is_flat_numbers(row) -> bool:
     """Whether a row of ragged cells is a 1-D sequence of real numbers, not text or nested."""
     try:
@@ -45,6 +64,9 @@ class Axis(_Record):
 
     def __init__(self, name: str, unit: str, values: tuple[float, ...],
                  spacing: str = "explicit") -> None:  # spacing: linear | log | explicit
+        name = _csv_text("axis name", name)
+        unit = _csv_text(f"axis {name!r} unit", unit)
+        spacing = _csv_text(f"axis {name!r} spacing", spacing)
         what = f"axis {name!r} values"
         vals = _float_array(values, what)
         if vals is None or vals.ndim != 1:
@@ -86,12 +108,15 @@ class ScanGrid(_Record):
     ``iy`` holds the values at ``y_axis.values[iy]``. It is built from any 2-D
     array or nested sequence of real numbers, as a copy, so changing the
     caller's array later does not change the grid. Grids are equal when their
-    quantity, axes and cell values are; they are not hashable.
+    quantity, axes and cell values are; they are not hashable. The quantity and
+    each axis's name, unit and spacing hold no CSV delimiter, line break or
+    surrounding whitespace, so that ``from_csv(grid.to_csv())`` equals the grid.
     """
 
     __slots__ = ("quantity", "x_axis", "y_axis", "cells")
 
     def __init__(self, quantity: str, x_axis: Axis, y_axis: Axis, cells: np.ndarray) -> None:
+        quantity = _csv_text("grid quantity", quantity)
         rows, columns = len(y_axis.values), len(x_axis.values)
         array = _float_array(cells, f"{quantity} cells")
         shape = (len(cells), None) if array is None else array.shape  # None: ragged rows
@@ -130,6 +155,7 @@ class ScanGrid(_Record):
         return float(self.cells[iy, ix])
 
     def to_csv(self) -> str:
+        """The grid as CSV text; the cells become Python floats one row at a time."""
         values = ",".join([_FMT] * len(self.x_axis.values))
         row = f"{_FMT},{values}\n"  # one format per line: the y value, then the cells
         return "".join([
@@ -137,7 +163,7 @@ class ScanGrid(_Record):
             f"# x: {self.x_axis.name} [{self.x_axis.unit}] {self.x_axis.spacing}\n",
             f"# y: {self.y_axis.name} [{self.y_axis.unit}] {self.y_axis.spacing}\n",
             f"{self.x_axis.name},{values % self.x_axis.values}\n",
-            *(row % (yv, *cells) for yv, cells in zip(self.y_axis.values, self.cells.tolist())),
+            *(row % (yv, *cells.tolist()) for yv, cells in zip(self.y_axis.values, self.cells)),
         ])
 
     @classmethod

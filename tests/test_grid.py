@@ -1,5 +1,6 @@
 import math
 import re
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -13,11 +14,18 @@ from rydkit import axis, get_species, scan
 from rydkit import doppler_infidelity, normalized_potential, required_vacuum_lifetime
 from rydkit import rydberg_lifetime
 from rydkit import budget, core, dressing, gate_error
+from rydkit.errors import _per_element
 
 GOLDEN = Path(__file__).parent / "golden"
 # hypothesis draws -0.0, subnormals and +-1.7976931348623157e308 among these
 FINITE = st.floats(allow_nan=False, allow_infinity=False)
 CAST_RULE = "dtype('float64') according to the rule 'same_kind'"  # numpy's failed-cast text
+# a text field mixing the CSV delimiters, line breaks and whitespace into arbitrary text,
+# and fields of letters, digits, punctuation and symbols: no whitespace, rarely a delimiter
+FIELD_TEXT = st.text(st.sampled_from(",[]#: \t\n\r\x0b\x1c\x85\u2028ab") | st.characters(),
+                     max_size=4)
+PLAIN_FIELDS = st.lists(st.text(st.characters(categories=("L", "N", "P", "S")), max_size=3),
+                        min_size=7, max_size=7)
 
 
 @st.composite
@@ -104,6 +112,20 @@ class TestCsvRoundTrip:
         assert back.cells.tobytes() == grid.cells.tobytes()
         for axis_back, axis_grid in ((back.x_axis, grid.x_axis), (back.y_axis, grid.y_axis)):
             assert np.array(axis_back.values).tobytes() == np.array(axis_grid.values).tobytes()
+
+    @settings(deadline=None)
+    @given(PLAIN_FIELDS, st.integers(0, 6), FIELD_TEXT)
+    def test_every_grid_that_builds_reads_back_from_its_csv(self, fields, index, text):
+        fields[index] = text  # one field of arbitrary text, so that about half the grids build
+        quantity, x_name, x_unit, x_spacing, y_name, y_unit, y_spacing = fields
+        try:
+            grid = ScanGrid(
+                quantity, Axis(x_name, x_unit, (1.0, 2.0), x_spacing),
+                Axis(y_name, y_unit, (3.0,), y_spacing), ((0.5, 0.25),),
+            )
+        except DomainError:  # a field the CSV could not give back is refused when built
+            return
+        assert ScanGrid.from_csv(grid.to_csv()) == grid
 
     def test_blank_line_between_data_rows_is_skipped(self):
         grid = ScanGrid(
@@ -307,8 +329,65 @@ class TestMalformedInputRaisesDomainError:
         with pytest.raises(DomainError, match=f"^{message}$"):
             build()
 
+    @pytest.mark.parametrize("build, message", [
+        (lambda: Axis("a[b", "", (1.0,)), r"axis name 'a\[b' must not hold '\['"),
+        (lambda: Axis("x", "u]m", (1.0,)), r"axis 'x' unit 'u\]m' must not hold '\]'"),
+        (lambda: Axis("y[1]", "", (1.0,)), r"axis name 'y\[1\]' must not hold '\['"),
+        (lambda: Axis(" x ", "", (1.0,)), "axis name ' x ' must not start or end with ' '"),
+        (lambda: Axis("x", "", (1.0,), "log "),
+         "axis 'x' spacing 'log ' must not start or end with ' '"),
+        (lambda: Axis("a,b", "", (1.0,)), "axis name 'a,b' must not hold ','"),
+        (lambda: Axis("#x", "", (1.0,)), "axis name '#x' must not hold '#'"),
+        (lambda: Axis("x", "\u2028", (1.0,)), r"axis 'x' unit '\\u2028' must not hold '\\u2028'"),
+        (lambda: Axis(5, "", (1.0,)), "axis name must be a str, not int"),
+        (lambda: ScanGrid("a\nb", Axis("x", "", (1.0,)), Axis("y", "", (1.0,)), ((1.0,),)),
+         r"grid quantity 'a\\nb' must not hold '\\n'"),
+    ], ids=["open-bracket-name", "close-bracket-unit", "y-name", "padded-name",
+            "padded-spacing", "comma-name", "hash-name", "line-separator-unit", "int-name",
+            "newline-quantity"])
+    def test_text_field_the_csv_cannot_give_back(self, build, message):
+        # each of these grids was once written and read back as another grid, or refused
+        with pytest.raises(DomainError, match=f"^{message}$"):
+            build()
+
     def test_axis_takes_an_ndarray_of_values(self):
         assert Axis("x", "", np.array([1.0, 2.0])) == Axis("x", "", (1.0, 2.0))
+
+
+def _traced_peak(fn) -> int:
+    """Peak traced memory of one call of ``fn``, after a warm call: caches do not count."""
+    fn()
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestWorkingSet:
+    """A 200x200 grid is read as Python floats one element or row at a time, not all at once."""
+
+    def test_per_element_holds_only_its_result(self):
+        # The elements are read one at a time through a memoryview. Copying the array into
+        # a list of Python floats first (x.ravel().tolist()) peaks at ~1,560 KiB here, five
+        # times the 312.5 KiB of the result array alone.
+        x = np.linspace(-1.0, 1.0, 40_000).reshape(200, 200)
+        assert _traced_peak(lambda: _per_element(math.expm1, x)) <= x.nbytes + 64 * 1024
+
+    def test_to_csv_peaks_near_its_text(self):
+        # The rows are formatted, then joined: ~2.0x the text. Converting every cell to a
+        # Python float before the first row is formatted peaks at ~2.43x.
+        grid = scan("lifetime", axis("n", "", 40.0, 140.0, 200),
+                    axis("temperature", "K", 1.0, 300.0, 200))
+        assert _traced_peak(grid.to_csv) <= 2.2 * len(grid.to_csv())
+
+    def test_doppler_scan_peaks_under_one_and_a_half_mib(self):
+        # ~0.92 MiB: a few 312.5 KiB arrays of the cells. Listing every element as a Python
+        # float in each per-element step (expm1, then log10) peaks at ~2.14 MiB.
+        x_axis = axis("temperature", "uK", 1.0, 100.0, 200)
+        y_axis = axis("rydberg_time", "ns", 10.0, 1e4, 200)
+        assert _traced_peak(lambda: scan("doppler-infidelity", x_axis, y_axis)) < 1.5 * 2**20
 
 
 class TestScan:
