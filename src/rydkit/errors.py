@@ -37,7 +37,9 @@ class _Record:
     """A frozen value type. Its fields are its ``__slots__``, in order, and its
     ``__init__`` checks them and sets them once, with ``_store``. Records of one
     class are equal when their fields are, hash as their field tuple and print as
-    ``Name(field=value, ...)``; copy and pickle rebuild one through ``__init__``."""
+    ``Name(field=value, ...)``; copy and pickle rebuild one through ``__init__``.
+    An ndarray field equals another of the same shape and elements
+    (``numpy.array_equal``), and a record holding one is not hashable."""
 
     __slots__ = ()
 
@@ -59,7 +61,10 @@ class _Record:
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return self._values() == other._values()
+        return all(
+            sys.modules["numpy"].array_equal(a, b) if _is_array(a) or _is_array(b) else a == b
+            for a, b in zip(self._values(), other._values())
+        )
 
     def __hash__(self):
         return hash(self._values())
@@ -167,7 +172,8 @@ def _flag(value, bad, message, worst=max, category=ModelValidityWarning):
 
     This is how a model says that a call left its regime. The text is
     ``message(v)``, built only when the flag fires, for ``v`` the scalar
-    ``value`` or the ``worst`` of its elements. The warning names the first
+    ``value`` or the ``worst`` of its elements, read one at a time through a
+    ``memoryview`` (a flagged array is native float64). The warning names the first
     line outside the module that called this helper: the caller of the public
     function, also when a private helper of that module flags for it.
     """
@@ -177,7 +183,7 @@ def _flag(value, bad, message, worst=max, category=ModelValidityWarning):
     module = frame.f_globals
     while frame.f_back is not None and frame.f_globals is module:
         frame, level = frame.f_back, level + 1
-    quoted = worst(value.ravel().tolist()) if _is_array(value) else value
+    quoted = worst(memoryview(value.ravel())) if _is_array(value) else value
     warnings.warn(message(quoted), category, stacklevel=level)
     return value
 

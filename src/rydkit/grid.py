@@ -13,16 +13,16 @@ from .errors import _FMT, DomainError, _choice, _count, _float_range, _per_eleme
 from .errors import in_range
 
 
-def _float_array(values, what: str) -> np.ndarray | None:
-    """``values`` as a new float64 ndarray, or None when they nest sequences of
-    unequal length. DomainError naming ``what`` if they are not real numbers;
-    a str or bytes is one value, not a sequence of digits."""
+def _float_array(values, what: str) -> np.ndarray:
+    """``values`` as a new float64 ndarray. DomainError naming ``what`` if they
+    are not real numbers in a rectangular array (sequences nested to unequal
+    lengths); a str or bytes is one value, not a sequence of digits."""
     if isinstance(values, (str, bytes)):
         raise DomainError(f"{what} must be numbers, not a {type(values).__name__}")
     try:
         array = np.array(values)
     except ValueError:  # ragged nesting
-        return None
+        raise DomainError(f"{what} must be numbers in a rectangular array") from None
     if array.dtype.kind == "c":  # whose cast would only name the dtype pair
         raise DomainError(f"{what} must be numbers: {array.dtype} is not a real number")
     try:  # str, bytes and object elements (Fraction, an int too large for numpy) fail the cast
@@ -50,15 +50,6 @@ def _csv_text(what: str, value: str) -> str:
     return value
 
 
-def _is_flat_numbers(row) -> bool:
-    """Whether a row of ragged cells is a 1-D sequence of real numbers, not text or nested."""
-    try:
-        array = np.asarray(row)
-    except ValueError:  # nests sequences of unequal length
-        return False
-    return array.ndim == 1 and array.dtype.kind in "biuf"
-
-
 class Axis(_Record):
     __slots__ = ("name", "unit", "values", "spacing")
 
@@ -69,7 +60,7 @@ class Axis(_Record):
         spacing = _csv_text(f"axis {name!r} spacing", spacing)
         what = f"axis {name!r} values"
         vals = _float_array(values, what)
-        if vals is None or vals.ndim != 1:
+        if vals.ndim != 1:
             raise DomainError(f"{what} must be numbers in a 1-D sequence")
         if not vals.size:
             raise DomainError(f"axis {name!r} has no values")
@@ -107,8 +98,10 @@ class ScanGrid(_Record):
     ``cells`` is a read-only float64 ndarray of shape ``(len(y), len(x))``: row
     ``iy`` holds the values at ``y_axis.values[iy]``. It is built from any 2-D
     array or nested sequence of real numbers, as a copy, so changing the
-    caller's array later does not change the grid. Grids are equal when their
-    quantity, axes and cell values are; they are not hashable. The quantity and
+    caller's array later does not change the grid; cells nested to unequal
+    lengths or of another shape raise DomainError naming the quantity. Grids are
+    equal when their quantity, axes and cell values are, by the record rule for
+    an ndarray field; they are not hashable. The quantity and
     each axis's name, unit and spacing hold no CSV delimiter, line break or
     surrounding whitespace, so that ``from_csv(grid.to_csv())`` equals the grid.
     """
@@ -119,18 +112,11 @@ class ScanGrid(_Record):
         quantity = _csv_text("grid quantity", quantity)
         rows, columns = len(y_axis.values), len(x_axis.values)
         array = _float_array(cells, f"{quantity} cells")
-        shape = (len(cells), None) if array is None else array.shape  # None: ragged rows
-        if shape[:1] != (rows,):
-            raise DomainError("cell row count must match the y axis")
-        if array is None:  # ragged: a row that is text or nests sequences is named
-            for iy, row in enumerate(cells):
-                if not _is_flat_numbers(row):
-                    raise DomainError(
-                        f"{quantity} cell row {iy} at {y_axis.name} = "
-                        f"{y_axis.values[iy]!r} is not a flat sequence of numbers"
-                    )
-        if shape != (rows, columns):
-            raise DomainError("cell column count must match the x axis")
+        if array.shape != (rows, columns):
+            raise DomainError(
+                f"{quantity} cells have shape {array.shape}, not {(rows, columns)}: "
+                "one row per y value, one column per x value"
+            )
         finite = np.isfinite(array)
         if not finite.all():
             iy, ix = divmod(int(np.argmin(finite)), columns)
@@ -141,15 +127,6 @@ class ScanGrid(_Record):
             )
         array.flags.writeable = False
         self._store(quantity, x_axis, y_axis, array)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, ScanGrid):
-            return NotImplemented
-        return (self.quantity, self.x_axis, self.y_axis) == (
-            other.quantity, other.x_axis, other.y_axis
-        ) and np.array_equal(self.cells, other.cells)
-
-    __hash__ = None  # equal grids would need equal hashes of their cell arrays
 
     def cell(self, ix: int, iy: int) -> float:
         return float(self.cells[iy, ix])
@@ -168,7 +145,9 @@ class ScanGrid(_Record):
 
     @classmethod
     def from_csv(cls, text: str) -> "ScanGrid":
-        """Parse the text of :meth:`to_csv`; a malformed line raises DomainError naming it."""
+        """Parse the text of :meth:`to_csv`; a malformed line raises DomainError naming it:
+        a field that is not a number, or a data row with more or fewer fields than the
+        header."""
         meta: dict[str, str] = {}
         rows: list[tuple[int, str]] = []
         for number, line in enumerate(text.splitlines(), 1):
@@ -198,21 +177,30 @@ class ScanGrid(_Record):
                 )
             return Axis(name.strip(), unit.strip(), values, spacing.strip())
 
+        def data_row(number: int, line: str) -> tuple[float, ...]:
+            fields = line.split(",")
+            if len(fields) != width:
+                raise DomainError(
+                    f"CSV line {number}: {len(fields)} fields, the header has {width}"
+                )
+            return numbers(number, fields)
+
         (header_number, header), data = rows[0], rows[1:]
-        table = np.empty((0, 1))  # no data line, an empty y axis: loadtxt would warn
+        width = header.count(",") + 1  # the y value, then one field per x value
+        table = np.empty((0, width))  # no data line, an empty y axis: loadtxt would warn
         try:  # the data block in one call, each field rounded as float() rounds it
             if data:
                 lines = [line for _, line in data]
                 table = np.loadtxt(lines, delimiter=",", comments=None, ndmin=2)
-            y_values, cells = table[:, 0], table[:, 1:]
-        except ValueError:  # again line by line, so a field that is not a number names its line
-            table = [numbers(number, line.split(",")) for number, line in data]
-            y_values, cells = tuple(row[0] for row in table), tuple(row[1:] for row in table)
+        except ValueError:
+            table = None
+        if table is None or table.shape[1] != width:  # line by line: a bad line names itself
+            table = np.array([data_row(number, line) for number, line in data])
         return cls(
             quantity=meta.get("quantity", ""),
             x_axis=parse_axis("x", numbers(header_number, header.split(",")[1:])),
-            y_axis=parse_axis("y", y_values),
-            cells=cells,
+            y_axis=parse_axis("y", table[:, 0]),
+            cells=table[:, 1:],
         )
 
 

@@ -1,6 +1,7 @@
 import math
 import re
 import tracemalloc
+import warnings
 from fractions import Fraction
 from pathlib import Path
 
@@ -14,12 +15,15 @@ from rydkit import axis, get_species, scan
 from rydkit import doppler_infidelity, normalized_potential, required_vacuum_lifetime
 from rydkit import rydberg_lifetime
 from rydkit import budget, core, dressing, gate_error
-from rydkit.errors import _per_element
+from rydkit.errors import ModelValidityWarning, _per_element
 
 GOLDEN = Path(__file__).parent / "golden"
 # hypothesis draws -0.0, subnormals and +-1.7976931348623157e308 among these
 FINITE = st.floats(allow_nan=False, allow_infinity=False)
 CAST_RULE = "dtype('float64') according to the rule 'same_kind'"  # numpy's failed-cast text
+# a 2x2 grid's cells of another shape, and cells nested to unequal lengths
+SHAPE = r"demo cells have shape {}, not \(2, 2\): one row per y value, one column per x value"
+RAGGED = "demo cells must be numbers in a rectangular array"
 # a text field mixing the CSV delimiters, line breaks and whitespace into arbitrary text,
 # and fields of letters, digits, punctuation and symbols: no whitespace, rarely a delimiter
 FIELD_TEXT = st.text(st.sampled_from(",[]#: \t\n\r\x0b\x1c\x85\u2028ab") | st.characters(),
@@ -230,15 +234,31 @@ class TestMalformedInputRaisesDomainError:
         with pytest.raises(DomainError, match=f"^CSV line 6: .*'{re.escape(field)}'$"):
             ScanGrid.from_csv(text.replace("4,0.5,0.25", f"4,0.5,{field}"))
 
-    @pytest.mark.parametrize(
-        "rows", [("3,1,2", "4,0.5"), ("3,1,2", "4,0.5,0.25,1"), ("3,1", "4,0.5")],
-        ids=["short-row", "long-row", "every-row-short"],
-    )
-    def test_ragged_csv_data_row(self, rows):
+    @pytest.mark.parametrize("rows, message", [
+        (("3,1,2", "4,0.5"), "CSV line 6: 2 fields, the header has 3"),
+        (("3,1,2", "4,0.5,0.25,1"), "CSV line 6: 4 fields, the header has 3"),
+        (("3,1", "4,0.5"), "CSV line 5: 2 fields, the header has 3"),
+    ], ids=["short-row", "long-row", "every-row-short"])
+    def test_ragged_csv_data_row(self, rows, message):
         assert "\n3,1,2\n4,0.5,0.25\n" in self.CSV
         text = self.CSV.replace("\n3,1,2\n4,0.5,0.25\n", "\n" + "\n".join(rows) + "\n")
-        with pytest.raises(DomainError, match="^cell column count must match the x axis$"):
+        with pytest.raises(DomainError, match=f"^{message}$"):
             ScanGrid.from_csv(text)
+
+    @settings(deadline=None)
+    @given(finite_grids(), st.data())
+    def test_a_data_row_with_one_field_too_few_or_too_many_names_its_line(self, grid, data):
+        lines = grid.to_csv().splitlines(keepends=True)
+        index = data.draw(st.integers(4, len(lines) - 1), "data line")  # after the header
+        fields = lines[index].rstrip("\n").split(",")
+        if data.draw(st.booleans(), "remove a field"):
+            del fields[data.draw(st.integers(0, len(fields) - 1), "removed")]
+        else:
+            added = "%.17g" % data.draw(FINITE, "added")
+            fields.insert(data.draw(st.integers(0, len(fields)), "at"), added)
+        lines[index] = ",".join(fields) + "\n"
+        with pytest.raises(DomainError, match=f"^CSV line {index + 1}: "):
+            ScanGrid.from_csv("".join(lines))
 
     @pytest.mark.parametrize("values", [np.array([1 + 2j, 2 + 0j]), (1.0, np.complex128(2.0))],
                              ids=["array", "scalar"])
@@ -263,7 +283,8 @@ class TestMalformedInputRaisesDomainError:
             ScanGrid("demo", Axis("x", "", (1.0, 2.0)), Axis("y", "", (3.0,)), cells)
 
     # text and objects fail as they do in cells: one numeric-array rule for both
-    @pytest.mark.parametrize("values", [("a",), ((1.0, 2.0),), ("1.5", "2"), (Fraction(1, 2), 2.0)])
+    @pytest.mark.parametrize("values", [("a",), ((1.0, 2.0),), ("1.5", "2"), (Fraction(1, 2), 2.0),
+                                        (1.0, (2.0, 3.0))])
     def test_axis_values_that_are_not_numbers(self, values):
         with pytest.raises(DomainError, match="axis 'x' values must be numbers"):
             Axis("x", "", values)
@@ -287,14 +308,12 @@ class TestMalformedInputRaisesDomainError:
     @pytest.mark.parametrize("row", ["12", b"12"], ids=["str", "bytes"])
     def test_grid_row_that_is_text(self, row):
         x_axis, y_axis = Axis("x", "", (1.0, 2.0)), Axis("y", "", (3.0, 4.0))
-        message = r"^demo cell row 1 at y = 4\.0 is not a flat sequence of numbers$"
-        with pytest.raises(DomainError, match=message):
+        with pytest.raises(DomainError, match=f"^{RAGGED}$"):
             ScanGrid("demo", x_axis, y_axis, ((1.0, 2.0), row))
 
     def test_grid_row_that_nests_a_sequence(self):
         x_axis, y_axis = Axis("x", "", (1.0, 2.0)), Axis("y", "", (3.0, 4.0))
-        message = r"^demo cell row 0 at y = 3\.0 is not a flat sequence of numbers$"
-        with pytest.raises(DomainError, match=message):
+        with pytest.raises(DomainError, match=f"^{RAGGED}$"):
             ScanGrid("demo", x_axis, y_axis, ((1.0, (2.0, 3.0)), (0.5, 0.25)))
 
     @pytest.mark.parametrize("exponent", [400, 5000])  # 10**5000 is too long to print
@@ -314,11 +333,11 @@ class TestMalformedInputRaisesDomainError:
          r"unknown spacing 'cubic' \(choose from linear, log\)"),
         (lambda: axis("x", "", -1.0, -1.0, 1, "log"), "log-spaced axes need positive bounds"),
         (lambda: ScanGrid("demo", Axis("x", "", (1.0, 2.0)), Axis("y", "", (3.0, 4.0)),
-                          ((1.0, 2.0),)), "cell row count must match the y axis"),
+                          ((1.0, 2.0),)), SHAPE.format(r"\(1, 2\)")),
         (lambda: ScanGrid("demo", Axis("x", "", (1.0, 2.0)), Axis("y", "", (3.0, 4.0)),
-                          ((1.0, 2.0), (0.5,))), "cell column count must match the x axis"),
+                          ((1.0, 2.0), (0.5,))), RAGGED),
         (lambda: ScanGrid("demo", Axis("x", "", (1.0, 2.0)), Axis("y", "", (3.0, 4.0)), 5.0),
-         "cell row count must match the y axis"),
+         SHAPE.format(r"\(\)")),
         (lambda: ScanGrid.from_csv("# quantity: demo\n# x: x [um] explicit\n"),
          "no data rows in CSV"),
         (lambda: ScanGrid.from_csv("# x: x [um] explicit\n# y: y [K] explicit\nx,1,2\n"),
@@ -374,6 +393,21 @@ class TestWorkingSet:
         # times the 312.5 KiB of the result array alone.
         x = np.linspace(-1.0, 1.0, 40_000).reshape(200, 200)
         assert _traced_peak(lambda: _per_element(math.expm1, x)) <= x.nbytes + 64 * 1024
+
+    def test_flag_quotes_the_worst_element_without_listing_them(self):
+        # 20 (1 - e^(-t/10)) passes 1 in almost every cell, so the flag fires. Its worst
+        # element is read through a memoryview: ~665 KiB here, the result and its clamped
+        # copy. Listing every element as a Python float first peaks at ~1,600 KiB.
+        t = np.linspace(1.0, 100.0, 40_000).reshape(200, 200)
+        with pytest.warns(ModelValidityWarning, match="^per-block loss probability 20 > 1;"):
+            budget.loss_probability(20, t, 10.0)
+
+        def flagged():
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", ModelValidityWarning)
+                budget.loss_probability(20, t, 10.0)
+
+        assert _traced_peak(flagged) <= 1024 * 1024
 
     def test_to_csv_peaks_near_its_text(self):
         # The rows are formatted, then joined: ~2.0x the text. Converting every cell to a

@@ -2,11 +2,13 @@
 
 Each public record refuses assignment, compares and hashes by its fields, prints
 as the dataclass it used to be, and survives ``copy`` and ``pickle`` equal to itself.
+A record holding an ndarray compares by its shape and elements and is not hashable.
 """
 
 import copy
 import pickle
 
+import numpy as np
 import pytest
 
 from rydkit import (
@@ -23,7 +25,9 @@ from rydkit import (
     ReproductionReport,
     ScanGrid,
     Species,
+    measurement_crosstalk,
 )
+from rydkit.dressing import _dressing_params
 from rydkit.errors import _Record
 from rydkit.report import ReproEntry
 
@@ -89,6 +93,15 @@ RECORDS = {
 }
 
 
+# Records built from ndarray inputs, which hold ndarray fields (in a nested record too).
+ARRAY_RECORDS = {
+    "Frequency": lambda: Frequency(np.array([1.0, 2.0])),
+    "DressingParams": lambda: _dressing_params(np.array([[0.5], [1.0]]), 10.0, 20.0, 1.5),
+    "CrosstalkEstimate": lambda: measurement_crosstalk(
+        np.array([852e-9, 780e-9]), 5e-6, 0.5, 0.5),
+}
+
+
 def _with(record, name, value):
     """A record of the same type with one field changed, built through its ``__init__``."""
     return type(record)(**{**record._asdict(), name: value})
@@ -131,6 +144,22 @@ def test_equality_and_hash_follow_the_fields(record):
             hash(a)
     else:
         assert hash(a) == hash(b)
+
+
+@pytest.mark.parametrize("build", ARRAY_RECORDS.values(), ids=ARRAY_RECORDS)
+def test_a_record_holding_an_ndarray_compares_by_value(build):
+    a, b = build(), build()
+    assert a == b and not a != b
+    with pytest.raises(TypeError, match="unhashable"):
+        hash(a)
+
+
+@pytest.mark.parametrize("other", [np.array([1.0, 3.0]), np.array([[1.0, 2.0]]), 1.0],
+                         ids=["element", "shape", "scalar"])
+def test_records_holding_unequal_ndarrays_differ(other):
+    a = Frequency(np.array([1.0, 2.0]))
+    assert a != Frequency(other) and not a == Frequency(other)
+    assert Frequency(other) != a
 
 
 def test_repr_is_the_dataclass_text(record):
