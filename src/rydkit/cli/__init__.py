@@ -3,8 +3,11 @@
 Flags carry their units in the name (``--rabi-mhz``, ``--tau-us``, ...);
 quantities quoted per 2pi convert to angular frequency at this boundary.
 Scalar results print as a single JSON document, grids as CSV. Exit codes:
-0 success, 1 usage error or an output file that cannot be written, 2 domain
-error, 3 reproduction failure.
+0 success, 1 usage error or an output file or closed stdout that cannot be
+written, 2 domain error, 3 reproduction failure. ``main()``, as the script
+and ``python -m rydkit.cli`` call it, ends the process once its output is
+flushed, with no atexit handler or teardown, unless a tracer or profiler is
+set; ``main(argv)`` returns the code.
 
 Each top-level command is added to the root parser by ``command`` in the
 module of this package named after it, with "-" written "_". The root imports
@@ -16,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import re
 import sys
 
@@ -108,7 +112,10 @@ def _emit(result: dict | str, out: str | None = None) -> None:
         except OSError as exc:
             raise UsageError(f"Could not open file {out!r}: {exc.strerror}") from None
     else:
-        sys.stdout.write(result)
+        try:
+            sys.stdout.write(result)
+        except OSError as exc:  # a closed pipe, stdout unbuffered; main() flushes a buffered one
+            raise UsageError(f"Could not write to stdout: {exc.strerror}") from None
 
 
 def _species_option(config: str | None, name: str):
@@ -135,18 +142,34 @@ def _scan_csv(quantity: str, x: tuple, y: tuple, fixed: dict) -> str:
 
 
 def main(argv: list[str] | None = None) -> int:
-    """Entry point mapping exceptions to documented exit codes."""
-    argv = sys.argv[1:] if argv is None else argv
+    """Entry point mapping exceptions to documented exit codes.
+
+    ``main(argv)`` returns the code. ``main()`` runs ``sys.argv[1:]``, flushes
+    stdout and stderr and ends the process with ``os._exit``, skipping the
+    interpreter's teardown, unless a tracer or profiler is set: it reports at exit.
+    """
+    args = sys.argv[1:] if argv is None else argv
     try:
-        values = vars(_parser(argv[0] if argv else "").parse_args(argv))
-        return values.pop("run")(**values) or 0
+        values = vars(_parser(args[0] if args else "").parse_args(args))
+        code = values.pop("run")(**values) or 0
     except _HelpShown:
-        return 0
+        code = 0
     except UsageError as exc:
         print(f"Error: {exc}", file=sys.stderr)
-        return 1
+        code = 1
     except KeyboardInterrupt:
-        return 1
+        code = 1
     except DomainError as exc:
         print(f"domain error: {exc}", file=sys.stderr)
-        return 2
+        code = 2
+    if argv is not None or sys.gettrace() or sys.getprofile():
+        return code
+    try:
+        if sys.stdout is not None:  # None when the process started with it closed
+            sys.stdout.flush()
+    except OSError as exc:  # a closed pipe; the interpreter never retries the flush
+        print(f"Error: Could not write to stdout: {exc.strerror}", file=sys.stderr)
+        code = 1
+    if sys.stderr is not None:
+        sys.stderr.flush()
+    os._exit(code)

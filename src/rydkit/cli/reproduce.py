@@ -12,8 +12,7 @@ def reproduce(json_out: str | None, trials: int) -> int:
     rep = rydkit.report.reproduce(trials=trials)
     if json_out:  # first, so that a failed write leaves stdout empty
         _emit(rep.to_dict(), json_out)
-    for line in rep.format_lines():
-        print(line)
+    _emit("".join(f"{line}\n" for line in rep.format_lines()))
     return 0 if rep.passed else 3
 
 

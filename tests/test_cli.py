@@ -1,5 +1,6 @@
 import argparse
 import contextlib
+import errno
 import io
 import json
 import os
@@ -584,3 +585,73 @@ def test_scalar_examples_run_without_numpy():
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout) == [ex["stdout"] for ex in examples]
+
+
+# The two ways a process runs the CLI: as the console script does, and as a module.
+_ENTRY = "import sys; from rydkit.cli import main; sys.exit(main())"
+_SCRIPT = [sys.executable, "-c", _ENTRY]
+_MODULE = [sys.executable, "-m", "rydkit.cli"]
+
+
+def _process(cmd, argv, stdout=subprocess.PIPE, **env):
+    """A fresh interpreter running ``cmd + argv`` with ``src`` on its path.
+
+    ``env`` adds to the environment; a variable given as None is removed.
+    """
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).parents[1] / "src"),
+           "COLUMNS": "80", **env}  # COLUMNS: the help's line width
+    return subprocess.run(cmd + argv, stdout=stdout, stderr=subprocess.PIPE, timeout=120,
+                          env={k: v for k, v in env.items() if v is not None})
+
+
+def _process_cases():
+    """One golden example per command module, the help, a usage error and a domain error."""
+    examples = {}
+    for ex in TestContract.contract["examples"]:
+        examples.setdefault(ex["argv"][0], ex["argv"])
+    return [pytest.param(argv, id=name) for name, argv in examples.items()] + [
+        pytest.param(["--help"], id="help"),
+        pytest.param(["lifetime", "--n", "100"], id="usage-error"),  # no --temperature-k
+        pytest.param(["lifetime", "--n", "5", "--temperature-k", "300"], id="domain-error"),
+    ]
+
+
+@pytest.mark.parametrize("cmd", [_SCRIPT, _MODULE], ids=["script", "module"])
+@pytest.mark.parametrize("argv", _process_cases())
+def test_process_matches_in_process_main(cmd, argv, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    with contextlib.redirect_stdout(io.StringIO()) as out, \
+            contextlib.redirect_stderr(io.StringIO()):
+        code = main(argv)
+    proc = _process(cmd, argv)
+    assert (proc.returncode, proc.stdout) == (code, out.getvalue().encode())
+
+
+@pytest.mark.parametrize("profiled", [False, True], ids=["plain", "profiled"])
+def test_atexit_handlers_run_only_under_a_profiler(profiled):
+    # main() ends the process without the interpreter's exit, unless a profiler
+    # must write its report there
+    setup = "import atexit, sys; atexit.register(print, 'atexit ran'); "
+    if profiled:
+        setup += "sys.setprofile(lambda *args: None); "
+    proc = _process([sys.executable, "-c", setup + _ENTRY], ["gate-error", "floors"])
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.endswith(b"}\natexit ran\n" if profiled else b"}\n")
+
+
+@pytest.mark.parametrize("unbuffered", ["1", None], ids=["unbuffered", "buffered"])
+@pytest.mark.parametrize("argv", [
+    ["gate-error", "floors"],
+    ["scan", "--quantity", "tau-vac", "--x-min", "4", "--x-max", "8", "--x-points", "3",
+     "--y-min", "1e-4", "--y-max", "1e-3", "--y-points", "2"],
+], ids=["json", "csv"])
+def test_closed_stdout_is_one_error_line(argv, unbuffered):
+    read, write = os.pipe()
+    os.close(read)  # every write to the pipe fails with EPIPE
+    try:
+        proc = _process(_MODULE, argv, stdout=write, PYTHONUNBUFFERED=unbuffered)
+    finally:
+        os.close(write)
+    assert proc.returncode == 1
+    assert proc.stderr.decode() == (
+        f"Error: Could not write to stdout: {os.strerror(errno.EPIPE)}\n")
