@@ -2,12 +2,11 @@
 
 Flags carry their units in the name (``--rabi-mhz``, ``--tau-us``, ...);
 quantities quoted per 2pi convert to angular frequency at this boundary.
-Scalar results print as a single JSON document, grids as CSV. Exit codes:
-0 success, 1 usage error or an output file or closed stdout that cannot be
-written, 2 domain error, 3 reproduction failure. ``main()``, as the script
-and ``python -m rydkit.cli`` call it, ends the process once its output is
-flushed, with no atexit handler or teardown, unless a tracer or profiler is
-set; ``main(argv)`` returns the code.
+Scalar results print as a single JSON document, grids as CSV, through
+``_emit``, the one writer of stdout (the help too). Exit codes: 0 success,
+1 usage error or an output file or stdout that cannot be written, 2 domain
+error, 3 reproduction failure. ``main()`` ends its process with no teardown
+unless a tracer or profiler is set; ``main(argv)`` returns the code.
 
 Each top-level command is added to the root parser by ``command`` in the
 module of this package named after it, with "-" written "_". The root imports
@@ -18,6 +17,7 @@ its own command; ``--help`` builds every command to list them.
 from __future__ import annotations
 
 import argparse
+import errno
 import json
 import os
 import re
@@ -60,6 +60,9 @@ class _Parser(argparse.ArgumentParser):
         sys.stderr.write(self.format_usage() + "\n")
         raise UsageError(message)
 
+    def print_help(self, file=None) -> None:
+        _emit(self.format_help())  # the help action passes no file
+
     def exit(self, status: int = 0, message: str | None = None):
         raise _HelpShown  # the help action is the one caller, as error() raises
 
@@ -99,7 +102,7 @@ def _parser(word: str) -> _Parser:
 
 
 def _emit(result: dict | str, out: str | None = None) -> None:
-    """Write a dict as strict JSON, or a str as it is, to ``out`` or stdout."""
+    """Write a dict as strict JSON, or a str as it is, to ``out`` or stdout, flushed."""
     if isinstance(result, dict):
         try:
             result = json.dumps(result, indent=2, sort_keys=True, allow_nan=False) + "\n"
@@ -113,8 +116,11 @@ def _emit(result: dict | str, out: str | None = None) -> None:
             raise UsageError(f"Could not open file {out!r}: {exc.strerror}") from None
     else:
         try:
+            if sys.stdout is None:  # the process started with it closed
+                raise OSError(errno.EBADF, os.strerror(errno.EBADF))
             sys.stdout.write(result)
-        except OSError as exc:  # a closed pipe, stdout unbuffered; main() flushes a buffered one
+            sys.stdout.flush()
+        except OSError as exc:  # closed, or its reader gone: buffered or not, one error
             raise UsageError(f"Could not write to stdout: {exc.strerror}") from None
 
 
@@ -145,8 +151,8 @@ def main(argv: list[str] | None = None) -> int:
     """Entry point mapping exceptions to documented exit codes.
 
     ``main(argv)`` returns the code. ``main()`` runs ``sys.argv[1:]``, flushes
-    stdout and stderr and ends the process with ``os._exit``, skipping the
-    interpreter's teardown, unless a tracer or profiler is set: it reports at exit.
+    stderr (``_emit`` flushed stdout) and ends the process with ``os._exit``, with
+    no atexit handler or teardown, unless a tracer or profiler is set: it reports at exit.
     """
     args = sys.argv[1:] if argv is None else argv
     try:
@@ -164,12 +170,6 @@ def main(argv: list[str] | None = None) -> int:
         code = 2
     if argv is not None or sys.gettrace() or sys.getprofile():
         return code
-    try:
-        if sys.stdout is not None:  # None when the process started with it closed
-            sys.stdout.flush()
-    except OSError as exc:  # a closed pipe; the interpreter never retries the flush
-        print(f"Error: Could not write to stdout: {exc.strerror}", file=sys.stderr)
-        code = 1
     if sys.stderr is not None:
         sys.stderr.flush()
     os._exit(code)

@@ -370,7 +370,7 @@ def normalized_potential(r: float, params: DressingParams, kind: str = "full") -
     shift = (dipole_dipole_shift if kind == "full" else vdw_shift)(r, defect, r_c)
     w = params.rabi.rad_per_s
     free = pair_light_shift_free(w, det).rad_per_s
-    depth = in_range("well depth", abs(pair_light_shift_blockaded(w, det).rad_per_s - free))
+    depth = in_range("well depth", abs(dressing_depth_exact(w, det).rad_per_s))
     energy = dressed_ground_energy_exact(w, det, shift).rad_per_s
     with _float_range("normalized potential"):
         value = (energy - free) / depth

@@ -1,4 +1,5 @@
 import argparse
+import ast
 import contextlib
 import errno
 import io
@@ -639,12 +640,20 @@ def test_atexit_handlers_run_only_under_a_profiler(profiled):
     assert proc.stdout.endswith(b"}\natexit ran\n" if profiled else b"}\n")
 
 
+# A JSON and a CSV command, each writing only to stdout.
+_STDOUT_WRITERS = [
+    pytest.param(["gate-error", "floors"], id="json"),
+    pytest.param(["scan", "--quantity", "tau-vac", "--x-min", "4", "--x-max", "8",
+                  "--x-points", "3", "--y-min", "1e-4", "--y-max", "1e-3", "--y-points", "2"],
+                 id="csv"),
+]
+
+
 @pytest.mark.parametrize("unbuffered", ["1", None], ids=["unbuffered", "buffered"])
-@pytest.mark.parametrize("argv", [
-    ["gate-error", "floors"],
-    ["scan", "--quantity", "tau-vac", "--x-min", "4", "--x-max", "8", "--x-points", "3",
-     "--y-min", "1e-4", "--y-max", "1e-3", "--y-points", "2"],
-], ids=["json", "csv"])
+@pytest.mark.parametrize("argv", _STDOUT_WRITERS + [
+    pytest.param(["--help"], id="help"),
+    pytest.param(["gate-error", "--help"], id="group-help"),
+])
 def test_closed_stdout_is_one_error_line(argv, unbuffered):
     read, write = os.pipe()
     os.close(read)  # every write to the pipe fails with EPIPE
@@ -655,3 +664,40 @@ def test_closed_stdout_is_one_error_line(argv, unbuffered):
     assert proc.returncode == 1
     assert proc.stderr.decode() == (
         f"Error: Could not write to stdout: {os.strerror(errno.EPIPE)}\n")
+
+
+# The module run with its fd 1 closed before it starts: Python's sys.stdout is then None.
+_STDOUT_CLOSED = ["sh", "-c", 'exec "$@" >&-', "sh", *_MODULE]
+
+
+@pytest.mark.parametrize("argv", _STDOUT_WRITERS + [pytest.param(["--help"], id="help")])
+def test_stdout_closed_at_start_is_one_error_line(argv):
+    proc = _process(_STDOUT_CLOSED, argv)
+    assert proc.returncode == 1
+    assert proc.stderr.decode() == (
+        f"Error: Could not write to stdout: {os.strerror(errno.EBADF)}\n")
+
+
+def test_stdout_closed_at_start_is_no_error_for_an_out_file(tmp_path):
+    out = tmp_path / "grid.csv"
+    proc = _process(_STDOUT_CLOSED, ["doppler", "--scan", "--temp-points", "3",
+                                     "--time-points", "2", "--out", str(out)])
+    assert (proc.returncode, proc.stderr) == (0, b"")
+    assert out.read_text().count("\n") == 6  # 3 comment lines, the header and 2 rows
+
+
+def test_only_emit_writes_stdout():
+    """In rydkit.cli no code but ``_emit`` names stdout, and every print() goes to stderr."""
+    written = 0
+    for path in Path(rydkit.cli.__file__).parent.glob("*.py"):
+        tree = ast.parse(path.read_text())
+        emit = {id(node) for fn in tree.body if getattr(fn, "name", None) == "_emit"
+                for node in ast.walk(fn)}
+        for node in ast.walk(tree):
+            if "stdout" in (getattr(node, "attr", None), getattr(node, "id", None)):
+                assert id(node) in emit, (path.name, node.lineno, ast.unparse(node))
+                written += 1
+            if isinstance(node, ast.Call) and ast.unparse(node.func) == "print":
+                assert any(kw.arg == "file" and ast.unparse(kw.value) == "sys.stderr"
+                           for kw in node.keywords), (path.name, node.lineno)
+    assert written  # _emit itself does
