@@ -57,7 +57,7 @@ class _Parser(argparse.ArgumentParser):
         return namespace, extras
 
     def error(self, message: str):
-        sys.stderr.write(self.format_usage() + "\n")
+        _note(self.format_usage() + "\n")
         raise UsageError(message)
 
     def print_help(self, file=None) -> None:
@@ -124,6 +124,21 @@ def _emit(result: dict | str, out: str | None = None) -> None:
             raise UsageError(f"Could not write to stdout: {exc.strerror}") from None
 
 
+def _note(text: str = "") -> None:
+    """Write ``text`` to stderr and flush it, best effort: the stderr counterpart of ``_emit``.
+
+    A stderr that is None (closed at start) or whose write or flush raises
+    ``OSError`` drops the text: the exit code stays the one of the error it reports.
+    """
+    if sys.stderr is None:
+        return
+    try:
+        sys.stderr.write(text)
+        sys.stderr.flush()
+    except OSError:
+        pass
+
+
 def _species_option(config: str | None, name: str):
     """The species ``name``; the entries of a ``--config`` file come before the built-ins."""
     if config is None:
@@ -153,6 +168,8 @@ def main(argv: list[str] | None = None) -> int:
     ``main(argv)`` returns the code. ``main()`` runs ``sys.argv[1:]``, flushes
     stderr (``_emit`` flushed stdout) and ends the process with ``os._exit``, with
     no atexit handler or teardown, unless a tracer or profiler is set: it reports at exit.
+    Error lines go through ``_note``, so a stderr that cannot be written leaves
+    the exit code as it is.
     """
     args = sys.argv[1:] if argv is None else argv
     try:
@@ -161,15 +178,14 @@ def main(argv: list[str] | None = None) -> int:
     except _HelpShown:
         code = 0
     except UsageError as exc:
-        print(f"Error: {exc}", file=sys.stderr)
+        _note(f"Error: {exc}\n")
         code = 1
     except KeyboardInterrupt:
         code = 1
     except DomainError as exc:
-        print(f"domain error: {exc}", file=sys.stderr)
+        _note(f"domain error: {exc}\n")
         code = 2
     if argv is not None or sys.gettrace() or sys.getprofile():
         return code
-    if sys.stderr is not None:
-        sys.stderr.flush()
+    _note()  # what else went to stderr, such as warnings
     os._exit(code)

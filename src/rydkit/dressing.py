@@ -256,9 +256,11 @@ def _dressed_arguments(rabi, detuning, pair_shift):
 def _ground_branch(rabi, detuning, pair_shift):
     """Ground-branch eigenvalue and its overlap with |gg>, from one stacked eigensolve.
 
-    At Omega = 0 the matrix is diagonal: the solver returns the bare state's
-    eigenvalue 0 and its unit eigenvector exactly. Overflows are left to the
-    callers' range checks.
+    The ground branch of each point is the eigenvector with the largest |gg>
+    component; its index picks the eigenvalue and the overlap out of the
+    solver's output. At Omega = 0 the matrix is diagonal: the solver returns
+    the bare state's eigenvalue 0 and its unit eigenvector exactly. Overflows
+    are left to the callers' range checks.
     """
     import numpy as np
 
@@ -271,8 +273,9 @@ def _ground_branch(rabi, detuning, pair_shift):
         h[..., 8] = (-2.0 * detuning + pair_shift) / scale
         vals, vecs = np.linalg.eigh(h.reshape(shape + (3, 3)))
         first = abs(vecs[..., 0, :])
-        ground = first.argmax(-1, keepdims=True) == np.arange(3)  # one-hot over the branches
-        return vals[ground].reshape(shape) * scale, first[ground].reshape(shape)
+        ground = first.argmax(-1, keepdims=True)  # the branch, an index on the last axis
+        value, overlap = (np.take_along_axis(x, ground, -1).reshape(shape) for x in (vals, first))
+        return value * scale, overlap
 
 
 def dressed_ground_energy_closed_form(
@@ -332,7 +335,7 @@ def _cardano_ground_branch(omega, delta, dd):
     den = lam.real + 2.0 * delta - dd
     ratio3 = ratio2 * w / den
     overlap = np.where(den == 0.0, 0.0, 1.0 / np.sqrt(1.0 + ratio2 * ratio2 + ratio3 * ratio3))
-    ground = lam[overlap.argmax(-1, keepdims=True) == np.arange(3)].reshape(f_cubed.shape)
+    ground = np.take_along_axis(lam, overlap.argmax(-1, keepdims=True), -1).reshape(f_cubed.shape)
     ground = np.where((omega == 0.0) | (f_cubed == 0.0), 0j, ground)
     return ground.real, abs(ground.imag)
 

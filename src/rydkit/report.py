@@ -99,27 +99,38 @@ def _minimize_log(cost, centers: np.ndarray) -> np.ndarray:
     One search per element of ``centers``, run in lockstep: each narrows its
     own bracket ln(center) +- 8 to a width of 1e-12 in u, and an element whose
     bracket is narrow enough keeps its values while the others go on. ``cost``
-    maps an array of x to the array of costs, element by element. ln and exp
+    maps an array of x to the array of costs, element by element, so one call
+    may search several cost functions, each on its own elements. ln and exp
     are taken per element, so each result is that of the scalar search.
+
+    The state (a, b, c, d, fc, fd) and the step's new point and its cost are
+    the rows of one array: a step picks each element's left or right
+    successor state with one ``np.where`` and keeps it where still active.
     """
     u = _per_element(math.log, centers)
-    a, b = u - 8.0, u + 8.0
-    c, d = b - _INV_GOLDEN * (b - a), a + _INV_GOLDEN * (b - a)
-    fc, fd = cost(_per_element(math.exp, c)), cost(_per_element(math.exp, d))
+    state = np.empty((8, *u.shape))
+    a, b, c, d, fc, fd, point, value = state
+    a[:], b[:] = u - 8.0, u + 8.0
+    c[:], d[:] = b - _INV_GOLDEN * (b - a), a + _INV_GOLDEN * (b - a)
+    fc[:], fd[:] = cost(_per_element(math.exp, c)), cost(_per_element(math.exp, d))
+    # the successors as rows of the state: the minimum lies in [a, d], else in [c, b]
+    left_rows, right_rows = [0, 3, 6, 2, 7, 4], [2, 1, 3, 6, 5, 7]
     while (active := b - a > 1e-12).any():
-        left = fc < fd  # the minimum lies in [a, d], else in [c, b]
-        point = np.where(left, d - _INV_GOLDEN * (d - a), c + _INV_GOLDEN * (b - c))
-        value = cost(_per_element(math.exp, point))
-        shrink_b, shrink_a = active & left, active & ~left
-        b[shrink_b], d[shrink_b], fd[shrink_b] = d[shrink_b], c[shrink_b], fc[shrink_b]
-        c[shrink_b], fc[shrink_b] = point[shrink_b], value[shrink_b]
-        a[shrink_a], c[shrink_a], fc[shrink_a] = c[shrink_a], d[shrink_a], fd[shrink_a]
-        d[shrink_a], fd[shrink_a] = point[shrink_a], value[shrink_a]
+        left = fc < fd
+        point[:] = np.where(left, d - _INV_GOLDEN * (d - a), c + _INV_GOLDEN * (b - c))
+        value[:] = cost(_per_element(math.exp, point))
+        np.copyto(state[:6], np.where(left, state[left_rows], state[right_rows]), where=active)
     return _per_element(math.exp, 0.5 * (a + b))
 
 
 def _minimizer_checks(rng: np.random.Generator, points: int = 100) -> list[float]:
-    """Worst relative deviations of the blockade and dressing optima from a numeric minimizer."""
+    """Worst relative deviations of the blockade and dressing optima from a numeric minimizer.
+
+    Each gate draws ``points`` random (x, tau) pairs, the blockade's first. One
+    ``_minimize_log`` search then runs over both gates' centres: its first
+    ``points`` elements minimize the blockade cost, the others the dressing
+    cost, each element with the arithmetic of its own scalar search.
+    """
     cases = (  # cost(w, x, tau), search center, optimal Rabi frequency, minimal error
         (lambda w, b, tau: 7 * math.pi / (4 * w * tau) + w * w / (8 * b * b),
          lambda b, tau: _per_element(pow, b * b / tau, 1 / 3),
@@ -130,18 +141,25 @@ def _minimizer_checks(rng: np.random.Generator, points: int = 100) -> list[float
          lambda det, tau: _per_element(pow, 8 * math.pi * _per_element(pow, det, 3) / tau, 0.25),
          gate_error.dressing_gate_error),
     )
+    # log10 of x/2pi and tau: all the blockade's draws, then all the dressing's
+    exponents = rng.uniform((6, -6), (9, -3), (len(cases) * points, 2))
+    x_hz, tau = _per_element(lambda e: 10**e, exponents).T
+    x = TWO_PI * x_hz
+    parts = [slice(i, i + points) for i in range(0, x.size, points)]  # each gate's elements
+
+    def costs(w):
+        return np.concatenate([case[0](w[s], x[s], tau[s]) for case, s in zip(cases, parts)])
+
     worst = []
     # Some draws have Delta tau < 32 pi, where the dressing error exceeds 1 and warns;
     # the closed form is still the cost's minimum there, which is what is checked.
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", ModelValidityWarning)
-        for cost, center, w_opt, error_min in cases:
-            exponents = rng.uniform((6, -6), (9, -3), (points, 2))  # log10 of x/2pi and tau
-            x_hz, tau = _per_element(lambda e: 10**e, exponents).T
-            x = TWO_PI * x_hz
-            w_num = _minimize_log(lambda w: cost(w, x, tau), center(x, tau))
-            dev = np.maximum(abs(w_num / w_opt(x, tau) - 1),
-                             abs(cost(w_num, x, tau) / error_min(x, tau) - 1))
+        w_num = _minimize_log(costs, np.concatenate(
+            [case[1](x[s], tau[s]) for case, s in zip(cases, parts)]))
+        for (cost, _, w_opt, error_min), s in zip(cases, parts):
+            w, v, t = w_num[s], x[s], tau[s]
+            dev = np.maximum(abs(w / w_opt(v, t) - 1), abs(cost(w, v, t) / error_min(v, t) - 1))
             worst.append(float(np.max(dev)))
     return worst
 

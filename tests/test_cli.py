@@ -686,6 +686,28 @@ def test_stdout_closed_at_start_is_no_error_for_an_out_file(tmp_path):
     assert out.read_text().count("\n") == 6  # 3 comment lines, the header and 2 rows
 
 
+# The module run with its fd 2 unwritable from the start: closed, so that Python's
+# sys.stderr is None, or open for reading only, so that every write to it fails.
+_STDERR_UNWRITABLE = [
+    pytest.param('exec "$@" 2>&-', id="closed"),
+    pytest.param('exec "$@" 2</dev/null', id="read-only"),
+]
+
+
+@pytest.mark.parametrize("unbuffered", ["1", None], ids=["unbuffered", "buffered"])
+@pytest.mark.parametrize("shell", _STDERR_UNWRITABLE)
+@pytest.mark.parametrize(("argv", "code", "stdout"), [
+    pytest.param(["lifetime", "--n", "5", "--temperature-k", "300"], 2, "", id="domain-error"),
+    pytest.param(["lifetime", "--n", "100"], 1, "", id="usage-error"),  # no --temperature-k
+    pytest.param(*[(ex["argv"], 0, ex["stdout"]) for ex in TestContract.contract["examples"]
+                   if ex["argv"][:2] == ["gate-error", "floors"]][0], id="json"),
+])
+def test_unwritable_stderr_keeps_the_exit_code(argv, code, stdout, shell, unbuffered):
+    # the error line is dropped; it goes neither to stdout nor into a traceback
+    proc = _process(["sh", "-c", shell, "sh", *_MODULE], argv, PYTHONUNBUFFERED=unbuffered)
+    assert (proc.returncode, proc.stdout.decode()) == (code, stdout)
+
+
 def test_only_emit_writes_stdout():
     """In rydkit.cli no code but ``_emit`` names stdout, and every print() goes to stderr."""
     written = 0
@@ -701,3 +723,19 @@ def test_only_emit_writes_stdout():
                 assert any(kw.arg == "file" and ast.unparse(kw.value) == "sys.stderr"
                            for kw in node.keywords), (path.name, node.lineno)
     assert written  # _emit itself does
+
+
+def test_only_note_writes_stderr():
+    """In rydkit.cli no code but ``_note`` names stderr, and no code calls print()."""
+    written = 0
+    for path in Path(rydkit.cli.__file__).parent.glob("*.py"):
+        tree = ast.parse(path.read_text())
+        note = {id(node) for fn in tree.body if getattr(fn, "name", None) == "_note"
+                for node in ast.walk(fn)}
+        for node in ast.walk(tree):
+            if "stderr" in (getattr(node, "attr", None), getattr(node, "id", None)):
+                assert id(node) in note, (path.name, node.lineno, ast.unparse(node))
+                written += 1
+            assert not (isinstance(node, ast.Call) and ast.unparse(node.func) == "print"), (
+                path.name, node.lineno)
+    assert written  # _note itself does

@@ -148,26 +148,50 @@ COSTS = {
 # With the golden step every search of a +-8 bracket stops after 64 steps, wherever
 # its minimum lies. With a step of 0.62 the count depends on the search's path, so
 # searches whose minimum sits elsewhere in their bracket stop on other steps than
-# their neighbours, and each must keep its values from its own last step.
-@pytest.mark.parametrize("case", COSTS)
+# their neighbours, and each must keep its values from its own last step. The mixed
+# case is one search whose first half of elements has the blockade cost and whose
+# second half has the dressing cost, as in _minimizer_checks.
+@pytest.mark.parametrize("gates", [["blockade"], ["dressing"], ["blockade", "dressing"]],
+                         ids=["blockade", "dressing", "mixed"])
 @pytest.mark.parametrize("step", [report._INV_GOLDEN, 0.62], ids=["golden", "0.62"])
-def test_lockstep_search_returns_the_scalar_search_bits(case, step, monkeypatch):
+def test_lockstep_search_returns_the_scalar_search_bits(gates, step, monkeypatch):
     monkeypatch.setattr(report, "_INV_GOLDEN", step)
-    cost, center = COSTS[case]
     rng = np.random.default_rng(18)
     x, tau = TWO_PI * 10 ** rng.uniform(6, 9, 300), 10 ** rng.uniform(-6, -3, 300)
     shifts = np.exp(rng.uniform(-6.0, 6.0, 300))  # the minimum off the bracket's centre
-    centers = [center(v, t) * s for v, t, s in zip(x.tolist(), tau.tolist(), shifts.tolist())]
-    expected, steps = zip(*(
-        _scalar_minimize_log(lambda w: cost(w, v, t), c)
-        for v, t, c in zip(x.tolist(), tau.tolist(), centers)
-    ))
-    got = _minimize_log(lambda w: cost(w, x, tau), np.array(centers))
-    assert got.tolist() == list(expected)
+    parts = [slice(i, i + 300 // len(gates)) for i in range(0, 300, 300 // len(gates))]
+    centers, expected, steps = [], [], []
+    for gate, s in zip(gates, parts):
+        cost, center = COSTS[gate]
+        for v, t, shift in zip(x[s].tolist(), tau[s].tolist(), shifts[s].tolist()):
+            centers.append(center(v, t) * shift)
+            w, n = _scalar_minimize_log(lambda w: cost(w, v, t), centers[-1])
+            expected.append(w)
+            steps.append(n)
+
+    def costs(w):
+        return np.concatenate([COSTS[gate][0](w[s], x[s], tau[s])
+                               for gate, s in zip(gates, parts)])
+
+    got = _minimize_log(costs, np.array(centers))
+    assert got.tolist() == expected
     if step == 0.62:
         assert any(abs(s - t) == 1 for s, t in zip(steps, steps[1:]))
     else:
         assert set(steps) == {64}
+
+
+@pytest.mark.parametrize("points", [10, 100])
+def test_minimizer_checks_run_one_search_over_both_gates(points, monkeypatch):
+    searches = []
+
+    def recorded(cost, centers):
+        searches.append(centers.shape)
+        return _minimize_log(cost, centers)
+
+    monkeypatch.setattr(report, "_minimize_log", recorded)
+    _minimizer_checks(np.random.default_rng(1), points)
+    assert searches == [(2 * points,)]
 
 
 def test_minimizer_checks_call_each_gate_error_function_a_fixed_number_of_times(monkeypatch):
