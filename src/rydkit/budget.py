@@ -132,7 +132,11 @@ def measurement_crosstalk(
 
 
 def detection_solid_angle_fraction(numerical_aperture: float) -> float:
-    """Collected solid-angle fraction (1 - cos(theta))/2 with sin(theta) = NA."""
+    """Collected solid-angle fraction (1 - cos(theta))/2 with sin(theta) = NA.
+
+    Evaluated as NA^2 / (2 (1 + cos(theta))), which does not cancel at small NA.
+    """
     numerical_aperture = in_range("numerical_aperture", numerical_aperture, 0.0, 1.0, "(]")
-    return (1.0 - _per_element(math.sqrt, 1.0 - _per_element(pow, numerical_aperture, 2))) / 2.0
+    na2 = _per_element(pow, numerical_aperture, 2)
+    return na2 / (2.0 * (1.0 + _per_element(math.sqrt, 1.0 - na2)))
 

@@ -1,5 +1,6 @@
 import math
 import warnings
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -178,6 +179,21 @@ class TestMeasurementCrosstalk:
 
     def test_solid_angle_limit(self):
         assert detection_solid_angle_fraction(1.0) == 0.5
+
+    @pytest.mark.parametrize("na", [1e-8, 1e-4, 1e-2, 0.5, 0.9, 1.0])
+    def test_solid_angle_fraction_is_within_two_ulp(self, na):
+        # (1 - sqrt(1 - NA^2))/2 at 50 digits: the cancellation costs at most 16 of them
+        with localcontext() as ctx:
+            ctx.prec = 50
+            exact = (1 - (1 - Decimal(na) ** 2).sqrt()) / 2
+        error = abs(Decimal(detection_solid_angle_fraction(na)) - exact)
+        assert error <= 2 * Decimal(math.ulp(float(exact)))
+
+    def test_small_aperture_has_a_finite_detection_probability(self):
+        # NA = 5e-9 once gave a fraction of 0, which the eta_det check rejected
+        est = measurement_crosstalk(852e-9, 4.26e-6, 5e-9, 0.5)
+        assert est.eta_det == pytest.approx(0.5 * 5e-9**2 / 4, rel=1e-15)
+        assert all(math.isfinite(v) and v > 0 for v in est._asdict().values())
 
     def test_rejects_bad_geometry(self):
         lam = 852e-9

@@ -277,6 +277,25 @@ class TestDressedEnergy:
             pert = dressing_depth_perturbative(w, det).rad_per_s
             assert abs(exact - pert) / abs(exact) < 2 * ratio**2
 
+    # The energies are homogeneous of degree 1 in (Omega, Delta, D): scaled by 2^k, an
+    # energy is 2^k times itself, bit for bit. The points are drawn as the reproduce
+    # oracle draws them, with |Delta| from 1e3 rad/s: even at 2^-7 of the smallest
+    # draw the matrix scale stays clear of its 1 rad/s floor, where homogeneity would
+    # hold only to rounding. With Omega/|Delta| in [0.01, 2] the closed form issues no
+    # BranchResidualWarning.
+    @pytest.mark.parametrize("k", [-7, -3, 1, 3, 20])
+    @pytest.mark.parametrize("solver", [dressed_ground_energy_exact,
+                                        dressed_ground_energy_closed_form],
+                             ids=["exact", "closed_form"])
+    def test_energy_is_homogeneous_of_degree_one(self, solver, k):
+        rng = np.random.default_rng(12)
+        det = rng.choice((-1.0, 1.0), 2000) * 10 ** rng.uniform(3, 9, 2000)
+        rabi = abs(det) * rng.uniform(0.01, 2.0, 2000)
+        shift = det * rng.uniform(-10.0, 10.0, 2000)
+        energy = solver(rabi, det, shift).rad_per_s
+        scaled = solver(2.0**k * rabi, 2.0**k * det, 2.0**k * shift).rad_per_s
+        np.testing.assert_array_equal(scaled, 2.0**k * energy)
+
 
 class TestNormalizedPotential:
     def test_core_saturates_to_unity(self):

@@ -3,6 +3,7 @@ import inspect
 import json
 import math
 import threading
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -10,7 +11,7 @@ import numpy as np
 import pytest
 
 import rydkit
-from rydkit import gate_error, report
+from rydkit import budget, dressing, gate_error, report
 from rydkit.errors import DomainError
 from rydkit.report import (
     ReproEntry,
@@ -82,11 +83,39 @@ def test_reproduce_rejects_too_few_trials_on_the_callers_thread():
     assert threading.active_count() == before
 
 
-def test_reproduce_reraises_an_error_of_the_eigensolver_oracle(monkeypatch):
-    def boom(rng):
+# The eigensolver oracle solves its last block on the worker and the others on the
+# caller's thread: an error on either reaches the caller, with the worker joined.
+@pytest.mark.parametrize("on_caller", [True, False], ids=["caller", "worker"])
+def test_reproduce_reraises_an_error_of_the_eigensolver_oracle(on_caller, monkeypatch):
+    caller, solve, raised = threading.get_ident(), dressing.dressed_ground_energy_exact, []
+
+    def exact(*args):
+        if (threading.get_ident() == caller) == on_caller:
+            raised.append(True)
+            raise DomainError("boom")
+        return solve(*args)
+
+    monkeypatch.setattr(dressing, "dressed_ground_energy_exact", exact)
+    before = threading.active_count()
+    with pytest.raises(DomainError, match="^boom$"):
+        rydkit.reproduce()
+    assert threading.active_count() == before
+    assert raised  # the error came from an exact solve on that thread
+
+
+def test_reproduce_joins_the_worker_before_a_late_error_propagates(monkeypatch):
+    # the worker is still drawing when a checkpoint after the oracle's raises
+    simulate = budget.simulate_loss
+
+    def slow_simulate(*args):
+        time.sleep(0.2)
+        return simulate(*args)
+
+    def boom(*args):
         raise DomainError("boom")
 
-    monkeypatch.setattr("rydkit.report._closed_vs_eigensolver", boom)
+    monkeypatch.setattr(budget, "simulate_loss", slow_simulate)
+    monkeypatch.setattr(dressing, "scaling_exponent", boom)
     before = threading.active_count()
     with pytest.raises(DomainError, match="^boom$"):
         rydkit.reproduce()
