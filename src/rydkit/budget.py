@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import struct
 
 from .errors import DomainError, _any, _count, _flag, _float_range, _per_element, _Record
 from .errors import _scalar, in_range
@@ -61,6 +62,33 @@ class MonteCarloResult(_Record):
         self._store(trials, estimate, standard_error)
 
 
+def _trials(trials: int) -> int:  # the one check of a Monte Carlo trial count
+    return _count("trials", trials, 1000)
+
+
+def _draw_limit(t: float, tau_vac: float) -> float:
+    """The least double x >= 0 with x * tau_vac >= t in float arithmetic (t >= 0, tau_vac > 0).
+
+    The rounded product grows with x, so x * tau_vac < t holds exactly when x is
+    below the limit. It is bisected over the bit patterns of 0.0 to inf, which
+    ascend with the doubles: stepping from t / tau_vac with ``math.nextafter``
+    would take ~1e10 steps where the products are subnormal (t = 1e-320,
+    tau_vac = 1e-10).
+    """
+    lo, hi = 0, 0x7FF0000000000000  # the bit patterns of 0.0 and inf
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if _double(mid) * tau_vac >= t:
+            hi = mid
+        else:
+            lo = mid + 1
+    return _double(lo)
+
+
+def _double(bits: int) -> float:  # the double with this IEEE 754 bit pattern
+    return struct.unpack("<d", struct.pack("<q", bits))[0]
+
+
 def simulate_loss(
     n_code: int, tau_vac: float, t: float, trials: int, seed: int
 ) -> MonteCarloResult:
@@ -75,19 +103,18 @@ def simulate_loss(
     n_code = _count("n_code", n_code, 1)
     tau_vac = _scalar("tau_vac", tau_vac)
     t = _scalar("t", t, bounds="[)")
-    trials = _count("trials", trials, 1000)
+    trials = _trials(trials)
     rng = np.random.default_rng(_count("seed", seed, 0))
+    limit = _draw_limit(t, tau_vac)  # a draw below it has a lifetime below t
     hits = 0
     # 2**16 draws (512 KiB) a block, into one buffer reused by every block: tau_vac times
     # the standard exponential stream is exponential(tau_vac)'s, whatever the chunking
     block = min(trials, max(1, 2**16 // n_code))
-    lifetimes, lost = np.empty((block, n_code)), np.empty((block, n_code), dtype=bool)
+    draws, lost = np.empty((block, n_code)), np.empty((block, n_code), dtype=bool)
     for done in range(0, trials, block):
         m = min(block, trials - done)
-        rng.standard_exponential(out=lifetimes[:m])
-        with np.errstate(over="ignore"):  # an inf lifetime is an atom never lost
-            np.multiply(lifetimes[:m], tau_vac, out=lifetimes[:m])
-        rows = np.flatnonzero(np.less(lifetimes[:m], t, out=lost[:m])) // n_code
+        rng.standard_exponential(out=draws[:m])
+        rows = np.flatnonzero(np.less(draws[:m], limit, out=lost[:m])) // n_code
         if rows.size:  # the rows ascend: each change starts a new hit row
             hits += 1 + int(np.count_nonzero(np.diff(rows)))
     p = hits / trials
@@ -135,8 +162,10 @@ def detection_solid_angle_fraction(numerical_aperture: float) -> float:
     """Collected solid-angle fraction (1 - cos(theta))/2 with sin(theta) = NA.
 
     Evaluated as NA^2 / (2 (1 + cos(theta))), which does not cancel at small NA.
+    An NA whose fraction underflows to 0 raises DomainError naming the fraction.
     """
     numerical_aperture = in_range("numerical_aperture", numerical_aperture, 0.0, 1.0, "(]")
-    na2 = _per_element(pow, numerical_aperture, 2)
-    return na2 / (2.0 * (1.0 + _per_element(math.sqrt, 1.0 - na2)))
+    na2 = _per_element(pow, numerical_aperture, 2)  # 0 below NA ~ 4.4e-162
+    fraction = na2 / (2.0 * (1.0 + _per_element(math.sqrt, 1.0 - na2)))
+    return in_range("solid-angle fraction", fraction)
 

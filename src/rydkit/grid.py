@@ -219,17 +219,16 @@ def _tau_vac_cells(n_code: np.ndarray, epsilon: np.ndarray, fixed: dict) -> np.n
     return rydkit.budget.required_vacuum_lifetime(n_code, t_qec_s, epsilon)
 
 
-def _log10_or_minus_inf(value: float) -> float:
-    return math.log10(value) if value > 0 else -math.inf
-
-
 def _doppler_cells(temperature_uk: np.ndarray, time_ns: np.ndarray, fixed: dict) -> np.ndarray:
     k, mass = rydkit.species._resolve_doppler(
         rydkit.species.get_species(fixed["species"]), fixed["scheme"], fixed["k_per_m"],
         fixed["mass_kg"],
     )
     infid = rydkit.gate_error.doppler_infidelity(k, temperature_uk * 1e-6, time_ns * 1e-9, mass)
-    return _per_element(_log10_or_minus_inf, infid)
+    dephased = infid > 0  # False at 0 and NaN, whose cells are -inf
+    cells = _per_element(math.log10, np.where(dephased, infid, 1.0))
+    cells[~dephased] = -math.inf
+    return cells
 
 
 def _dressing_cells(separation_um: np.ndarray, rabi_mhz: np.ndarray, fixed: dict) -> np.ndarray:

@@ -97,7 +97,7 @@ def _band(label: str, computed: float, reference: float, lo: float, hi: float) -
 def _minimize_log(cost, centers: np.ndarray) -> np.ndarray:
     """Numeric 1-D minima of cost(x): golden-section searches (Kiefer 1953) on u = ln x.
 
-    One search per element of ``centers``, run in lockstep: each narrows its
+    One search per element of the 1-D ``centers``, in lockstep: each narrows its
     own bracket ln(center) +- 8 to a width of 1e-12 in u, and an element whose
     bracket is narrow enough keeps its values while the others go on. ``cost``
     maps an array of x to the array of costs, element by element, so one call
@@ -105,23 +105,42 @@ def _minimize_log(cost, centers: np.ndarray) -> np.ndarray:
     are taken per element, so each result is that of the scalar search.
 
     The state (a, b, c, d, fc, fd) and the step's new point and its cost are
-    the rows of one array: a step picks each element's left or right
-    successor state with one ``np.where`` and keeps it where still active.
+    the rows of one array. The new point near + (1/phi) (far - near) is the
+    scalar search's d - (1/phi) (d - a) or c + (1/phi) (b - c), bit for bit. A
+    step takes each element's left or right successor state by flat index and
+    keeps it where still active.
     """
     u = _per_element(math.log, centers)
-    state = np.empty((8, *u.shape))
+    state = np.empty((8, u.size))
     a, b, c, d, fc, fd, point, value = state
     a[:], b[:] = u - 8.0, u + 8.0
     c[:], d[:] = b - _INV_GOLDEN * (b - a), a + _INV_GOLDEN * (b - a)
     fc[:], fd[:] = cost(_per_element(math.exp, c)), cost(_per_element(math.exp, d))
-    # the successors as rows of the state: the minimum lies in [a, d], else in [c, b]
-    left_rows, right_rows = [0, 3, 6, 2, 7, 4], [2, 1, 3, 6, 5, 7]
+    # the successors as flat indices of state rows: the minimum lies in [a, d], else in [c, b]
+    columns = np.arange(u.size)
+    left_at = np.array([[0], [3], [6], [2], [7], [4]]) * u.size + columns
+    right_at = np.array([[2], [1], [3], [6], [5], [7]]) * u.size + columns
     while (active := b - a > 1e-12).any():
         left = fc < fd
-        point[:] = np.where(left, d - _INV_GOLDEN * (d - a), c + _INV_GOLDEN * (b - c))
+        near = np.where(left, d, c)
+        np.add(near, _INV_GOLDEN * (np.where(left, a, b) - near), out=point)
         value[:] = cost(_per_element(math.exp, point))
-        np.copyto(state[:6], np.where(left, state[left_rows], state[right_rows]), where=active)
+        np.copyto(state[:6], state.take(np.where(left, left_at, right_at)), where=active)
     return _per_element(math.exp, 0.5 * (a + b))
+
+
+def _gate_cost(x: np.ndarray, tau: np.ndarray, blockade: np.ndarray):
+    """The gate error as a function of the Rabi frequency w: 7 pi / (4 w tau) + w^2 / (8 x^2)
+    where ``blockade`` holds, else 8 pi x / (w^2 tau) + w^2 / x^2, each element with the
+    operations of its own gate's formula in the same order."""
+    numer = np.where(blockade, 7 * math.pi, 8 * math.pi * x)
+    quad = np.where(blockade, 8 * x * x, x * x)
+
+    def cost(w: np.ndarray) -> np.ndarray:
+        ww = w * w
+        return numer / (np.where(blockade, 4 * w, ww) * tau) + ww / quad
+
+    return cost
 
 
 def _minimizer_checks(rng: np.random.Generator, points: int = 100) -> list[float]:
@@ -132,13 +151,11 @@ def _minimizer_checks(rng: np.random.Generator, points: int = 100) -> list[float
     ``points`` elements minimize the blockade cost, the others the dressing
     cost, each element with the arithmetic of its own scalar search.
     """
-    cases = (  # cost(w, x, tau), search center, optimal Rabi frequency, minimal error
-        (lambda w, b, tau: 7 * math.pi / (4 * w * tau) + w * w / (8 * b * b),
-         lambda b, tau: _per_element(pow, b * b / tau, 1 / 3),
+    cases = (  # search center(x, tau), optimal Rabi frequency, minimal error
+        (lambda b, tau: _per_element(pow, b * b / tau, 1 / 3),
          lambda b, tau: gate_error.optimal_rabi(b, tau).rad_per_s,
          gate_error.blockade_gate_error),
-        (lambda w, det, tau: 8 * math.pi * det / (w * w * tau) + w * w / (det * det),
-         lambda det, tau: _per_element(pow, _per_element(pow, det, 3) / tau, 0.25),
+        (lambda det, tau: _per_element(pow, _per_element(pow, det, 3) / tau, 0.25),
          lambda det, tau: _per_element(pow, 8 * math.pi * _per_element(pow, det, 3) / tau, 0.25),
          gate_error.dressing_gate_error),
     )
@@ -147,20 +164,19 @@ def _minimizer_checks(rng: np.random.Generator, points: int = 100) -> list[float
     x_hz, tau = _per_element(lambda e: 10**e, exponents).T
     x = TWO_PI * x_hz
     parts = [slice(i, i + points) for i in range(0, x.size, points)]  # each gate's elements
-
-    def costs(w):
-        return np.concatenate([case[0](w[s], x[s], tau[s]) for case, s in zip(cases, parts)])
+    cost = _gate_cost(x, tau, np.arange(x.size) < points)
 
     worst = []
     # Some draws have Delta tau < 32 pi, where the dressing error exceeds 1 and warns;
     # the closed form is still the cost's minimum there, which is what is checked.
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", ModelValidityWarning)
-        w_num = _minimize_log(costs, np.concatenate(
-            [case[1](x[s], tau[s]) for case, s in zip(cases, parts)]))
-        for (cost, _, w_opt, error_min), s in zip(cases, parts):
+        w_num = _minimize_log(cost, np.concatenate(
+            [case[0](x[s], tau[s]) for case, s in zip(cases, parts)]))
+        error_num = cost(w_num)
+        for (_, w_opt, error_min), s in zip(cases, parts):
             w, v, t = w_num[s], x[s], tau[s]
-            dev = np.maximum(abs(w / w_opt(v, t) - 1), abs(cost(w, v, t) / error_min(v, t) - 1))
+            dev = np.maximum(abs(w / w_opt(v, t) - 1), abs(error_num[s] / error_min(v, t) - 1))
             worst.append(float(np.max(dev)))
     return worst
 
@@ -206,6 +222,7 @@ def _worked_example() -> dressing.DressingParams:
 
 def reproduce(tau0_s: float = 3.3e-9, trials: int = 100000) -> ReproductionReport:
     """Recompute all reference checkpoints and return the comparison report."""
+    trials = budget._trials(trials)  # checked here, before the worker starts
     entries: list[ReproEntry | None] = []
     add = entries.append
 

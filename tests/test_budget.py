@@ -4,7 +4,7 @@ from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from rydkit import (
@@ -17,7 +17,7 @@ from rydkit import (
     required_vacuum_lifetime,
     simulate_loss,
 )
-from rydkit.budget import default_t_qec, detection_solid_angle_fraction
+from rydkit.budget import _draw_limit, default_t_qec, detection_solid_angle_fraction
 
 
 class TestRequiredVacuumLifetime:
@@ -154,6 +154,52 @@ class TestSimulateLoss:
         with pytest.raises(DomainError):
             simulate_loss(20, 400.0, 2e-3, 100, seed=1)
 
+    # The draws are compared with the limit, not multiplied by tau_vac: a draw x is a
+    # hit exactly when the rounded lifetime x * tau_vac is below t, over the whole
+    # float range. In the examples t / tau_vac rounds below the limit, or above it,
+    # t = 0, t / tau_vac underflows or overflows, and ~1e10 draws in a row have the
+    # same subnormal product.
+    @given(
+        tau_vac=st.floats(min_value=5e-324, max_value=1.7976931348623157e308),
+        t=st.floats(min_value=0.0, max_value=1.7976931348623157e308),
+        x=st.floats(min_value=0.0, allow_infinity=False),
+    )
+    @example(tau_vac=2.9, t=0.1, x=0.0)
+    @example(tau_vac=0.7, t=0.3, x=0.0)
+    @example(tau_vac=400.0, t=0.0, x=0.0)
+    @example(tau_vac=5e-324, t=0.0, x=1.0)
+    @example(tau_vac=1e300, t=1e-300, x=5e-324)
+    @example(tau_vac=1e-300, t=1e300, x=1.7976931348623157e308)
+    @example(tau_vac=math.nextafter(1.0, 0.0), t=1.7976931348623157e308, x=1.0)
+    @example(tau_vac=1e-10, t=1e-320, x=1e-310)
+    def test_draw_limit_separates_the_draws_that_hit(self, tau_vac, t, x):
+        limit = _draw_limit(t, tau_vac)
+        for draw in (limit, math.nextafter(limit, 0.0), math.nextafter(limit, math.inf), x):
+            assert (draw < limit) == (draw * tau_vac < t)
+
+    def test_a_draw_whose_lifetime_rounds_to_t_is_no_hit(self):
+        # t is the first draw's rounded lifetime, and t / tau_vac rounds above that draw:
+        # a comparison with t / tau_vac would count it as a hit
+        draws = np.random.default_rng(5).standard_exponential((1000, 1))
+        x0 = float(draws[0, 0])
+        tau = next(v for v in np.linspace(1.0, 2.0, 1001).tolist() if x0 * v / v > x0)
+        t = x0 * tau
+        p = int((draws * tau < t).sum()) / 1000
+        expected = MonteCarloResult(1000, p, math.sqrt(p * (1.0 - p) / 1000))
+        assert simulate_loss(1, tau, t, 1000, seed=5) == expected
+
+    # tau_vac = 1e308: lifetimes of draws above ~1.8 overflow to inf, atoms never lost;
+    # tau_vac = 1e-300: t / tau_vac is 1e297 or 1e298, and at t = 1 ms every trial hits.
+    @pytest.mark.parametrize(
+        "tau, t", [(1e308, 1e306), (1e308, 1.0), (1e-300, 1e-302), (1e-300, 1e-3)]
+    )
+    def test_extreme_lifetimes_hit_as_in_the_product_form(self, tau, t):
+        with np.errstate(over="ignore"):
+            lifetimes = np.random.default_rng(4).standard_exponential((5000, 20)) * tau
+        p = int((lifetimes < t).any(axis=1).sum()) / 5000
+        expected = MonteCarloResult(5000, p, math.sqrt(p * (1.0 - p) / 5000))
+        assert simulate_loss(20, tau, t, 5000, seed=4) == expected
+
 
 class TestMeasurementCrosstalk:
     def test_reference_point(self):
@@ -188,6 +234,23 @@ class TestMeasurementCrosstalk:
             exact = (1 - (1 - Decimal(na) ** 2).sqrt()) / 2
         error = abs(Decimal(detection_solid_angle_fraction(na)) - exact)
         assert error <= 2 * Decimal(math.ulp(float(exact)))
+
+    def test_solid_angle_fraction_that_underflows_is_named(self):
+        # below NA ~ 4.4e-162, NA^2 underflows to 0 and so does the fraction
+        with pytest.raises(DomainError, match=r"^solid-angle fraction must be finite and "
+                           r"in \(0, inf\), got 0\.0$"):
+            detection_solid_angle_fraction(1e-170)
+        with pytest.raises(DomainError, match=r"^solid-angle fraction .*, got 0\.0 at index "
+                           r"\(1,\)$"):
+            detection_solid_angle_fraction(np.array([0.5, 1e-170, 1e-4]))
+        with pytest.raises(DomainError, match="^solid-angle fraction "):
+            measurement_crosstalk(852e-9, 4.26e-6, 1e-170, 0.5)
+
+    def test_subnormal_solid_angle_fraction_keeps_its_bits(self):
+        na2 = 1e-160**2  # subnormal
+        assert detection_solid_angle_fraction(1e-160) == na2 / 4.0 > 0.0
+        got = detection_solid_angle_fraction(np.array([1e-160, 0.5]))
+        assert got.tolist() == [na2 / 4.0, detection_solid_angle_fraction(0.5)]
 
     def test_small_aperture_has_a_finite_detection_probability(self):
         # NA = 5e-9 once gave a fraction of 0, which the eta_det check rejected

@@ -466,6 +466,17 @@ class TestScan:
                 Axis("rydberg_time", "ns", (100.0,)),
             )
 
+    def test_doppler_grid_with_some_zero_cells_names_the_first(self):
+        # the last column is at zero temperature; the cells before it are finite
+        with pytest.raises(DomainError, match="^doppler-infidelity cell \\(2, 0\\) at "
+                           "temperature = 0.0, rydberg_time = 100.0 is -inf: cells must "
+                           "be finite$"):
+            scan(
+                "doppler-infidelity",
+                Axis("temperature", "uK", (25.0, 5.0, 0.0)),
+                Axis("rydberg_time", "ns", (100.0, 1000.0)),
+            )
+
     def test_lifetime_quantity_matches_core(self):
         grid = scan(
             "lifetime",

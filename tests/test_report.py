@@ -76,11 +76,18 @@ def test_reproduce_json_matches_golden_file():
     assert threading.active_count() == before  # the oracle thread is joined
 
 
-def test_reproduce_rejects_too_few_trials_on_the_callers_thread():
+def test_reproduce_rejects_too_few_trials_on_the_callers_thread(monkeypatch):
+    solves = []
+    for name in ("dressed_ground_energy_exact", "dressed_ground_energy_closed_form"):
+        solve = getattr(dressing, name)
+        monkeypatch.setattr(dressing, name,
+                            lambda *args, _name=name, _solve=solve: solves.append(_name)
+                            or _solve(*args))
     before = threading.active_count()
     with pytest.raises(DomainError, match=r"trials must be finite and in \[1000, inf\), got 10"):
         rydkit.reproduce(trials=10)
     assert threading.active_count() == before
+    assert solves == []  # checked before the worker starts: no oracle solve ran
 
 
 # The eigensolver oracle solves its last block on the worker and the others on the
@@ -208,6 +215,19 @@ def test_lockstep_search_returns_the_scalar_search_bits(gates, step, monkeypatch
         assert any(abs(s - t) == 1 for s, t in zip(steps, steps[1:]))
     else:
         assert set(steps) == {64}
+
+
+def test_gate_cost_has_the_bits_of_each_gates_own_cost():
+    # the blockade and dressing elements interleaved, w over each search's bracket
+    rng = np.random.default_rng(36)
+    x, tau = TWO_PI * 10 ** rng.uniform(6, 9, 400), 10 ** rng.uniform(-6, -3, 400)
+    blockade = rng.random(400) < 0.5
+    gates = ["blockade" if flag else "dressing" for flag in blockade.tolist()]
+    w = np.array([COSTS[gate][1](v, t) for gate, v, t in zip(gates, x.tolist(), tau.tolist())])
+    w *= np.exp(rng.uniform(-8.0, 8.0, 400))
+    expected = [COSTS[gate][0](*args) for gate, *args in zip(gates, w.tolist(), x.tolist(),
+                                                               tau.tolist())]
+    assert report._gate_cost(x, tau, blockade)(w).tolist() == expected
 
 
 @pytest.mark.parametrize("points", [10, 100])
