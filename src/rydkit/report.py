@@ -32,6 +32,7 @@ _EXACT = 1e-12  # relative tolerance standing in for "exact arithmetic"
 # Monte Carlo checkpoint about once in 400 runs.
 _SEED = 20250810
 _INV_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0  # 1/phi, the golden-section step
+_SEARCH_STEPS = math.ceil(math.log(2.0**-26 / 16.0, _INV_GOLDEN))  # 44: ln x +- 8 to 2^-26
 # Points the eigensolver oracle solves at once: bounds its temporaries, not its result
 _ORACLE_BLOCK = 2500
 
@@ -97,18 +98,18 @@ def _band(label: str, computed: float, reference: float, lo: float, hi: float) -
 def _minimize_log(cost, centers: np.ndarray) -> np.ndarray:
     """Numeric 1-D minima of cost(x): golden-section searches (Kiefer 1953) on u = ln x.
 
-    One search per element of the 1-D ``centers``, in lockstep: each narrows its
-    own bracket ln(center) +- 8 to a width of 1e-12 in u, and an element whose
-    bracket is narrow enough keeps its values while the others go on. ``cost``
-    maps an array of x to the array of costs, element by element, so one call
-    may search several cost functions, each on its own elements. ln and exp
-    are taken per element, so each result is that of the scalar search.
+    One search per element of the 1-D ``centers``, in lockstep: every step narrows
+    each bracket ln(center) +- 8 by 1/phi, so all stop after ``_SEARCH_STEPS`` = 44,
+    at a width of 2^-26 ~ sqrt(eps) in u. Within that of a smooth minimum the cost
+    differs from its least value by less than its rounding: more steps compare noise.
+    ``cost`` maps an array of x to the array of costs, element by element, so one call
+    may search several cost functions, each on its own elements. ln and exp are taken
+    per element, so each result is that of the scalar search.
 
     The state (a, b, c, d, fc, fd) and the step's new point and its cost are
     the rows of one array. The new point near + (1/phi) (far - near) is the
     scalar search's d - (1/phi) (d - a) or c + (1/phi) (b - c), bit for bit. A
-    step takes each element's left or right successor state by flat index and
-    keeps it where still active.
+    step takes each element's left or right successor state by flat index.
     """
     u = _per_element(math.log, centers)
     state = np.empty((8, u.size))
@@ -120,12 +121,12 @@ def _minimize_log(cost, centers: np.ndarray) -> np.ndarray:
     columns = np.arange(u.size)
     left_at = np.array([[0], [3], [6], [2], [7], [4]]) * u.size + columns
     right_at = np.array([[2], [1], [3], [6], [5], [7]]) * u.size + columns
-    while (active := b - a > 1e-12).any():
+    for _ in range(_SEARCH_STEPS):
         left = fc < fd
         near = np.where(left, d, c)
         np.add(near, _INV_GOLDEN * (np.where(left, a, b) - near), out=point)
         value[:] = cost(_per_element(math.exp, point))
-        np.copyto(state[:6], state.take(np.where(left, left_at, right_at)), where=active)
+        state[:6] = state.take(np.where(left, left_at, right_at))
     return _per_element(math.exp, 0.5 * (a + b))
 
 
@@ -247,16 +248,14 @@ def reproduce(tau0_s: float = 3.3e-9, trials: int = 100000) -> ReproductionRepor
     # process-wide. The worker is joined just before the return, and its two entries
     # fill the places kept for them, so the entries keep a fixed order.
     blocks = _oracle_blocks(np.random.default_rng(_SEED + 2))
-    last_exact = np.empty(_ORACLE_BLOCK)
-    loss: list = []  # the Monte Carlo result, or the exception the worker raised
+    legs: list = []  # (Monte Carlo result, last exact block), or the worker's exception
 
     def worker_leg() -> None:
         try:
-            mc = budget.simulate_loss(20, 400.0, 2e-3, trials, _SEED)
-            last_exact[:] = dressing.dressed_ground_energy_exact(*blocks[-1]).rad_per_s
-            loss.append(mc)
+            legs.append((budget.simulate_loss(20, 400.0, 2e-3, trials, _SEED),
+                         dressing.dressed_ground_energy_exact(*blocks[-1]).rad_per_s))
         except BaseException as exc:  # re-raised on the caller's thread after the join
-            loss.append(exc)
+            legs.append(exc)
 
     worker = threading.Thread(target=worker_leg)
     worker.start()
@@ -414,8 +413,9 @@ def reproduce(tau0_s: float = 3.3e-9, trials: int = 100000) -> ReproductionRepor
                    vac_grid.cell(2, 1), 400.0, -1e-9, 1e-9))
     finally:
         worker.join()
-    if isinstance(mc := loss[0], BaseException):
-        raise mc
+    if isinstance(legs[0], BaseException):
+        raise legs[0]
+    mc, last_exact = legs[0]
     sigma_dev = abs(mc.estimate - exact_p) / mc.standard_error if mc.standard_error else 0.0
     entries[mc_row] = _entry("Monte Carlo loss vs exact survival model [std errors]",
                              sigma_dev, 0.0, 0.0, 3.0)

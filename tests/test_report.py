@@ -155,13 +155,14 @@ def test_reproduce_working_set_is_bounded():
 
 
 def _scalar_minimize_log(cost, center):
-    """Reference for _minimize_log: one scalar golden-section search, and its step count."""
+    """Reference for _minimize_log: one scalar golden-section search that stops once its
+    bracket is 2^-26 wide, and its step count."""
     step = report._INV_GOLDEN
     a, b = math.log(center) - 8.0, math.log(center) + 8.0
     c, d = b - step * (b - a), a + step * (b - a)
     fc, fd = cost(math.exp(c)), cost(math.exp(d))
     steps = 0
-    while b - a > 1e-12:
+    while b - a > 2.0**-26:
         steps += 1
         if fc < fd:  # the minimum lies in [a, d]
             b, c, d, fd = d, d - step * (d - a), c, fc
@@ -181,17 +182,14 @@ COSTS = {
 }
 
 
-# With the golden step every search of a +-8 bracket stops after 64 steps, wherever
-# its minimum lies. With a step of 0.62 the count depends on the search's path, so
-# searches whose minimum sits elsewhere in their bracket stop on other steps than
-# their neighbours, and each must keep its values from its own last step. The mixed
-# case is one search whose first half of elements has the blockade cost and whose
-# second half has the dressing cost, as in _minimizer_checks.
+# Every golden step narrows a bracket by the same factor, so each scalar search of a +-8
+# bracket stops by width after 44 steps wherever its minimum lies, and the lockstep
+# search, which counts its steps, returns its bits. The mixed case is one search whose
+# first half of elements has the blockade cost and whose second half has the dressing
+# cost, as in _minimizer_checks.
 @pytest.mark.parametrize("gates", [["blockade"], ["dressing"], ["blockade", "dressing"]],
                          ids=["blockade", "dressing", "mixed"])
-@pytest.mark.parametrize("step", [report._INV_GOLDEN, 0.62], ids=["golden", "0.62"])
-def test_lockstep_search_returns_the_scalar_search_bits(gates, step, monkeypatch):
-    monkeypatch.setattr(report, "_INV_GOLDEN", step)
+def test_lockstep_search_returns_the_scalar_search_bits(gates):
     rng = np.random.default_rng(18)
     x, tau = TWO_PI * 10 ** rng.uniform(6, 9, 300), 10 ** rng.uniform(-6, -3, 300)
     shifts = np.exp(rng.uniform(-6.0, 6.0, 300))  # the minimum off the bracket's centre
@@ -211,10 +209,7 @@ def test_lockstep_search_returns_the_scalar_search_bits(gates, step, monkeypatch
 
     got = _minimize_log(costs, np.array(centers))
     assert got.tolist() == expected
-    if step == 0.62:
-        assert any(abs(s - t) == 1 for s, t in zip(steps, steps[1:]))
-    else:
-        assert set(steps) == {64}
+    assert set(steps) == {report._SEARCH_STEPS} == {44}
 
 
 def test_gate_cost_has_the_bits_of_each_gates_own_cost():
