@@ -6,7 +6,7 @@ import math
 import struct
 
 from .errors import DomainError, _any, _count, _flag, _float_range, _per_element, _Record
-from .errors import _scalar, in_range
+from .errors import _scalar, _square, in_range
 
 # Default error-correction cycle time: 0.1 ms per code qubit.
 T_QEC_PER_QUBIT = 1e-4  # s
@@ -147,8 +147,8 @@ def measurement_crosstalk(
     if _any(spacing <= wavelength / 2):
         raise DomainError("qubit spacing must exceed lambda/2 for the far-field estimate")
     with _float_range("lambda^2 or d^2"):
-        sigma = (3.0 / (2.0 * math.pi)) * _per_element(pow, wavelength, 2)
-        eta_abs = sigma / (4.0 * math.pi * _per_element(pow, spacing, 2))
+        sigma = (3.0 / (2.0 * math.pi)) * _square(wavelength)
+        eta_abs = sigma / (4.0 * math.pi * _square(spacing))
     eta_det = in_range("eta_det", efficiency * detection_solid_angle_fraction(numerical_aperture))
     return CrosstalkEstimate(
         cross_section=sigma,
@@ -165,7 +165,7 @@ def detection_solid_angle_fraction(numerical_aperture: float) -> float:
     An NA whose fraction underflows to 0 raises DomainError naming the fraction.
     """
     numerical_aperture = in_range("numerical_aperture", numerical_aperture, 0.0, 1.0, "(]")
-    na2 = _per_element(pow, numerical_aperture, 2)  # 0 below NA ~ 4.4e-162
+    na2 = _square(numerical_aperture)  # 0 below NA ~ 4.4e-162
     fraction = na2 / (2.0 * (1.0 + _per_element(math.sqrt, 1.0 - na2)))
     return in_range("solid-angle fraction", fraction)
 

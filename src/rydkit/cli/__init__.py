@@ -95,9 +95,7 @@ def _parser(word: str) -> _Parser:
         hint = f" Did you mean {close[0]!r}?" if close else ""
         parser.error(f"No such command {word!r}.{hint}")
     for name in [word] if word in _COMMANDS else _COMMANDS:
-        module = f"{__name__}.{name.replace('-', '_')}"
-        __import__(module)  # not importlib.import_module, whose loads -X importtime omits
-        sys.modules[module].command(commands)
+        rydkit._load(f"cli.{name.replace('-', '_')}").command(commands)
     return parser
 
 

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import rydkit
 
-from ..errors import _FMT
 from . import _emit, _group, _leaf
 
 
@@ -31,7 +30,7 @@ def curve(r_min_um, r_max_um, points, out, **point) -> None:
         for kind in ("full", "vdw", "single_term")
     ]
     lines = ["separation_um,v_full,v_vdw,v_single_term"]
-    lines += [",".join([_FMT] * 4) % row for row in zip(*columns)]
+    lines += [",".join([rydkit.grid._FMT] * 4) % row for row in zip(*columns)]
     _emit("\n".join(lines) + "\n", out)
 
 

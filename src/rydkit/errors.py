@@ -1,7 +1,7 @@
 """Exception and warning types shared across the package, the frozen record base
 of its value types, the input checks, the validity flag of a call outside its
-model's regime, the float-range context, the per-element float math of array
-results, and the text format of floats in CSV output.
+model's regime, the float-range context, and the per-element float math of array
+results.
 
 The module does not import numpy. An ndarray can exist only once numpy is
 loaded, so each helper looks numpy up in ``sys.modules`` when it is called and
@@ -17,8 +17,6 @@ import operator
 import sys
 import warnings
 from collections.abc import Mapping
-
-_FMT = "%.17g"  # decimal text with 17 significant digits: exact for doubles
 
 
 class DomainError(ValueError):
@@ -241,3 +239,13 @@ def _per_element(fn, x, *args):
         values = map(fn, memoryview(x.ravel()), *map(itertools.repeat, args))
         return sys.modules["numpy"].fromiter(values, float, x.size).reshape(x.shape)
     return fn(x, *args)
+
+
+def _square(x):
+    """``x * x``: correctly rounded, as the C library's ``pow(x, 2)`` need not be, so a float
+    and each element of an ndarray get the same bits. A square that overflows raises
+    ``OverflowError``, as ``pow`` does, so a ``_float_range`` body names its expression."""
+    square = x * x
+    if _any(square == math.inf):
+        raise OverflowError("square out of float range")
+    return square

@@ -13,7 +13,7 @@ import sys
 
 from .constants import ATOMIC_TIME, K_B
 from .errors import DomainError, _choice, _flag, _float_range, _nonzero, _per_element
-from .errors import _Record, _scalar, in_range
+from .errors import _Record, _scalar, _square, in_range
 from .units import TWO_PI, Frequency
 
 _SEVEN_PI = 7.0 * math.pi
@@ -178,7 +178,7 @@ def doppler_infidelity(k: float, temperature: float, time: float, mass: float) -
     time = in_range("time", time, bounds="[)")
     mass = in_range("mass", mass)
     with _float_range("k^2 or t^2"):
-        k2_t_t2 = _per_element(pow, k, 2) * K_B * temperature * _per_element(pow, time, 2)
+        k2_t_t2 = _square(k) * K_B * temperature * _square(time)
         infidelity = -_per_element(math.expm1, -k2_t_t2 / (2.0 * mass)) / 2.0
     return in_range("Doppler infidelity", infidelity, 0.0, 0.5, "[]")
 
@@ -195,7 +195,7 @@ def excitation_error(rabi: Frequency | float, detuning: Frequency | float) -> fl
     g2 = in_range("Omega^2 + Delta^2", w * w + d * d)
     g = _per_element(math.sqrt, g2)
     phi = in_range("pulse area", math.pi / 2.0 * (d / (g + w)) * (d / w), -math.inf)
-    return (d * d + w * w * _per_element(pow, _per_element(math.sin, phi), 2)) / g2
+    return (d * d + w * w * _square(_per_element(math.sin, phi))) / g2
 
 
 def detuning_budget(rabi: Frequency | float, epsilon: float) -> Frequency:

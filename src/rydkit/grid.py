@@ -9,8 +9,10 @@ import numpy as np
 
 import rydkit  # the models, through the lazy namespace: axis and ScanGrid load none
 
-from .errors import _FMT, DomainError, _choice, _count, _float_range, _per_element, _Record
+from .errors import DomainError, _choice, _count, _float_range, _per_element, _Record
 from .errors import in_range
+
+_FMT = "%.17g"  # decimal text with 17 significant digits: exact for doubles
 
 
 def _float_array(values, what: str) -> np.ndarray:

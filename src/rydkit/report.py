@@ -13,7 +13,6 @@ Carlo draws every block into one buffer.
 
 from __future__ import annotations
 
-import json
 import math
 import threading
 import warnings
@@ -58,9 +57,6 @@ class ReproductionReport(_Record):
 
     def to_dict(self) -> dict:
         return {"passed": self.passed, "entries": [e._asdict() for e in self.entries]}
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True, allow_nan=False) + "\n"
 
     def format_lines(self) -> list[str]:
         lines = []

@@ -232,8 +232,8 @@ def test_criterion_14_reproduction_report():
     report = rydkit.reproduce(trials=20000)
     failures = [e.label for e in report.entries if not e.passed]
     assert report.passed, f"failing entries: {failures}"
-    # deterministic: identical bytes on a second run
-    assert report.to_json() == rydkit.reproduce(trials=20000).to_json()
+    # deterministic: identical values on a second run
+    assert report.to_dict() == rydkit.reproduce(trials=20000).to_dict()
     # sensitivity: a 10% shift of tau0 pushes a floor entry out of its band
     perturbed = rydkit.reproduce(tau0_s=3.3e-9 * 1.1, trials=20000)
     assert not perturbed.passed

@@ -443,6 +443,47 @@ def test_excitation_error_is_the_ground_population_after_a_pi_pulse():
     np.testing.assert_allclose(got, abs(u00) ** 2, rtol=1e-12, atol=0.0)
 
 
+def test_blockade_error_budget_is_the_pi_2pi_pi_sequence():
+    # The blockade gate: a pi pulse on the control atom, 2 pi on the target, pi on the
+    # control, each driving |1> <-> |r> at Rabi frequency Omega, with |rr> shifted by B;
+    # the basis is |a b>, control a and target b in (0, 1, r), at index 3 a + b. Each pulse
+    # is propagated exactly as V exp(-i E t) V^T from H = V diag(E) V^T, and an occupation
+    # sum_jk M_jk c_j conj(c_k) exp(-i (E_j - E_k) t), with M = V^T diag(n) V and c = V^T psi,
+    # is integrated over the pulse in closed form: int_0^T exp(-i w t) dt = T exp(-i w T/2)
+    # sinc(w T/2). At B/Omega = 1000 the two terms of blockade_error_budget hold to 1.5e-6:
+    # - spontaneous emission, 7 pi/(4 Omega tau): the Rydberg atoms of the sequence,
+    #   integrated over time and averaged over the inputs 00, 01, 10 and 11, per tau;
+    # - blockade leakage, Omega^2/(8 B^2): P_rr averaged over the target pulse and the
+    #   inputs. It is a time average: the 2 pi pulse returns nearly all of P_rr at its end.
+    w, tau = TWO_PI * 1e6, 320e-6
+    b = 1000.0 * w
+    level = np.arange(9)
+    control, target = level // 3 == 2, level % 3 == 2
+    rydberg_atoms, p_rr = control + target * 1.0, (control & target) * 1.0
+    drive = np.zeros((3, 3))
+    drive[1, 2] = drive[2, 1] = w / 2.0
+    shift = np.diag(b * p_rr)
+    on_control = np.kron(drive, np.eye(3)) + shift
+    pulses = [(on_control, math.pi / w), (np.kron(np.eye(3), drive) + shift, 2 * math.pi / w),
+              (on_control, math.pi / w)]
+    atoms_times_time, leakage = [], []
+    for start in (0, 1, 3, 4):  # |00>, |01>, |10>, |11>
+        psi = np.eye(9, dtype=complex)[start]
+        integrals = []  # of the Rydberg atoms and of P_rr, per pulse
+        for h, t in pulses:
+            energy, v = np.linalg.eigh(h)
+            c = v.T @ psi
+            gap = energy[:, None] - energy[None, :]
+            weight = np.outer(c, c.conj()) * t * np.exp(-0.5j * gap * t) * np.sinc(gap * t / TWO_PI)
+            integrals.append([np.sum((v.T * n) @ v * weight).real for n in (rydberg_atoms, p_rr)])
+            psi = v @ (np.exp(-1j * energy * t) * c)
+        atoms_times_time.append(sum(atoms for atoms, _ in integrals))
+        leakage.append(integrals[1][1] / pulses[1][1])
+    budget = blockade_error_budget(b, tau, rabi=w)
+    assert np.mean(atoms_times_time) / tau / budget.spontaneous == pytest.approx(1.0, abs=1e-5)
+    assert np.mean(leakage) / budget.blockade_leakage == pytest.approx(1.0, abs=1e-5)
+
+
 def test_excitation_error_keeps_precision_at_small_detuning():
     # 1 - P = x^2 - 0.38 x^4 with x = Delta/Omega = 1e-10, where 1.0 - P rounds to 0.0
     w = 2e8
