@@ -161,11 +161,11 @@ def measurement_crosstalk(
 def detection_solid_angle_fraction(numerical_aperture: float) -> float:
     """Collected solid-angle fraction (1 - cos(theta))/2 with sin(theta) = NA.
 
-    Evaluated as NA^2 / (2 (1 + cos(theta))), which does not cancel at small NA.
+    Evaluated as NA^2 / (2 (1 + sqrt((1 - NA)(1 + NA)))), which cancels at no NA.
     An NA whose fraction underflows to 0 raises DomainError naming the fraction.
     """
-    numerical_aperture = in_range("numerical_aperture", numerical_aperture, 0.0, 1.0, "(]")
-    na2 = _square(numerical_aperture)  # 0 below NA ~ 4.4e-162
-    fraction = na2 / (2.0 * (1.0 + _per_element(math.sqrt, 1.0 - na2)))
+    na = in_range("numerical_aperture", numerical_aperture, 0.0, 1.0, "(]")
+    cos_theta = _per_element(math.sqrt, (1.0 - na) * (1.0 + na))
+    fraction = _square(na) / (2.0 * (1.0 + cos_theta))  # NA^2 is 0 below NA ~ 4.4e-162
     return in_range("solid-angle fraction", fraction)
 

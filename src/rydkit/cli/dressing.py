@@ -25,12 +25,12 @@ def curve(r_min_um, r_max_um, points, out, **point) -> None:
     params = rydkit.dressing._dressing_params(**point)
     r_um = rydkit.grid.axis("separation", "um", r_min_um, r_max_um, points).values
     r_m = np.array(r_um) * 1e-6
+    kinds = rydkit.dressing._POTENTIAL_KINDS
     columns = [r_um] + [
-        rydkit.dressing.normalized_potential(r_m, params, kind).tolist()
-        for kind in ("full", "vdw", "single_term")
+        rydkit.dressing.normalized_potential(r_m, params, kind).tolist() for kind in kinds
     ]
-    lines = ["separation_um,v_full,v_vdw,v_single_term"]
-    lines += [",".join([rydkit.grid._FMT] * 4) % row for row in zip(*columns)]
+    lines = [",".join(["separation_um"] + [f"v_{kind}" for kind in kinds])]
+    lines += [",".join([rydkit.grid._FMT] * len(columns)) % row for row in zip(*columns)]
     _emit("\n".join(lines) + "\n", out)
 
 

@@ -18,6 +18,8 @@ from .units import TWO_PI, Frequency
 _CBRT2 = 2.0 ** (1 / 3)
 _CBRT4 = 2.0 ** (2 / 3)
 _SQRT2 = math.sqrt(2.0)
+_D_KL = 12.0  # the angular factor of the Cs n = 100 dressing example, every D_kl default
+_POTENTIAL_KINDS = ("full", "vdw", "single_term")  # in `rydkit dressing curve`'s column order
 
 
 class PairInteraction(_Record):
@@ -32,7 +34,7 @@ class PairInteraction(_Record):
 
     __slots__ = ("defect", "angular_factor", "c3", "r_c")
 
-    def __init__(self, defect: Frequency, angular_factor: float = 12.0,
+    def __init__(self, defect: Frequency, angular_factor: float = _D_KL,
                  c3: float | None = None, r_c: float | None = None) -> None:
         # every field is a scalar, as every builder in the package passes: a pair channel
         # is one point, and the consistency check of c3 and r_c below is one bool
@@ -72,7 +74,7 @@ class DressingParams(_Record):
 
 def _dressing_params(
     rabi_mhz: float, detuning_mhz: float, defect_mhz: float,
-    rc_um: float | None = None, c3_ghz_um3: float | None = None, d_kl: float = 12.0,
+    rc_um: float | None = None, c3_ghz_um3: float | None = None, d_kl: float = _D_KL,
     tau_us: float = 320.0, spacing_um: float = 1.0,
 ) -> DressingParams:
     """DressingParams from lab units (per-2pi MHz, um); ``rabi_mhz`` may be an ndarray."""
@@ -135,7 +137,7 @@ def _pair_shift(r, defect, r_c, shift) -> Frequency:
 
 
 def crossover_radius(
-    c3: float, defect: Frequency | float, angular_factor: float = 12.0
+    c3: float, defect: Frequency | float, angular_factor: float = _D_KL
 ) -> float:
     """Crossover radius (4 D_kl C3^2 / (hbar delta)^2)^(1/6) in meters.
 
@@ -150,7 +152,7 @@ def crossover_radius(
     return in_range("r_c", _per_element(pow, 4.0 * angular_factor, 1 / 6) * c3_over_d * 1e-6)
 
 
-def implied_c3(r_c: float, defect: Frequency | float, angular_factor: float = 12.0) -> float:
+def implied_c3(r_c: float, defect: Frequency | float, angular_factor: float = _D_KL) -> float:
     """Invert :func:`crossover_radius`: the C3 (GHz um^3) behind a given R_c (m)."""
     r_c = in_range("r_c", r_c)
     angular_factor = in_range("angular factor D_kl", angular_factor)
@@ -220,8 +222,9 @@ def dressing_depth_perturbative(
     """Leading-order soft-core depth -Omega^4/(8 Delta^3) (signed)."""
     w = in_range("Rabi frequency", rabi, -math.inf)
     det = _nonzero("detuning", detuning)
-    with _float_range("Omega^4 / Delta^3"):
-        return Frequency(-_per_element(pow, w, 4) / (8.0 * _per_element(pow, det, 3)))
+    with _float_range("Omega^4 / Delta^3"):  # a quotient that overflows to inf is named here
+        depth = -_per_element(pow, w, 4) / (8.0 * _per_element(pow, det, 3))
+        return Frequency(in_range("Omega^4 / Delta^3", depth, -math.inf))
 
 
 def _scale(rabi, detuning, pair_shift):
@@ -364,7 +367,7 @@ def normalized_potential(r: float, params: DressingParams, kind: str = "full") -
     """
     r = in_range("separation R", r)
     det, defect, r_c = params.detuning.rad_per_s, params.pair.defect.rad_per_s, params.pair.r_c
-    _choice("potential kind", kind, ("full", "single_term", "vdw"))
+    _choice("potential kind", kind, _POTENTIAL_KINDS)
     if kind == "single_term":
         with _float_range("R^6 or xi^6"):
             xi6 = soft_core_scale(det, defect, r_c) ** 6

@@ -205,9 +205,7 @@ def _slope(params: dressing.DressingParams, kind: str) -> float:
 
 def _worked_example() -> dressing.DressingParams:
     # Cs n=100 dressing point, repulsive branch (matched negative signs)
-    pair = dressing.PairInteraction(
-        defect=Frequency.from_hz(-200e6), angular_factor=12.0, r_c=8.1e-6
-    )
+    pair = dressing.PairInteraction(defect=Frequency.from_hz(-200e6), r_c=8.1e-6)
     return dressing.DressingParams(
         rabi=Frequency.from_hz(20e6),
         detuning=Frequency.from_hz(-100e6),
@@ -217,7 +215,7 @@ def _worked_example() -> dressing.DressingParams:
     )
 
 
-def reproduce(tau0_s: float = 3.3e-9, trials: int = 100000) -> ReproductionReport:
+def reproduce(tau0_s: float = CESIUM.tau0, trials: int = 100000) -> ReproductionReport:
     """Recompute all reference checkpoints and return the comparison report."""
     trials = budget._trials(trials)  # checked here, before the worker starts
     entries: list[ReproEntry | None] = []

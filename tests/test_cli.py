@@ -2,6 +2,7 @@ import argparse
 import ast
 import contextlib
 import errno
+import inspect
 import io
 import json
 import os
@@ -279,10 +280,8 @@ class TestScanCommand:
         assert target.read_text().startswith("# quantity: lifetime")
 
     def test_quantity_choices_are_the_scan_registry(self):
-        from rydkit.cli.scan import _SCAN_QUANTITIES
         from rydkit.grid import SCAN_QUANTITIES
 
-        assert _SCAN_QUANTITIES == tuple(sorted(SCAN_QUANTITIES))
         (quantity,) = [a for a in dict(_walk(ROOT))[("scan",)]._actions if a.dest == "quantity"]
         assert list(quantity.choices) == sorted(SCAN_QUANTITIES)
 
@@ -497,6 +496,32 @@ def test_every_command_is_reachable_with_help(capsys):
         assert capsys.readouterr().out.startswith(" ".join(("usage: rydkit", *path)))
 
 
+def _default(path, dest):
+    """The default of the option ``dest`` of the command at ``path``."""
+    (action,) = [a for a in dict(_walk(ROOT))[path]._actions if a.dest == dest]
+    return action.default
+
+
+# The copies that stay literals, since --help and the lazily loading grid import no model
+# module: each, as its reader uses it, equals its home.
+@pytest.mark.parametrize("copy, home", [
+    pytest.param(lambda: _default(("gate-error", "floors"), "tau0_ns") * 1e-9,
+                 lambda: rydkit.species.CESIUM.tau0, id="gate-error floors --tau0-ns"),
+    pytest.param(lambda: rydkit.grid.SCAN_QUANTITIES["lifetime"].defaults["tau0_ns"] * 1e-9,
+                 lambda: rydkit.species.CESIUM.tau0, id="scan lifetime tau0_ns"),
+    *(pytest.param(lambda leaf=leaf: _default(("dressing", leaf), "d_kl"),
+                   lambda: rydkit.dressing._D_KL, id=f"dressing {leaf} --d-kl")
+      for leaf in ("curve", "fom")),
+    pytest.param(lambda: _default(("reproduce",), "trials"),
+                 lambda: inspect.signature(rydkit.report.reproduce).parameters["trials"].default,
+                 id="reproduce --trials"),
+    pytest.param(lambda: rydkit.cli.scan._SCAN_QUANTITIES,
+                 lambda: tuple(sorted(rydkit.grid.SCAN_QUANTITIES)), id="scan --quantity"),
+])
+def test_literal_copy_is_its_home(copy, home):
+    assert copy() == home()
+
+
 def _readme_json_examples():
     """The README's CLI examples that print JSON: no --out file, no grid."""
     readme = (Path(__file__).parents[1] / "README.md").read_text()
@@ -709,7 +734,7 @@ def test_unwritable_stderr_keeps_the_exit_code(argv, code, stdout, shell, unbuff
 
 
 def test_only_emit_writes_stdout():
-    """In rydkit.cli no code but ``_emit`` names stdout, and every print() goes to stderr."""
+    """In rydkit.cli no code but ``_emit`` names stdout."""
     written = 0
     for path in Path(rydkit.cli.__file__).parent.glob("*.py"):
         tree = ast.parse(path.read_text())
@@ -719,9 +744,6 @@ def test_only_emit_writes_stdout():
             if "stdout" in (getattr(node, "attr", None), getattr(node, "id", None)):
                 assert id(node) in emit, (path.name, node.lineno, ast.unparse(node))
                 written += 1
-            if isinstance(node, ast.Call) and ast.unparse(node.func) == "print":
-                assert any(kw.arg == "file" and ast.unparse(kw.value) == "sys.stderr"
-                           for kw in node.keywords), (path.name, node.lineno)
     assert written  # _emit itself does
 
 

@@ -272,6 +272,10 @@ def test_inputs_that_leaked_now_raise(call):
      "Delta^2 + Omega^2 must be finite and in [0, inf), got inf"),
     (lambda: dressing.pair_light_shift_blockaded(np.array([1.0, 2e306]), 1e6),
      "Delta^2 + 2 Omega^2 must be finite and in [0, inf), got inf at index (1,)"),
+    (lambda: dressing.dressing_depth_perturbative(1e70, 1e-90),
+     "Omega^4 / Delta^3 must be finite and in (-inf, inf), got -inf"),
+    (lambda: dressing.dressing_depth_perturbative(np.array([1.0, 1e70]), 1e-90),
+     "Omega^4 / Delta^3 must be finite and in (-inf, inf), got -inf at index (1,)"),
     (lambda: dressing.dipole_dipole_shift(1e-6, 1e300, 1e-3),
      "pair shift must be finite and in (-inf, inf), got -inf"),
     (lambda: dressing.dressed_ground_energy_exact(1e308, 1e308, 1e308),
