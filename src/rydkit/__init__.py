@@ -48,7 +48,7 @@ _EXPORTS = {
         "scaling_exponent",
         "vdw_shift",
     ),
-    "errors": ("BranchResidualWarning", "DomainError", "ModelValidityWarning"),
+    "errors": ("DomainError", "ModelValidityWarning"),
     "gate_error": (
         "GateErrorBudget",
         "asymptotic_blockade_floor",

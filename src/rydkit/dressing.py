@@ -11,12 +11,11 @@ from __future__ import annotations
 
 import math
 
-from .errors import BranchResidualWarning, DomainError, _any, _choice, _count, _flag
+from .errors import DomainError, _any, _choice, _count, _flag
 from .errors import _float_range, _nonzero, _per_element, _Record, _scalar, in_range
 from .units import TWO_PI, Frequency
 
 _CBRT2 = 2.0 ** (1 / 3)
-_CBRT4 = 2.0 ** (2 / 3)
 _SQRT2 = math.sqrt(2.0)
 _D_KL = 12.0  # the angular factor of the Cs n = 100 dressing example, every D_kl default
 _POTENTIAL_KINDS = ("full", "vdw", "single_term")  # in `rydkit dressing curve`'s column order
@@ -288,59 +287,39 @@ def dressed_ground_energy_closed_form(
 ) -> Frequency:
     """Dressed ground-branch pair energy from the cubic characteristic polynomial.
 
-    Evaluates the Cardano expression of the 3x3 eigenproblem with complex
-    cube roots. All three root branches are formed and the ground branch is
-    selected by the analytic eigenvector overlap with the doubly-ground
-    state, so the selection stays correct where the cube-root branch rotates
-    in the complex plane. The arguments broadcast as ndarrays. One
-    :class:`BranchResidualWarning` is issued if a returned root retains an
-    imaginary residue above 1e-9 relative.
+    The matrix is real symmetric, so its cubic has three real roots: Cardano's
+    roots in cosine form (O. K. Smith, Commun. ACM 4:168, 1961), with no
+    complex step. The ground branch is selected among them by the analytic
+    eigenvector overlap with the doubly-ground state. The arguments broadcast
+    as ndarrays.
     """
-    import numpy as np
-
     w_raw, det, dd_raw = _dressed_arguments(rabi, detuning, pair_shift)
     scale = _scale(w_raw, det, dd_raw)
     with _float_range("dressed energy"):
-        value, resid = _cardano_ground_branch(w_raw / scale, det / scale, dd_raw / scale)
-        bad = resid > 1e-9 * np.maximum(abs(value), 1e-300)
-        _flag(value, bad, lambda _: _residual_message(value, resid, bad),
-              category=BranchResidualWarning)
+        value = _cardano_ground_branch(w_raw / scale, det / scale, dd_raw / scale)
         return Frequency(value * scale)
 
 
-def _residual_message(value, resid, bad) -> str:
-    """The residue and the value at the first flagged point, and how many points are flagged."""
-    import numpy as np
-
-    i = np.unravel_index(np.argmax(bad), bad.shape)
-    return (f"cubic root kept imaginary residue {resid[i]:.3g} vs value {value[i]:.3g}"
-            f" at {np.count_nonzero(bad)} of {bad.size} points")
-
-
 def _cardano_ground_branch(omega, delta, dd):
-    """Scaled ground-branch eigenvalue and the imaginary residue it kept."""
+    """Scaled ground-branch eigenvalue, from the roots
+    -Delta + D/3 + (2/3) sqrt(b) cos((phi + 2 pi k)/3), k = 0, 1, 2."""
     import numpy as np
 
     omega2 = omega * omega
     a = dd * (18.0 * delta * delta - 18.0 * delta * dd + 4.0 * dd * dd - 9.0 * omega2)
     b = 3.0 * delta * delta - 3.0 * delta * dd + dd * dd + 3.0 * omega2
-    c = delta * delta - delta * dd + dd * dd / 3.0 + omega2
-    # b * b * b, not b**3: numpy rounds a power differently for scalars and arrays
-    disc = np.sqrt(a * a - 16.0 * b * b * b + 0j)
-    # pick the additive sqrt branch that keeps |f^3| away from cancellation:
-    # |a + disc| >= |a - disc| exactly when a Re(disc) >= 0
-    f_cubed = np.where(a * disc.real >= 0.0, a + disc, a - disc)
-    # the three cube-root branches along a trailing axis
-    f = (f_cubed ** (1 / 3))[..., None] * np.exp(2j * np.pi * np.arange(3) / 3.0)
-    w, delta, dd, c = (x[..., None] for x in (omega / _SQRT2, delta, dd, c))
-    lam = -delta + dd / 3.0 + _CBRT4 * c / f + _CBRT2 * f / 6.0
-    ratio2 = lam.real / w
-    den = lam.real + 2.0 * delta - dd
+    # b * b * b, not b**3: numpy rounds a power differently for scalars and arrays;
+    # 16 b^3 >= a^2 holds up to rounding, as the roots are real
+    phi = np.arctan2(np.sqrt(np.maximum(16.0 * b * b * b - a * a, 0.0)), a)
+    # the three roots along a trailing axis
+    w, delta, dd, root_b, phi = (x[..., None] for x in (omega / _SQRT2, delta, dd, np.sqrt(b), phi))
+    lam = -delta + dd / 3.0 + 2.0 / 3.0 * root_b * np.cos((phi + 2.0 * np.pi * np.arange(3)) / 3.0)
+    ratio2 = lam / w
+    den = lam + 2.0 * delta - dd
     ratio3 = ratio2 * w / den
     overlap = np.where(den == 0.0, 0.0, 1.0 / np.sqrt(1.0 + ratio2 * ratio2 + ratio3 * ratio3))
-    ground = np.take_along_axis(lam, overlap.argmax(-1, keepdims=True), -1).reshape(f_cubed.shape)
-    ground = np.where((omega == 0.0) | (f_cubed == 0.0), 0j, ground)
-    return ground.real, abs(ground.imag)
+    ground = np.take_along_axis(lam, overlap.argmax(-1, keepdims=True), -1).reshape(omega.shape)
+    return np.where(omega == 0.0, 0.0, ground)
 
 
 def soft_core_scale(

@@ -27,10 +27,6 @@ class ModelValidityWarning(UserWarning):
     """A formula was evaluated outside the regime where it is a good model."""
 
 
-class BranchResidualWarning(RuntimeWarning):
-    """A closed-form cubic root kept a non-negligible imaginary residue."""
-
-
 class _Record:
     """A frozen value type. Its fields are its ``__slots__``, in order, and its
     ``__init__`` checks them and sets them once, with ``_store``. Records of one
@@ -165,11 +161,11 @@ def _any(mask) -> bool:
     return bool(mask.any()) if _is_array(mask) else bool(mask)
 
 
-def _flag(value, bad, message, worst=max, category=ModelValidityWarning):
+def _flag(value, bad, message, worst=max):
     """Return ``value``, with one warning if ``bad`` (a bool or an ndarray of bools) holds.
 
-    This is how a model says that a call left its regime. The text is
-    ``message(v)``, built only when the flag fires, for ``v`` the scalar
+    This is how a model says that a call left its regime: a ModelValidityWarning
+    with the text ``message(v)``, built only when the flag fires, for ``v`` the scalar
     ``value`` or the ``worst`` of its elements, read one at a time through a
     ``memoryview`` (a flagged array is native float64). The warning names the first
     line outside the module that called this helper: the caller of the public
@@ -182,7 +178,7 @@ def _flag(value, bad, message, worst=max, category=ModelValidityWarning):
     while frame.f_back is not None and frame.f_globals is module:
         frame, level = frame.f_back, level + 1
     quoted = worst(memoryview(value.ravel())) if _is_array(value) else value
-    warnings.warn(message(quoted), category, stacklevel=level)
+    warnings.warn(message(quoted), ModelValidityWarning, stacklevel=level)
     return value
 
 

@@ -170,10 +170,7 @@ def test_module_level_model_functions_are_covered():
     } <= set(FUNCTIONS)
 
 
-@pytest.mark.filterwarnings(
-    "ignore::rydkit.errors.ModelValidityWarning",
-    "ignore::rydkit.errors.BranchResidualWarning",
-)
+@pytest.mark.filterwarnings("ignore::rydkit.errors.ModelValidityWarning")
 @pytest.mark.parametrize("name", FUNCTIONS)
 @settings(deadline=None)
 @given(data=st.data())
@@ -590,10 +587,7 @@ def test_every_function_with_a_float_argument_has_an_array_baseline():
     assert with_float == set(ARRAY_BASELINES)
 
 
-@pytest.mark.filterwarnings(
-    "ignore::rydkit.errors.ModelValidityWarning",
-    "ignore::rydkit.errors.BranchResidualWarning",
-)
+@pytest.mark.filterwarnings("ignore::rydkit.errors.ModelValidityWarning")
 @pytest.mark.parametrize("name, arg", [
     (name, arg) for name in ARRAY_BASELINES for arg in _float_arguments(PUBLIC[name])
 ])

@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from rydkit import (
-    BranchResidualWarning,
     DomainError,
     DressingParams,
     Frequency,
@@ -26,6 +25,7 @@ from rydkit import (
 )
 from rydkit.dressing import (
     _closed_form_fom,
+    _scale,
     dressed_decoherence_time,
     f_prime,
     f_prime_defect,
@@ -281,8 +281,7 @@ class TestDressedEnergy:
     # energy is 2^k times itself, bit for bit. The points are drawn as the reproduce
     # oracle draws them, with |Delta| from 1e3 rad/s: even at 2^-7 of the smallest
     # draw the matrix scale stays clear of its 1 rad/s floor, where homogeneity would
-    # hold only to rounding. With Omega/|Delta| in [0.01, 2] the closed form issues no
-    # BranchResidualWarning.
+    # hold only to rounding.
     @pytest.mark.parametrize("k", [-7, -3, 1, 3, 20])
     @pytest.mark.parametrize("solver", [dressed_ground_energy_exact,
                                         dressed_ground_energy_closed_form],
@@ -526,6 +525,17 @@ def _pointwise(fn, *arrays):
     return np.array([fn(*point) for point in zip(*(a.tolist() for a in arrays))])
 
 
+def _assert_within_eight_ulps_of_the_scale(rabi, det, shift):
+    """The closed form warns of nothing and is within 8 ulps of the matrix scale of the
+    eigensolver: where the energies sit at that scale's rounding, a relative error
+    means nothing."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        closed = dressed_ground_energy_closed_form(rabi, det, shift).rad_per_s
+    exact = dressed_ground_energy_exact(rabi, det, shift).rad_per_s
+    assert np.all(abs(closed - exact) <= 8 * np.spacing(_scale(rabi, det, shift)))
+
+
 class TestArrayPath:
     def test_stacked_exact_equals_scalar_calls_bit_for_bit(self):
         rabi, det, shift = _oracle_sample(11, 10000)
@@ -569,16 +579,19 @@ class TestArrayPath:
             assert got[:2].tolist() == [0.0, 0.0] and got[2] != 0.0
 
     def test_near_degenerate_shift_stays_finite(self):
-        # at D = 2 Delta the pair state is degenerate with |gg>: the cubic keeps a
-        # residue there, reported by one warning per call
+        # near D = 2 Delta the pair state is degenerate with |gg> and two roots nearly meet
         d = TWO_PI * 1e8
         det = np.array([d, -d, d, -d])
         shift = 2.0 * det * np.array([1 + 1e-12, 1 - 1e-12, 1 + 1e-9, 1 - 1e-6])
-        assert np.all(np.isfinite(dressed_ground_energy_exact(0.2 * d, det, shift).rad_per_s))
-        with pytest.warns(BranchResidualWarning) as record:
-            closed = dressed_ground_energy_closed_form(0.2 * d, det, shift).rad_per_s
-        assert len(record) == 1
-        assert np.all(np.isfinite(closed))
+        _assert_within_eight_ulps_of_the_scale(0.2 * d, det, shift)
+
+    def test_vanishing_rabi_frequency_stays_within_the_scale_rounding(self):
+        # as Omega -> 0 the roots tend to the diagonal 0, -Delta and -2 Delta + D
+        d = TWO_PI * 1e8
+        det = np.array([d, -d, d, -d])
+        rabi = np.array([1e-3, 1e-6, 1e-9, 1e-12]) * d
+        shift = np.array([3.0, -1.7, -0.5, 0.0]) * det
+        _assert_within_eight_ulps_of_the_scale(rabi, det, shift)
 
     def test_very_large_pair_shift_reaches_blockaded_limit(self):
         d = TWO_PI * 1e8
@@ -588,10 +601,8 @@ class TestArrayPath:
         shift = 1e6 * det
         exact = dressed_ground_energy_exact(rabi, det, shift).rad_per_s
         assert exact == pytest.approx(blockaded, rel=1e-5)
-        # the closed form loses accuracy out here (and may warn), but stays finite
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", BranchResidualWarning)
-            closed = dressed_ground_energy_closed_form(rabi, det, shift).rad_per_s
+        # the closed form loses accuracy out here, but stays finite
+        closed = dressed_ground_energy_closed_form(rabi, det, shift).rad_per_s
         assert np.all(np.isfinite(closed))
 
     def test_mixed_sign_detunings(self):

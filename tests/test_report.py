@@ -2,6 +2,9 @@ import collections
 import inspect
 import json
 import math
+import os
+import subprocess
+import sys
 import threading
 import time
 import tracemalloc
@@ -67,6 +70,33 @@ def test_reproduce_json_matches_golden_file():
     before = threading.active_count()
     assert rydkit.reproduce().to_dict() == json.loads(golden.read_text())
     assert threading.active_count() == before  # the oracle thread is joined
+
+
+def _oracle_row(payload: dict) -> float:
+    """The computed value of the closed-form vs eigensolver row of a reproduce report."""
+    label = "dressed energy: closed form vs eigensolver"
+    return next(e["computed"] for e in payload["entries"] if e["label"].startswith(label))
+
+
+def test_oracle_row_keeps_its_bits_without_numpy_cpu_dispatch():
+    """The closed form takes only real arithmetic, a square root, arctan2 and cos, so the
+    oracle row keeps its bits when numpy runs none of its CPU-dispatched loops: a fresh
+    interpreter runs reproduce() with NPY_DISABLE_CPU_FEATURES naming each of them that
+    this CPU has (numpy refuses to name one it lacks). Individual closed-form values still
+    move without AVX-512; the row, their worst deviation from the eigensolver, does not.
+    """
+    try:
+        from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+    except ImportError:  # numpy < 2; numpy.core warns under numpy 2
+        from numpy.core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+    disabled = " ".join(f for f in __cpu_dispatch__ if __cpu_features__.get(f))
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).parents[1] / "src"),
+           "NPY_DISABLE_CPU_FEATURES": disabled}
+    code = "import json, rydkit; print(json.dumps(rydkit.reproduce().to_dict()))"
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert _oracle_row(json.loads(proc.stdout)) == _oracle_row(rydkit.reproduce().to_dict())
 
 
 def test_reproduce_rejects_too_few_trials_on_the_callers_thread(monkeypatch):
