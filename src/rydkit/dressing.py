@@ -262,7 +262,7 @@ def _ground_branch(rabi, detuning, pair_shift):
     component; its index picks the eigenvalue and the overlap out of the
     solver's output. At Omega = 0 the matrix is diagonal: the solver returns
     the bare state's eigenvalue 0 and its unit eigenvector exactly. Overflows
-    are left to the callers' range checks.
+    are left to the callers' range checks; so is a coupling lost to one, as NaN.
     """
     import numpy as np
 
@@ -270,14 +270,15 @@ def _ground_branch(rabi, detuning, pair_shift):
     shape = scale.shape
     h = np.zeros(shape + (9,))
     with _float_range("dressed energy"):
-        h[..., 1::2] = (rabi / (_SQRT2 * scale))[..., None]
+        coupling = _SQRT2 * scale  # inf beyond a scale of ~1.27e308: rabi / inf is 0
+        h[..., 1::2] = (rabi / coupling)[..., None]
         h[..., 4] = -detuning / scale
         h[..., 8] = (-2.0 * detuning + pair_shift) / scale
         vals, vecs = np.linalg.eigh(h.reshape(shape + (3, 3)))
         first = abs(vecs[..., 0, :])
         ground = first.argmax(-1, keepdims=True)  # the branch, an index on the last axis
         value, overlap = (np.take_along_axis(x, ground, -1).reshape(shape) for x in (vals, first))
-        return value * scale, overlap
+        return np.where((coupling == np.inf) & (rabi != 0.0), np.nan, value) * scale, overlap
 
 
 def dressed_ground_energy_closed_form(
@@ -289,9 +290,8 @@ def dressed_ground_energy_closed_form(
 
     The matrix is real symmetric, so its cubic has three real roots: Cardano's
     roots in cosine form (O. K. Smith, Commun. ACM 4:168, 1961), with no
-    complex step. The ground branch is selected among them by the analytic
-    eigenvector overlap with the doubly-ground state. The arguments broadcast
-    as ndarrays.
+    complex step; the ground branch is the one of largest |gg> weight q/p', the
+    lower on a tie, as for the eigensolver. The arguments broadcast as ndarrays.
     """
     w_raw, det, dd_raw = _dressed_arguments(rabi, detuning, pair_shift)
     scale = _scale(w_raw, det, dd_raw)
@@ -301,8 +301,9 @@ def dressed_ground_energy_closed_form(
 
 
 def _cardano_ground_branch(omega, delta, dd):
-    """Scaled ground-branch eigenvalue, from the roots
-    -Delta + D/3 + (2/3) sqrt(b) cos((phi + 2 pi k)/3), k = 0, 1, 2."""
+    """Scaled ground-branch eigenvalue: of the roots -Delta + D/3 + (2/3) sqrt(b)
+    cos((phi + 2 pi k)/3), the first of largest |gg> weight q/p' (the eigenvector-eigenvalue
+    identity), with q = det(lam - H) of the {|gr>, |rr>} block and p of the whole H."""
     import numpy as np
 
     omega2 = omega * omega
@@ -311,14 +312,13 @@ def _cardano_ground_branch(omega, delta, dd):
     # b * b * b, not b**3: numpy rounds a power differently for scalars and arrays;
     # 16 b^3 >= a^2 holds up to rounding, as the roots are real
     phi = np.arctan2(np.sqrt(np.maximum(16.0 * b * b * b - a * a, 0.0)), a)
-    # the three roots along a trailing axis
-    w, delta, dd, root_b, phi = (x[..., None] for x in (omega / _SQRT2, delta, dd, np.sqrt(b), phi))
-    lam = -delta + dd / 3.0 + 2.0 / 3.0 * root_b * np.cos((phi + 2.0 * np.pi * np.arange(3)) / 3.0)
-    ratio2 = lam / w
-    den = lam + 2.0 * delta - dd
-    ratio3 = ratio2 * w / den
-    overlap = np.where(den == 0.0, 0.0, 1.0 / np.sqrt(1.0 + ratio2 * ratio2 + ratio3 * ratio3))
-    ground = np.take_along_axis(lam, overlap.argmax(-1, keepdims=True), -1).reshape(omega.shape)
+    k = np.arange(1, 4) % 3  # the three roots along a trailing axis, lowest first
+    w2, delta, dd, root_b, phi = (x[..., None] for x in (0.5 * omega2, delta, dd, np.sqrt(b), phi))
+    lam = -delta + dd / 3.0 + 2.0 / 3.0 * root_b * np.cos((phi + 2.0 * np.pi * k) / 3.0)
+    q = (lam + delta) * (lam + 2.0 * delta - dd) - w2  # p = lam q - W^2 (lam + 2 Delta - D)
+    # 0/0 on a double root that W^2 underflows: 1/2, so it wins where the third root weighs less
+    weight = np.nan_to_num(q / (q + lam * (2.0 * lam + 3.0 * delta - dd) - w2), nan=0.5)
+    ground = np.take_along_axis(lam, weight.argmax(-1, keepdims=True), -1).reshape(omega.shape)
     return np.where(omega == 0.0, 0.0, ground)
 
 

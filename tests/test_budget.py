@@ -19,6 +19,8 @@ from rydkit import (
 )
 from rydkit.budget import _draw_limit, default_t_qec, detection_solid_angle_fraction
 
+from domains import log_uniform_array
+
 
 class TestRequiredVacuumLifetime:
     def test_reference_checkpoint(self):
@@ -281,15 +283,12 @@ def test_loss_budget_validation():
         required_reload_rate(1, 1.0, 1.5)
 
 
-def _log_uniform(rng, lo, hi, size):
-    return 10 ** rng.uniform(math.log10(lo), math.log10(hi), size)
-
-
 class TestArrayPath:
     def test_arrays_equal_scalar_calls_bit_for_bit(self):
         rng = np.random.default_rng(21)
         n, t, eps = (
-            _log_uniform(rng, lo, hi, 10000) for lo, hi in ((1.0, 1e4), (1e-6, 1.0), (1e-8, 1.0))
+            log_uniform_array(rng, lo, hi, 10000)
+            for lo, hi in ((1.0, 1e4), (1e-6, 1.0), (1e-8, 1.0))
         )
         assert np.array_equal(default_t_qec(n), [default_t_qec(v) for v in n.tolist()])
         got = required_vacuum_lifetime(n, t, eps)

@@ -277,6 +277,11 @@ def test_inputs_that_leaked_now_raise(call):
      "pair shift must be finite and in (-inf, inf), got -inf"),
     (lambda: dressing.dressed_ground_energy_exact(1e308, 1e308, 1e308),
      "dressed energy must be finite and in (-inf, inf), got nan"),
+    # sqrt(2) times the scale is inf: the coupling Omega / inf would be 0
+    (lambda: dressing.dressed_ground_energy_exact(1.7e308, 1e307, 0.0),
+     "dressed energy must be finite and in (-inf, inf), got nan"),
+    (lambda: dressing.dressed_ground_energy_exact(1e8, 1e9, 1.5e308),
+     "dressed energy must be finite and in (-inf, inf), got nan"),
     (lambda: gate_error.optimal_rabi(1e308, 5e-324),
      "optimal Rabi frequency must be finite and in (-inf, inf), got inf"),
     (lambda: gate_error.optimal_interaction_strength(5e-324, 1e308),

@@ -20,6 +20,8 @@ from rydkit.constants import (
     MU_B,
 )
 
+from domains import log_uniform_array
+
 
 class TestConstants:
     def test_atomic_time_identity(self):
@@ -121,17 +123,13 @@ class TestMagneticTrapField:
             magnetic_trap_field(*args)
 
 
-def _log_uniform(rng, lo, hi, size):
-    return 10 ** rng.uniform(np.log10(lo), np.log10(hi), size)
-
-
 class TestArrayPath:
     def test_arrays_equal_scalar_calls_bit_for_bit(self):
         rng = np.random.default_rng(41)
-        n = _log_uniform(rng, 10.0, 1e3, 10000)
-        temp = _log_uniform(rng, 1e-3, 1e4, 10000)
+        n = log_uniform_array(rng, 10.0, 1e3, 10000)
+        temp = log_uniform_array(rng, 1e-3, 1e4, 10000)
         temp[::100] = 0.0
-        tau0 = _log_uniform(rng, 1e-10, 1e-6, 10000)
+        tau0 = log_uniform_array(rng, 1e-10, 1e-6, 10000)
         points = list(zip(n.tolist(), temp.tolist(), tau0.tolist()))
         rate = blackbody_depopulation_rate(n, temp)
         assert np.array_equal(rate, [blackbody_depopulation_rate(v, t) for v, t, _ in points])

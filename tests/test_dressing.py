@@ -1,8 +1,11 @@
 import math
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import example, given, reject, settings
+from hypothesis import strategies as st
 
 from rydkit import (
     DomainError,
@@ -35,6 +38,8 @@ from rydkit.dressing import (
     soft_core_scale,
 )
 from rydkit.units import TWO_PI
+
+from domains import log_uniform, log_uniform_array
 
 RC = 8.1e-6
 DEFECT = Frequency.from_hz(-200e6)
@@ -277,6 +282,32 @@ class TestDressedEnergy:
             pert = dressing_depth_perturbative(w, det).rad_per_s
             assert abs(exact - pert) / abs(exact) < 2 * ratio**2
 
+    # Wherever both solvers return, they agree within 1e-11 of the matrix scale, except
+    # within 1e-4 of D = 2 Delta at Omega/|Delta| < 1e-2, the window skipped here: there
+    # 16 b^3 - a^2 cancels and the closed form errs by up to the gap Omega^2/|Delta| (see
+    # test_resolves_the_roots_at_the_pair_resonance). Outside it, the worst of 350,000
+    # draws crowded around it was 7.3e-13. A wrong branch is off by that gap, at least
+    # 1e-9 of the scale here. |Delta| reaches 2e307, where sqrt(2) times the scale can
+    # leave the float range.
+    @settings(deadline=None)
+    @given(log_uniform(1e3, 2e307), st.sampled_from((-1.0, 1.0)), log_uniform(1e-4, 10.0),
+           st.floats(-10.0, 10.0))
+    @example(TWO_PI * 1e8, 1.0, 0.5, 2.0)
+    @example(1e307, 1.0, 17.0, 0.0)
+    def test_closed_form_agrees_with_the_eigensolver_wherever_both_return(
+        self, magnitude, sign, ratio, shift_ratio
+    ):
+        if abs(shift_ratio - 2.0) < 1e-4 and ratio < 1e-2:
+            reject()
+        det = sign * magnitude
+        rabi, shift = ratio * magnitude, shift_ratio * det
+        try:
+            closed = dressed_ground_energy_closed_form(rabi, det, shift).rad_per_s
+            exact = dressed_ground_energy_exact(rabi, det, shift).rad_per_s
+        except DomainError:
+            reject()
+        assert abs(closed - exact) <= 1e-11 * _scale(rabi, det, shift)
+
     # The energies are homogeneous of degree 1 in (Omega, Delta, D): scaled by 2^k, an
     # energy is 2^k times itself, bit for bit. The points are drawn as the reproduce
     # oracle draws them, with |Delta| from 1e3 rad/s: even at 2^-7 of the smallest
@@ -409,7 +440,7 @@ class TestFiguresOfMerit:
         }
         rng = np.random.default_rng(61)
         for dim, expected in reference.items():
-            for rabi, *rest in _log_uniform(rng, 1e-5, 1e12, (2000, 6)).tolist():
+            for rabi, *rest in log_uniform_array(rng, 1e-5, 1e12, (2000, 6)).tolist():
                 assert _closed_form_fom(dim, rabi, *rest) == expected(rabi * rabi, *rest)
 
     def test_closed_form_vs_composed_route(self):
@@ -525,6 +556,17 @@ def _pointwise(fn, *arrays):
     return np.array([fn(*point) for point in zip(*(a.tolist() for a in arrays))])
 
 
+def _ground_energy_to_60_digits(rabi, det, shift):
+    """The dressed ground-branch energy from a 60-digit mpmath eigensolve: the eigenvalue
+    of largest |gg> weight, the lower on a tie."""
+    with mpmath.workdps(60):
+        w = mpmath.mpf(rabi) / mpmath.sqrt(2)
+        h = mpmath.matrix([[0, w, 0], [w, -det, w], [0, w, -2 * mpmath.mpf(det) + shift]])
+        energies, vectors = mpmath.eigsy(h)
+        ground = max(range(3), key=lambda i: (abs(vectors[0, i]), -energies[i]))
+        return float(energies[ground])
+
+
 def _assert_within_eight_ulps_of_the_scale(rabi, det, shift):
     """The closed form warns of nothing and is within 8 ulps of the matrix scale of the
     eigensolver: where the energies sit at that scale's rounding, a relative error
@@ -585,6 +627,44 @@ class TestArrayPath:
         shift = 2.0 * det * np.array([1 + 1e-12, 1 - 1e-12, 1 + 1e-9, 1 - 1e-6])
         _assert_within_eight_ulps_of_the_scale(0.2 * d, det, shift)
 
+    def test_resonant_and_huge_shifts_keep_the_eigensolver_branch(self):
+        # the weight q/p' of a root needs no eigenvector, which, built from two rows of H,
+        # is 0/0 at D = 2 Delta, where W^2 underflows and where D dwarfs the rest; the last
+        # two rows are double roots that W^2 underflows, whose q/p' is 0/0
+        d = TWO_PI * 1e8
+        rabi = np.array([0.5 * d, 1e-12 * d, 1e-170 * d, 1e8, 1e-170 * d, 1e-170 * d])
+        det = np.array([d, d, d, 1e9, d, -d])
+        shift = np.array([2 * d, 2 * d, 3 * d, 1e300, 2 * d, -d])
+        _assert_within_eight_ulps_of_the_scale(rabi, det, shift)
+
+    def test_near_resonant_branch_is_within_a_fraction_of_the_gap(self):
+        # at Omega/Delta = 1e-3 the two roots nearest 0 are Omega^2/|Delta| apart, 5e-7 of
+        # the scale: the other one is off by that gap, the closed form by 1.3e-5 of it
+        d = TWO_PI * 1e8
+        rabi = 1e-3 * d
+        shift = 2.0 * d * (1.0 + np.array([0.0, 1e-12, -1e-12, 1e-9]))
+        closed = dressed_ground_energy_closed_form(rabi, d, shift).rad_per_s
+        exact = dressed_ground_energy_exact(rabi, d, shift).rad_per_s
+        assert np.all(abs(closed - exact) <= 1e-4 * rabi * rabi / d)
+
+    # Near D = 2 Delta the discriminant 16 b^3 - a^2 is O(Omega^4) but computed from terms
+    # of O(1), so the two lowest roots, Omega^2/|Delta| apart, are not resolved. As its sum
+    # of squares, 108 Delta^2 (Delta - D)^2 (2 Delta - D)^2 + 108 w (2 Delta - D)^2
+    # (3 Delta^2 - 3 Delta D + 2 D^2) + 27 w^2 (48 Delta^2 - 48 Delta D + 13 D^2) + 432 w^3
+    # with w = Omega^2, all in units of the scale, it does not cancel and these points
+    # pass. The reference is a 60-digit eigensolve: at such a near-tie eigh's own branch
+    # can be the other one.
+    @pytest.mark.xfail(reason="16 b^3 - a^2 cancels near D = 2 Delta", strict=True)
+    def test_resolves_the_roots_at_the_pair_resonance(self):
+        d = TWO_PI * 1e8
+        det = np.array([d, -d] * 3)
+        rabi = np.array([1e-4, 1e-4, 1.12e-4, 1.12e-4, 2.8e-4, 2.8e-4]) * d
+        shift = 2.0 * det
+        closed = dressed_ground_energy_closed_form(rabi, det, shift).rad_per_s
+        points = zip(rabi.tolist(), det.tolist(), shift.tolist())
+        reference = np.array([_ground_energy_to_60_digits(*p) for p in points])
+        assert np.all(abs(closed - reference) <= 1e-11 * _scale(rabi, det, shift))
+
     def test_vanishing_rabi_frequency_stays_within_the_scale_rounding(self):
         # as Omega -> 0 the roots tend to the diagonal 0, -Delta and -2 Delta + D
         d = TWO_PI * 1e8
@@ -628,16 +708,12 @@ class TestArrayPath:
                 fn(np.array([1e6, 2e6, bad]), 1e7, 0.0)
 
 
-def _log_uniform(rng, lo, hi, size):
-    return 10 ** rng.uniform(np.log10(lo), np.log10(hi), size)
-
-
 class TestArrayPairShifts:
     def test_pair_shifts_equal_scalar_calls_bit_for_bit(self):
         rng = np.random.default_rng(51)
-        r = _log_uniform(rng, 1e-8, 1e-4, 10000)
-        r_c = _log_uniform(rng, 1e-7, 1e-5, 10000)
-        defect = rng.choice((-1.0, 1.0), 10000) * _log_uniform(rng, 1e6, 1e10, 10000)
+        r = log_uniform_array(rng, 1e-8, 1e-4, 10000)
+        r_c = log_uniform_array(rng, 1e-7, 1e-5, 10000)
+        defect = rng.choice((-1.0, 1.0), 10000) * log_uniform_array(rng, 1e6, 1e10, 10000)
         for fn in (dipole_dipole_shift, vdw_shift):
             got = fn(r, defect, r_c).rad_per_s
             assert got.shape == (10000,)
@@ -654,7 +730,7 @@ class TestArrayPairShifts:
     def test_normalized_potential_equals_scalar_calls_bit_for_bit(self, params, kind):
         # worked_params has negative detuning and defect, weak_attractive_params positive
         p = params()
-        r = p.pair.r_c * _log_uniform(np.random.default_rng(53), 1e-3, 1e3, 2000)
+        r = p.pair.r_c * log_uniform_array(np.random.default_rng(53), 1e-3, 1e3, 2000)
         got = normalized_potential(r, p, kind)
         assert got.shape == (2000,)
         assert np.array_equal(got, [normalized_potential(x, p, kind) for x in r.tolist()])
@@ -665,7 +741,7 @@ class TestArrayPairShifts:
         # a DressingParams holding an (n, 1) Rabi column gives one row per Rabi value
         p = params()
         rng = np.random.default_rng(54)
-        r = p.pair.r_c * _log_uniform(rng, 1e-2, 1e2, 40)[None, :]
+        r = p.pair.r_c * log_uniform_array(rng, 1e-2, 1e2, 40)[None, :]
         rabi_hz = p.rabi.hz * rng.uniform(0.2, 5.0, (9, 1))
         got = normalized_potential(r, _with(p, rabi=Frequency.from_hz(rabi_hz)), kind)
         assert got.shape == (9, 40)

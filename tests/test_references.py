@@ -19,8 +19,6 @@ results are exact, are not drawn. Hypothesis steers the draws towards each row's
 worst error (``target``); ``pytest --hypothesis-show-statistics`` reports it.
 """
 
-import math
-
 import mpmath
 import pytest
 from hypothesis import given, target
@@ -30,9 +28,7 @@ from rydkit.budget import detection_solid_angle_fraction, measurement_crosstalk
 from rydkit.constants import K_B
 from rydkit.gate_error import doppler_infidelity, excitation_error
 
-
-def log_uniform(lo, hi):
-    return st.floats(math.log10(lo), math.log10(hi)).map(lambda e: 10.0**e)
+from domains import log_uniform
 
 
 def doppler_reference(k, temperature, time, mass):

@@ -35,9 +35,7 @@ from rydkit import (
     rydberg_lifetime,
 )
 
-
-def log_uniform(lo, hi):
-    return st.floats(math.log10(lo), math.log10(hi)).map(lambda e: 10.0**e)
+from domains import log_uniform
 
 
 def signed(magnitude):
