@@ -309,9 +309,14 @@ def _cardano_ground_branch(omega, delta, dd):
     omega2 = omega * omega
     a = dd * (18.0 * delta * delta - 18.0 * delta * dd + 4.0 * dd * dd - 9.0 * omega2)
     b = 3.0 * delta * delta - 3.0 * delta * dd + dd * dd + 3.0 * omega2
-    # b * b * b, not b**3: numpy rounds a power differently for scalars and arrays;
-    # 16 b^3 >= a^2 holds up to rounding, as the roots are real
-    phi = np.arctan2(np.sqrt(np.maximum(16.0 * b * b * b - a * a, 0.0)), a)
+    # 16 b^3 - a^2 as a sum of non-negative terms, with e = 2 Delta - D: from a and b it
+    # cancels near D = 2 Delta, where it is O(Omega^4) but its terms are O(1). Products,
+    # not powers: numpy rounds a power differently for scalars and arrays
+    e = 2.0 * delta - dd
+    g, e2, dd2 = delta * (delta - dd) * e, e * e, dd * dd
+    disc = 4.0 * g * g + omega2 * (e2 * (3.0 * e2 + 5.0 * dd2)
+                                   + omega2 * (12.0 * e2 + dd2 + 16.0 * omega2))
+    phi = np.arctan2(np.sqrt(27.0 * disc), a)
     k = np.arange(1, 4) % 3  # the three roots along a trailing axis, lowest first
     w2, delta, dd, root_b, phi = (x[..., None] for x in (0.5 * omega2, delta, dd, np.sqrt(b), phi))
     lam = -delta + dd / 3.0 + 2.0 / 3.0 * root_b * np.cos((phi + 2.0 * np.pi * k) / 3.0)

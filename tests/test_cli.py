@@ -228,13 +228,16 @@ class TestDressingCommands:
         assert captured.out == ""
         assert captured.err.startswith("domain error:") and captured.err.count("\n") == 1
 
-    def test_sign_mismatch_exit_code(self):
+    def test_sign_mismatch_exit_code(self, capsys):
         code = main([
             "dressing", "fom", "--rabi-mhz", "20", "--detuning-mhz", "100",
             "--defect-mhz", "-200", "--rc-um", "8.1", "--tau-us", "320",
             "--spacing-um", "1",
         ])
         assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("domain error:") and captured.err.count("\n") == 1
 
 
 class TestScanCommand:
@@ -352,12 +355,14 @@ class TestExitCodes:
          "--epsilon", "1e-300"],
         ["scan", "--quantity", "tau-vac", "--x-min", "20", "--x-max", "20", "--x-points", "1",
          "--y-min", "1e-4", "--y-max", "1e-4", "--y-points", "1", "--set", "t_qec_ms=abc"],
+        ["scan", "--quantity", "tau-vac", "--x-min", "20", "--x-max", "20", "--x-points", "1",
+         "--y-min", "1e-4", "--y-max", "1e-4", "--y-points", "1", "--set", "bogus=1"],
     ])
     def test_non_finite_input_or_result_is_domain_error(self, args, capsys):
         assert main(args) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err.startswith("domain error:")
+        assert captured.err.startswith("domain error:") and captured.err.count("\n") == 1
 
     @pytest.mark.parametrize("command, config, named", [
         (["lifetime", "--n", "100", "--temperature-k", "0"], "{not json", "species.json"),
@@ -653,16 +658,23 @@ def test_process_matches_in_process_main(cmd, argv, monkeypatch):
     assert (proc.returncode, proc.stdout) == (code, out.getvalue().encode())
 
 
-@pytest.mark.parametrize("profiled", [False, True], ids=["plain", "profiled"])
-def test_atexit_handlers_run_only_under_a_profiler(profiled):
-    # main() ends the process without the interpreter's exit, unless a profiler
-    # must write its report there
-    setup = "import atexit, sys; atexit.register(print, 'atexit ran'); "
-    if profiled:
-        setup += "sys.setprofile(lambda *args: None); "
-    proc = _process([sys.executable, "-c", setup + _ENTRY], ["gate-error", "floors"])
+_ATEXIT = "import atexit, sys; atexit.register(print, 'atexit ran'); "
+
+
+# What stdout holds after the command's JSON: main() ends the process without the
+# interpreter's exit, unless a profiler must write its report there; cProfile writes
+# its report once main() returns
+@pytest.mark.parametrize(("cmd", "after"), [
+    pytest.param(["-c", _ATEXIT + _ENTRY], rb"", id="plain"),
+    pytest.param(["-c", _ATEXIT + "sys.setprofile(lambda *args: None); " + _ENTRY],
+                 rb"atexit ran\n", id="profiled"),
+    pytest.param(["-m", "cProfile", "-m", "rydkit.cli"], rb"\s+\d+ function calls .*",
+                 id="cprofile"),
+])
+def test_atexit_handlers_run_only_under_a_profiler(cmd, after):
+    proc = _process([sys.executable, *cmd], ["gate-error", "floors"])
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.endswith(b"}\natexit ran\n" if profiled else b"}\n")
+    assert re.fullmatch(rb"\{\n[^}]*\}\n" + after, proc.stdout, re.S), proc.stdout[:300]
 
 
 # A JSON and a CSV command, each writing only to stdout.
